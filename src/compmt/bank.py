@@ -16,11 +16,10 @@ from fractions import Fraction
 
 from .grammar import (
     CONSTRUCTS, Lit, NT, Pcfg, Production, Slot,
-    LeafNode, ProdNode, depth_of, iter_leaves,
+    LeafNode, ProdNode, depth_of, iter_leaves, iter_productions,
 )
 from .lexdata import (
-    ADJECTIVES, ANIMATE_NOUNS, INANIMATE_NOUNS, PREPOSITIONS, PROPER_NOUNS,
-    VERBS, build_lexicon,
+    ANIMATE_NOUNS, INANIMATE_NOUNS, PROPER_NOUNS, VERBS, build_lexicon,
 )
 from .transduce import TransductionRule, TransductionRuleSet, _parse_item
 
@@ -521,20 +520,11 @@ def analyze(tree: ProdNode) -> Analysis:
         role = tag_role(leaf.tag)
         if role is not None:
             out.lemma_roles.append((leaf.entry.lemma, role))
-    for prod_id in {p.id for p in _iter_prod_ids(tree)}:
+    for prod_id in {p.id for p in iter_productions(tree)}:
         flag = _FLAG_IDS.get(prod_id)
         if flag:
             out.flags.add(flag)
     return out
-
-
-def _iter_prod_ids(tree):
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, ProdNode):
-            yield node.production
-            stack.extend(node.children)
 
 
 def content_lemmas(tree) -> list:

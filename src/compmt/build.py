@@ -19,9 +19,10 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from random import Random
 
-from .grammar import (Constraints, GrammarError, LeafNode, LitNode, ProdNode,
-                      UnsatisfiableConstraintError, iter_productions)
-from .transduce import span_for_source, transduce, linearize, alignment_of
+from .grammar import (Constraints, GrammarError, LitNode, ProdNode,
+                      UnsatisfiableConstraintError, iter_leaves, iter_nodes,
+                      iter_productions, yield_tokens)
+from .transduce import span_for_source, transduce, linearize
 from .bank import analyze, default_bank, tag_role, _np_head
 from .naturalize import (CaseFrameList, UnrepairableRecordError,
                          default_case_frames, naturalize, reject_duplicates)
@@ -36,6 +37,7 @@ N_TEST = 5000
 N_POOL_TRAIN = 39_200   # in-distribution train records incl. topicalized
 N_EXPOSURE = 100        # per pattern
 N_CONCAT = 400
+DRAW_BUDGET = 10_000    # samples per record, in every stream
 
 OUT_DIR_ENV = "COMPMT_OUT_DIR"
 
@@ -45,7 +47,6 @@ class RunConfig:
     master_seed: int = 1
     scale: float = 1.0
     topicalization_fraction: float = 0.10
-    cp_embedding_fraction: float = 0.50
     with_concat: bool = True
     strict_selectional: bool = False
     out_dir: str = "corpus"
@@ -125,22 +126,51 @@ def _capitalize(tokens):
     return (head[0].upper() + head[1:],) + tuple(tokens[1:])
 
 
-def _depths_ok(analysis):
-    return all(d in TRAIN_DEPTHS for d in analysis.depths.values())
+def _train_depths(tree):
+    return all(d in TRAIN_DEPTHS for d in analyze(tree).depths.values())
 
 
 def _pair_key(src_tokens, tgt_tokens):
     return (" ".join(src_tokens), " ".join(tgt_tokens))
 
 
-class _Translator:
-    def __init__(self, bank):
-        self.bank = bank
+def _render(bank, tree):
+    """(target tree, capitalized source tokens, target tokens)."""
+    tt = transduce(tree, bank.rules, bank.dictionary, bank.morph)
+    return tt, _capitalize(yield_tokens(tree)), tuple(linearize(tt))
 
-    def __call__(self, tree):
-        tt = transduce(tree, self.bank.rules, self.bank.dictionary,
-                       self.bank.morph)
-        return tt, tuple(linearize(tt))
+
+def _draw(grammar, rng, constraints, accept, bank, cf, strict, seen,
+          dropped, what):
+    """One record of a stream: sample, accept, reject duplicate lexemes,
+    naturalize, translate, capitalize and, unless ``seen`` is None, reject a
+    (source, target) pair already used.
+
+    Returns (tree, target tree, source, target, residuals, samples), where
+    ``samples`` counts the grammar draws this record took.  Raises
+    UnsatisfiableConstraintError naming ``what`` after DRAW_BUDGET draws.
+    """
+    for samples in range(1, DRAW_BUDGET + 1):
+        tree = grammar.sample_with_rng(rng, constraints)
+        if accept is not None and not accept(tree):
+            continue
+        if reject_duplicates(tree):
+            continue
+        try:
+            tree, residuals, _ = naturalize(tree, cf, rng, bank.lexicon,
+                                            strict=strict)
+        except UnrepairableRecordError:
+            dropped[0] += 1
+            continue
+        tt, source, target = _render(bank, tree)
+        if seen is not None:
+            key = _pair_key(source, target)
+            if key in seen:
+                continue
+            seen.add(key)
+        return tree, tt, source, target, residuals, samples
+    raise UnsatisfiableConstraintError(
+        f"{what}: no fresh record in {DRAW_BUDGET} samples")
 
 
 def _annotate(tree, tt, target_tokens, spec):
@@ -154,7 +184,7 @@ def _annotate(tree, tt, target_tokens, spec):
         ref = [spec.wh_word]
         role = spec.expected_role
     elif spec.target_kind == "verb":
-        leaf = next(lf for lf in _leaves(tree)
+        leaf = next(lf for lf in iter_leaves(tree)
                     if lf.entry.pos == "Verb"
                     and lf.entry.lemma in spec.target_lexemes)
         start, end = span_for_source(tt, leaf)
@@ -163,7 +193,7 @@ def _annotate(tree, tt, target_tokens, spec):
         # inflected form's presence only.
         role = None
     else:  # np
-        node = next(nd for nd in _prod_nodes(tree)
+        node = next(nd for nd in iter_nodes(tree)
                     if nd.production.annot_target)
         span = span_for_source(tt, node)
         if span is None:
@@ -182,25 +212,6 @@ def _annotate(tree, tt, target_tokens, spec):
     return annotation, dict(analysis.depths), in_cp
 
 
-def _leaves(tree):
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, LeafNode):
-            yield node
-        elif isinstance(node, ProdNode):
-            stack.extend(reversed(node.children))
-
-
-def _prod_nodes(tree):
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, ProdNode):
-            yield node
-            stack.extend(reversed(node.children))
-
-
 # --------------------------------------------------------------------------
 # Generalization records (parallelizable per pattern)
 # --------------------------------------------------------------------------
@@ -211,37 +222,17 @@ def _build_pattern(pattern_id, master_seed, scale, strict, cf_rows):
     bank = default_bank()
     spec = bank.by_pattern[pattern_id]
     cf = CaseFrameList(cf_rows)
-    translator = _Translator(bank)
     seed = child_seed(master_seed, f"gen:{pattern_id}")
     rng = Random(seed)
     count = round(spec.gen_count * scale)
     records = []
     seen = set()
     residual_count = 0
-    dropped = 0
+    dropped = [0]
     for i in range(count):
-        cons = spec.constraints_for(i)
-        for _attempt in range(10_000):
-            tree = spec.gen_grammar.sample_with_rng(rng, cons)
-            if reject_duplicates(tree):
-                continue
-            try:
-                tree, residuals, _ = naturalize(tree, cf, rng, bank.lexicon,
-                                                strict=strict)
-            except UnrepairableRecordError:
-                dropped += 1
-                continue
-            tt, target_tokens = translator(tree)
-            source_tokens = _capitalize(_source_tokens(tree))
-            key = _pair_key(source_tokens, target_tokens)
-            if key in seen:
-                continue
-            seen.add(key)
-            break
-        else:
-            raise UnsatisfiableConstraintError(
-                f"pattern {pattern_id}: could not draw a fresh record "
-                f"(index {i})")
+        tree, tt, source_tokens, target_tokens, residuals, _ = _draw(
+            spec.gen_grammar, rng, spec.constraints_for(i), None, bank, cf,
+            strict, seen, dropped, f"pattern {pattern_id}: gen record {i}")
         residual_count += len(residuals)
         annotation, depths, in_cp = _annotate(tree, tt, target_tokens, spec)
         provenance = {"seed": seed, "grammar_id": pattern_id,
@@ -251,22 +242,7 @@ def _build_pattern(pattern_id, master_seed, scale, strict, cf_rows):
         records.append(SentenceRecord(
             f"gen-{pattern_id}-{i:05d}", "gen", pattern_id,
             source_tokens, target_tokens, annotation, provenance))
-    return records, residual_count, dropped
-
-
-def _yield_source(tree):
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, ProdNode):
-            stack.extend(reversed(node.children))
-        else:
-            yield node
-
-
-def _source_tokens(tree):
-    return tuple(lf.text if hasattr(lf, "text") else lf.surface
-                 for lf in _yield_source(tree))
+    return records, residual_count, dropped[0]
 
 
 # --------------------------------------------------------------------------
@@ -279,7 +255,6 @@ def primitive_exposures(bank, spec, n, master_seed, cf, strict, seen,
     """n training records supplying the pattern's licensed prerequisites."""
     seed = child_seed(master_seed, f"exp:{spec.id}")
     rng = Random(seed)
-    translator = _Translator(bank)
     records = []
     for k in range(n):
         recipe = spec.exposures[k % len(spec.exposures)]
@@ -312,29 +287,9 @@ def primitive_exposures(bank, spec, n, master_seed, cf, strict, seen,
                     {tag: frozenset(ls) for tag, ls in overrides.items()})
             grammar_cache[cache_key] = grammar
         cons = Constraints(frozenset(required), frozenset(), tuple(depths))
-        for _attempt in range(10_000):
-            tree = grammar.sample_with_rng(rng, cons)
-            analysis = analyze(tree)
-            if not _depths_ok(analysis):
-                continue
-            if reject_duplicates(tree):
-                continue
-            try:
-                tree, _residual, _ = naturalize(tree, cf, rng, bank.lexicon,
-                                                strict=strict)
-            except UnrepairableRecordError:
-                dropped[0] += 1
-                continue
-            tt, target = translator(tree)
-            source = _capitalize(_source_tokens(tree))
-            pair = _pair_key(source, target)
-            if pair in seen:
-                continue
-            seen.add(pair)
-            break
-        else:
-            raise UnsatisfiableConstraintError(
-                f"pattern {spec.id}: exposure recipe {recipe!r} exhausted")
+        _, _, source, target, _, _ = _draw(
+            grammar, rng, cons, _train_depths, bank, cf, strict, seen,
+            dropped, f"pattern {spec.id}: exposure recipe {recipe!r}")
         records.append(SentenceRecord(
             rid, "train", "", source, target,
             provenance={"seed": seed, "grammar_id": key,
@@ -368,33 +323,25 @@ def topicalize(bank, tree, s_node):
     return ProdNode(prod, (dobj, LitNode(","), subj, verb, LitNode(".")))
 
 
+def _declarative_train_depths(tree):
+    return tree.production.id == "root_decl" and _train_depths(tree)
+
+
 def concatenate_for_length(bank, cf, master_seed, n, gen_max_len, strict,
                            seen, dropped):
     """Training records longer than any generalization sentence, formed by
     concatenating independent declarative in-distribution sentences."""
     seed = child_seed(master_seed, "concat")
     rng = Random(seed)
-    translator = _Translator(bank)
     records = []
     for j in range(n):
         for _attempt in range(10_000):
             source, target, parts = (), (), 0
             while len(source) <= gen_max_len:
-                tree = bank.grammar.sample_with_rng(rng)
-                if tree.production.id != "root_decl":
-                    continue
-                analysis = analyze(tree)
-                if not _depths_ok(analysis) or reject_duplicates(tree):
-                    continue
-                try:
-                    tree, _res, _ = naturalize(tree, cf, rng, bank.lexicon,
-                                               strict=strict)
-                except UnrepairableRecordError:
-                    dropped[0] += 1
-                    continue
-                _tt, tgt = translator(tree)
-                src = _source_tokens(tree)
-                src = _capitalize(src)
+                _, _, src, tgt, _, _ = _draw(
+                    bank.grammar, rng, None, _declarative_train_depths, bank,
+                    cf, strict, None, dropped,
+                    f"concatenation record {j} part {parts}")
                 source = source + src
                 target = target + ((".",) if target else ()) + tgt
                 parts += 1
@@ -403,7 +350,8 @@ def concatenate_for_length(bank, cf, master_seed, n, gen_max_len, strict,
                 seen.add(key)
                 break
         else:
-            raise UnsatisfiableConstraintError("concatenation exhausted")
+            raise UnsatisfiableConstraintError(
+                f"concatenation record {j}: every joined pair already used")
         records.append(SentenceRecord(
             f"train-cat-{j:04d}", "train", "", source, target,
             provenance={"seed": seed, "grammar_id": "in_dist",
@@ -484,7 +432,6 @@ def build_splits(config: RunConfig, bank=None):
     n_pool_train = round(N_POOL_TRAIN * scale)
     pool_seed = child_seed(seed, "pool")
     rng = Random(pool_seed)
-    translator = _Translator(bank)
     dev, test, train_pool = [], [], []
     eligible = 0
     topicalized = 0
@@ -493,22 +440,10 @@ def build_splits(config: RunConfig, bank=None):
         if config.topicalization_fraction else 0
     while len(dev) < n_dev or len(test) < n_test or \
             len(train_pool) < n_pool_train:
-        tree = bank.grammar.sample_with_rng(rng)
-        index += 1
-        analysis = analyze(tree)
-        if not _depths_ok(analysis) or reject_duplicates(tree):
-            continue
-        try:
-            tree, _res, _ = naturalize(tree, cf, rng, bank.lexicon,
-                                       strict=strict)
-        except UnrepairableRecordError:
-            dropped[0] += 1
-            continue
-        _tt, target = translator(tree)
-        source = _capitalize(_source_tokens(tree))
-        key = _pair_key(source, target)
-        if key in seen:
-            continue
+        tree, _, source, target, _, samples = _draw(
+            bank.grammar, rng, None, _train_depths, bank, cf, strict, seen,
+            dropped, f"in-distribution pool (draw {index})")
+        index += samples
         bucket = _bucket(seed, index)
         if bucket == 0 and len(dev) < n_dev:
             split, out = "dev", dev
@@ -518,11 +453,8 @@ def build_splits(config: RunConfig, bank=None):
             split, out = "train", train_pool
         elif len(dev) < n_dev:
             split, out = "dev", dev
-        elif len(test) < n_test:
-            split, out = "test", test
         else:
-            continue
-        seen.add(key)
+            split, out = "test", test
         rid = {"dev": f"dev-{len(dev):05d}", "test": f"test-{len(test):05d}",
                "train": f"train-{len(train_pool):06d}"}[split]
         out.append(SentenceRecord(
@@ -537,8 +469,7 @@ def build_splits(config: RunConfig, bank=None):
         if eligible % period != 0 or len(train_pool) >= n_pool_train:
             continue
         fronted = topicalize(bank, tree, s_node)
-        _ftt, ftarget = translator(fronted)
-        fsource = _capitalize(_source_tokens(fronted))
+        _, fsource, ftarget = _render(bank, fronted)
         fkey = _pair_key(fsource, ftarget)
         if fkey in seen:
             continue

@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Subcommands wire the pipeline end to end: ``validate`` checks every
-grammar, ``generate`` builds and audits a corpus, ``audit`` re-audits an
-existing one, ``score`` evaluates a hypothesis file, and ``inspect``
-filters records for eyeballing.
+grammar and its transduction coverage, ``generate`` builds and audits a
+corpus, ``audit`` re-audits an existing one, ``score`` evaluates a
+hypothesis file, and ``inspect`` filters records for eyeballing.
 
 Exit codes: 0 success, 1 validation or leakage failure, 2 I/O or
 configuration error.
@@ -21,7 +21,7 @@ from .audit import audit_gap
 from .bank import default_bank
 from .build import (OUT_DIR_ENV, RunConfig, build_splits, read_corpus,
                     write_corpus)
-from .grammar import GrammarError
+from .grammar import CONSTRUCTS, GrammarError
 from .metrics import ScoringError, score_file
 
 EXIT_OK = 0
@@ -82,26 +82,31 @@ def main():
 @main.command()
 @_config_options
 def validate(config_path, seed, scale, wo_concat, strict_selectional, out):
-    """Validate every grammar referenced by the configuration."""
+    """Validate every grammar the build samples from, and the transduction
+    rules' coverage of each."""
     _load_config(config_path, seed, scale, wo_concat, strict_selectional,
                  out)
     try:
         bank = default_bank()
         patterns = bank.patterns
+        names = (["in_dist"] + [p.id for p in patterns]
+                 + [f"boost:{c}" for c in CONSTRUCTS])
+        grammars = [(name, bank.grammar_for(name)) for name in names]
     except GrammarError as exc:
         _fail_io(exc)
     problems = []
-    for name, grammar in [("in_dist", bank.grammar_for("in_dist"))] + \
-            [(p.id, p.gen_grammar) for p in patterns]:
-        for violation in grammar.validate():
+    for name, grammar in grammars:
+        for violation in grammar.validate() + \
+                bank.rules.validate_against(grammar):
             problems.append(f"{name}: {violation}")
     if problems:
         for line in problems:
             click.echo(line)
         click.echo(f"{len(problems)} grammar violations")
         sys.exit(EXIT_INVALID)
-    click.echo(f"ok: in_dist grammar and {len(patterns)} pattern grammars "
-               "validate")
+    click.echo(f"ok: {len(grammars)} grammars validate and are covered "
+               f"by the transduction rules (in_dist, {len(patterns)} "
+               f"pattern grammars, {len(CONSTRUCTS)} boost grammars)")
 
 
 @main.command()

@@ -74,9 +74,6 @@ def _recognize(g: Pcfg, tokens):
                     nxt = _State(p, 0, pos)
                     if add(pos, nxt):
                         queue.append(nxt)
-                # Late completion: constituent already finished at this pos.
-                if (sym.name, pos, pos) in completed:
-                    pass  # no epsilon rules exist, nothing to do
             elif pos < n and _leaf_options(g, sym, tokens[pos]):
                 add(pos + 1, _State(state.prod, state.dot + 1, state.origin))
     return completed

@@ -9,32 +9,10 @@ seeded sampling, derivation probabilities and construct-depth analysis.
 from __future__ import annotations
 
 import bisect
-import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from random import Random
 from typing import Iterable, Iterator, Optional
-
-POS_TAGS = (
-    "ProperNoun",
-    "CommonNoun",
-    "Verb",
-    "Adjective",
-    "Preposition",
-    "Determiner",
-    "Complementizer",
-    "RelPronoun",
-    "WhPronoun",
-    "Auxiliary",
-)
-
-# Morph-feature bundles, encoded compactly.  For verbs:
-#   past = past/active/finite        pres = present/active/finite
-#   part = past-participle (used after "was", i.e. passive voice)
-#   inf  = infinitive (bare form)
-# Non-verbs carry a single "base" form.
-VERB_BUNDLES = ("past", "pres", "part", "inf")
-BASE_BUNDLE = "base"
 
 CONSTRUCTS = ("CP", "PP", "CenterEmbedRC", "Adj")
 
@@ -113,16 +91,16 @@ class Lexicon:
 class NT:
     name: str
 
-    def __str__(self):
-        return self.name
-
 
 @dataclass(frozen=True)
 class Slot:
     """POS slot: filled by a lexical entry surfacing a fixed morph bundle.
 
-    ``tag`` names the grammatical position (used for lexeme restrictions and
-    corpus analysis); ``lemmas`` optionally restricts to an explicit set.
+    ``bundle`` is the morph form: for verbs "past"/"pres" (active, finite),
+    "part" (past participle, the passive after "was") or "inf" (bare form);
+    every other part of speech surfaces its single "base" form.  ``tag``
+    names the grammatical position (used for lexeme restrictions and corpus
+    analysis); ``lemmas`` optionally restricts to an explicit set.
     """
 
     pos: str
@@ -143,27 +121,10 @@ class Slot:
             return False
         return entry.matches(self.feature_dict())
 
-    def __str__(self):
-        parts = [f"tag={self.tag}", f"bundle={self.bundle}"]
-        for key, val in self.features:
-            if isinstance(val, frozenset):
-                parts.append(f"{key}={'|'.join(sorted(val))}")
-            else:
-                parts.append(f"{key}={val}")
-        if self.lemmas is not None:
-            parts.append("lemmas=" + "|".join(sorted(self.lemmas)))
-        return f"{self.pos}[{','.join(parts)}]"
-
 
 @dataclass(frozen=True)
 class Lit:
     text: str
-
-    def __str__(self):
-        return f"'{self.text}'"
-
-
-Symbol = object  # NT | Slot | Lit
 
 
 @dataclass(frozen=True)
@@ -187,10 +148,6 @@ class ProdNode:
     production: Production
     children: tuple
 
-    @property
-    def is_leaf(self):
-        return False
-
 
 @dataclass(frozen=True)
 class LeafNode:
@@ -202,18 +159,10 @@ class LeafNode:
     def surface(self):
         return self.entry.form(self.bundle)
 
-    @property
-    def is_leaf(self):
-        return True
-
 
 @dataclass(frozen=True)
 class LitNode:
     text: str
-
-    @property
-    def is_leaf(self):
-        return True
 
 
 def yield_tokens(tree) -> list:
@@ -231,13 +180,18 @@ def yield_tokens(tree) -> list:
     return out
 
 
-def iter_productions(tree) -> Iterator[Production]:
+def iter_nodes(tree) -> Iterator[ProdNode]:
+    """Production nodes in preorder, left to right."""
     stack = [tree]
     while stack:
         node = stack.pop()
         if isinstance(node, ProdNode):
-            yield node.production
-            stack.extend(node.children)
+            yield node
+            stack.extend(node.children[::-1])
+
+
+def iter_productions(tree) -> Iterator[Production]:
+    return (node.production for node in iter_nodes(tree))
 
 
 def iter_leaves(tree) -> Iterator[LeafNode]:
@@ -271,17 +225,6 @@ def depth_of(tree, construct: str) -> int:
         return here + best
 
     return walk(tree)
-
-
-def zipf_weights(n: int, s: float) -> list:
-    """Normalized Zipfian probabilities p(k) = k^-s / sum_j j^-s, k = 1..n."""
-    if n < 1:
-        raise GrammarError("empty lexicon: need at least one item")
-    if s <= 0:
-        raise GrammarError("zipf exponent must be positive")
-    raw = [k ** (-float(s)) for k in range(1, n + 1)]
-    total = sum(raw)
-    return [w / total for w in raw]
 
 
 @dataclass
@@ -547,126 +490,3 @@ class Constraints:
         if self.depths:
             bits.append("depths=" + ",".join(f"{c}={d}" for c, d in self.depths))
         return "; ".join(bits) or "none"
-
-
-# -- file formats ----------------------------------------------------------
-
-_SLOT_RE = re.compile(r"^([A-Za-z]+)\[(.*)\]$")
-
-
-def _parse_symbol(token: str):
-    if token.startswith("'") and token.endswith("'") and len(token) >= 2:
-        return Lit(token[1:-1])
-    m = _SLOT_RE.match(token)
-    if m and m.group(1) in POS_TAGS:
-        pos = m.group(1)
-        fields = {}
-        for part in m.group(2).split(","):
-            if not part:
-                continue
-            key, _, val = part.partition("=")
-            fields[key] = val
-        bundle = fields.pop("bundle", BASE_BUNDLE)
-        tag = fields.pop("tag", pos.lower())
-        lemmas = fields.pop("lemmas", None)
-        feats = []
-        for key, val in fields.items():
-            if "|" in val:
-                feats.append((key, frozenset(val.split("|"))))
-            else:
-                feats.append((key, val))
-        return Slot(pos, bundle, tag, tuple(feats),
-                    frozenset(lemmas.split("|")) if lemmas else None)
-    return NT(token)
-
-
-def parse_grammar_file(text: str, lexicon: Lexicon, start: str = "ROOT",
-                       zipf_exponent: float = 1.0) -> Pcfg:
-    """Load the line-oriented grammar format.
-
-    ``<id> <TAB> <lhs> -> <rhs tokens> <TAB> <weight>`` with optional trailing
-    ``<TAB> key=value`` metadata (construct/annot tags); ``#`` comments.
-    """
-    prods = []
-    for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) < 3:
-            raise GrammarError(f"line {lineno}: expected 3 tab-separated fields")
-        pid, rule, weight = parts[0], parts[1], parts[2]
-        meta = {}
-        for extra in parts[3:]:
-            key, _, val = extra.partition("=")
-            meta[key] = val
-        lhs, _, rhs_text = rule.partition("->")
-        lhs = lhs.strip()
-        rhs = tuple(_parse_symbol(t) for t in rhs_text.split())
-        if not lhs or not rhs:
-            raise GrammarError(f"line {lineno}: malformed rule")
-        prods.append(Production(
-            pid, lhs, rhs, Fraction(weight),
-            construct=meta.get("construct"),
-            annot_target=meta.get("annot") == "1"))
-    return Pcfg(start, prods, lexicon, zipf_exponent)
-
-
-def serialize_grammar(g: Pcfg) -> str:
-    lines = ["# one production per line: id <TAB> lhs -> rhs <TAB> weight"]
-    for p in g.productions:
-        rhs = " ".join(
-            str(s) if not isinstance(s, NT) else s.name for s in p.rhs)
-        extras = []
-        if p.construct:
-            extras.append(f"construct={p.construct}")
-        if p.annot_target:
-            extras.append("annot=1")
-        fields = [p.id, f"{p.lhs} -> {rhs}", str(p.weight)] + extras
-        lines.append("\t".join(fields))
-    return "\n".join(lines) + "\n"
-
-
-def parse_lexicon_tsv(text: str) -> Lexicon:
-    """Load the lexicon TSV: lemma, pos, features, forms, zipf_rank."""
-    entries = []
-    for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.rstrip("\n")
-        if not line or line.startswith("#"):
-            continue
-        cols = line.split("\t")
-        if len(cols) != 5:
-            raise GrammarError(f"lexicon line {lineno}: expected 5 columns")
-        lemma, pos, feat_s, form_s, rank = cols
-        features = {}
-        for part in feat_s.split(";"):
-            if not part:
-                continue
-            key, _, val = part.partition("=")
-            if "|" in val:
-                features[key] = frozenset(val.split("|"))
-            else:
-                features[key] = val
-        forms = {}
-        for part in form_s.split(";"):
-            if not part:
-                continue
-            bundle, _, surface = part.partition("=")
-            forms[bundle] = surface
-        entries.append(LexEntry(lemma, pos, features, forms, int(rank)))
-    return Lexicon(entries)
-
-
-def serialize_lexicon(lexicon: Lexicon) -> str:
-    lines = ["# lemma <TAB> pos <TAB> features <TAB> forms <TAB> zipf_rank"]
-    for e in lexicon.entries:
-        feats = []
-        for key, val in sorted(e.features.items()):
-            if isinstance(val, (set, frozenset)):
-                feats.append(f"{key}={'|'.join(sorted(val))}")
-            else:
-                feats.append(f"{key}={val}")
-        forms = ";".join(f"{b}={s}" for b, s in sorted(e.forms.items()))
-        lines.append("\t".join(
-            [e.lemma, e.pos, ";".join(feats), forms, str(e.zipf_rank)]))
-    return "\n".join(lines) + "\n"

@@ -2,8 +2,8 @@
 
 All linguistic resources ship as code tables here and are turned into the
 runtime objects (Lexicon, BilingualDictionary, MorphTable, CaseFrameList)
-used by the default pipeline.  TSV loaders/serializers for the same data
-live in the neighbouring modules so users can swap in their own files.
+used by the default pipeline.  Only the case frames can be replaced by a
+user file: a TSV named by ``RunConfig.case_frame_path``.
 
 Japanese surfaces are romanized morpheme tokens (kunrei-style), with
 particles and tense suffixes kept as separate tokens: "mituke ta",

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .grammar import Constraints, Lit, NT, Pcfg
+from .grammar import Constraints, NT, Pcfg
 from .bank import (
     DET, L, GrammarSpec, adj, n, pn, prep, v,
     ACT2PASS, DO2PP, OBJ2SUBJ_C, OBJ2SUBJ_P, OBJOM2TRANS, PASS2ACT, PP2DO,
@@ -21,9 +21,8 @@ from .bank import (
     SUBJ2OBJ_C, SUBJ2OBJ_P, TENSE_CP, TENSE_DIT, TENSE_INF,
     TRANS2CP, TRANS2DIT, TRANS2INF, UNACC2TRANS,
     FREE_ANIM, FREE_PROP, INANIM_POOL, LOC_NOUNS,
-    V_CP_PAST, V_CP_PRES, V_DO_PAST, V_DO_PRES, V_INFBASE, V_INF_PAST,
-    V_INTRANS, V_OBJOM, V_PASS, V_PASSDAT, V_PPDAT_PAST, V_PPDAT_PRES,
-    V_TRANS, V_TRANS_SAFE, V_UNACC,
+    V_CP_PAST, V_CP_PRES, V_DO_PAST, V_INFBASE, V_INF_PAST, V_INTRANS,
+    V_OBJOM, V_PASS, V_PASSDAT, V_PPDAT_PAST, V_TRANS, V_TRANS_SAFE, V_UNACC,
     in_distribution_spec,
 )
 from .lexdata import CASE_FRAMES

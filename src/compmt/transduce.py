@@ -39,20 +39,6 @@ class TItem:
     voice: Optional[str] = None
     text: str = ""
 
-    def __str__(self):
-        if self.kind == "child":
-            return f"${self.index}"
-        if self.kind == "lit":
-            return self.text
-        if self.kind == "q":
-            return "@q"
-        args = [str(self.index)]
-        if self.tense:
-            args.append(self.tense)
-        if self.voice:
-            args.append(self.voice)
-        return f"@morph({','.join(args)})"
-
 
 @dataclass(frozen=True)
 class TransductionRule:
@@ -161,19 +147,11 @@ class TLeaf:
     token: str
     src_index: Optional[int] = None  # source leaf position, None for particles
 
-    @property
-    def is_leaf(self):
-        return True
-
 
 @dataclass(frozen=True)
 class TNode:
     source: object  # the ProdNode / LeafNode this node rewrites
     children: tuple
-
-    @property
-    def is_leaf(self):
-        return False
 
 
 @dataclass(frozen=True)
@@ -310,13 +288,15 @@ def translate(tree: ProdNode, rules: TransductionRuleSet,
         alignment_of(tt))
 
 
-# -- file formats -----------------------------------------------------------
+# -- template tokens --------------------------------------------------------
 
 _MORPH_RE = re.compile(r"^@morph\((\d+)(?:,([a-z]+))?(?:,([a-z]+))?\)$")
 _CHILD_RE = re.compile(r"^\$(\d+)$")
 
 
 def _parse_item(token: str) -> TItem:
+    """One template token: ``$k``, ``@morph(k[,tense[,voice]])``, ``@q`` or
+    a literal morpheme."""
     m = _CHILD_RE.match(token)
     if m:
         return TItem("child", int(m.group(1)))
@@ -328,73 +308,6 @@ def _parse_item(token: str) -> TItem:
     if token.startswith("@") or token.startswith("$"):
         raise TransductionError(f"malformed template token {token!r}")
     return TItem("lit", text=token)
-
-
-def parse_rules_file(text: str) -> TransductionRuleSet:
-    """`<production id> <TAB> <template tokens>`; empty template drops all."""
-    rules = []
-    for lineno, line in enumerate(text.splitlines(), 1):
-        if not line.strip() or line.startswith("#"):
-            continue
-        pid, tab, template = line.partition("\t")
-        if not tab:
-            raise TransductionError(f"rules line {lineno}: missing tab")
-        items = tuple(_parse_item(t) for t in template.split())
-        rules.append(TransductionRule(pid.strip(), items))
-    return TransductionRuleSet(rules)
-
-
-def serialize_rules(rules: TransductionRuleSet) -> str:
-    lines = ["# production id <TAB> template ($k, @morph(k[,tense[,voice]]), @q, literals)"]
-    for pid in sorted(rules.by_id):
-        template = " ".join(str(i) for i in rules.by_id[pid].template)
-        lines.append(f"{pid}\t{template}")
-    return "\n".join(lines) + "\n"
-
-
-def parse_dictionary_tsv(text: str) -> BilingualDictionary:
-    rows = []
-    for lineno, line in enumerate(text.splitlines(), 1):
-        if not line.strip() or line.startswith("#"):
-            continue
-        cols = line.split("\t")
-        if len(cols) != 4:
-            raise TransductionError(f"dictionary line {lineno}: expected 4 columns")
-        lemma, pos, bundle, tokens = cols
-        rows.append((lemma, pos, bundle, tuple(tokens.split())))
-    return BilingualDictionary(rows)
-
-
-def serialize_dictionary(d: BilingualDictionary) -> str:
-    lines = ["# lemma <TAB> pos <TAB> bundle <TAB> target tokens"]
-    for (lemma, pos, bundle), tokens in sorted(d.entries.items()):
-        lines.append("\t".join([lemma, pos, bundle, " ".join(tokens)]))
-    return "\n".join(lines) + "\n"
-
-
-def parse_morph_tsv(text: str) -> MorphTable:
-    rows = []
-    question = "ka"
-    for lineno, line in enumerate(text.splitlines(), 1):
-        if not line.strip() or line.startswith("#"):
-            continue
-        cols = line.split("\t")
-        if cols[0] == "question":
-            question = cols[1]
-            continue
-        if len(cols) != 5:
-            raise TransductionError(f"morphology line {lineno}: expected 5 columns")
-        cls, tense, voice, stem_key, suffixes = cols
-        rows.append((cls, tense, voice, stem_key, tuple(suffixes.split())))
-    return MorphTable(rows, question)
-
-
-def serialize_morph(m: MorphTable) -> str:
-    lines = ["# class <TAB> tense <TAB> voice <TAB> stem slot <TAB> suffix tokens"]
-    for (cls, tense, voice), (stem_key, sufs) in sorted(m.rules.items()):
-        lines.append("\t".join([cls, tense, voice, stem_key, " ".join(sufs)]))
-    lines.append(f"question\t{m.question_particle}")
-    return "\n".join(lines) + "\n"
 
 
 def default_dictionary() -> BilingualDictionary:

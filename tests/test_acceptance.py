@@ -13,7 +13,7 @@ from random import Random
 
 import pytest
 
-from compmt.audit import GapAuditor
+from compmt.audit import GapAuditor, segment
 from compmt.build import (RunConfig, SentenceRecord, build_splits,
                           write_corpus)
 from compmt.earley import parse
@@ -108,18 +108,6 @@ def _bare_target(bank, lemma_token):
     raise AssertionError(f"unknown bare exposure {lemma_token!r}")
 
 
-def _segments(tokens):
-    segs, cur = [], []
-    for tok in tokens:
-        cur.append(tok)
-        if tok in (".", "?"):
-            segs.append(cur)
-            cur = []
-    if cur:
-        segs.append(cur)
-    return segs
-
-
 def _reproduces(bank, grammar, seg, want):
     trees = parse(grammar, seg, limit=50)
     if not trees and seg[0][:1].isupper():
@@ -140,7 +128,7 @@ def _round_trip(bank, record):
         return record.target_tokens == _bare_target(bank,
                                                     record.source_tokens[0])
     grammar = bank.grammar_for(grammar_id)
-    segs = _segments(list(record.source_tokens))
+    segs = segment(list(record.source_tokens))
     if len(segs) == 1:
         return _reproduces(bank, grammar, segs[0], record.target_tokens)
     # concatenated record: target parts are joined by "." separators
@@ -309,7 +297,7 @@ def test_no_duplicate_content_lexemes(bank, full):
     surface = _content_lemma_map(bank)
     for split, recs in records.items():
         for r in recs:
-            for seg in _segments(list(r.source_tokens)):
+            for seg in segment(list(r.source_tokens)):
                 lemmas = [surface[t.lower() if t[:1].isupper() and
                                   t.lower() in surface else t]
                           for t in seg

@@ -1,7 +1,21 @@
+import hashlib
 import json
+from random import Random
 
-from compmt.build import (RunConfig, SentenceRecord, build_splits,
-                          child_seed, read_corpus, write_corpus)
+import pytest
+
+from compmt import build
+from compmt.bank import Analysis
+from compmt.build import (SPLITS, RunConfig, SentenceRecord, _draw,
+                          build_splits, child_seed, concatenate_for_length,
+                          read_corpus, write_corpus)
+from compmt.grammar import UnsatisfiableConstraintError
+from compmt.naturalize import default_case_frames
+
+# sha256 over train, dev, test and gen.jsonl, in that order, at seed 1 and
+# scale 0.01.  A change that moves it changes the corpus and must say why.
+SMALL_BUILD_SHA256 = \
+    "908b8b0fa5967ce738972b9da2a8310e1e7ff0b00ca4e0f29744aeba7b75f623"
 
 
 def _pairs(recs):
@@ -164,3 +178,45 @@ def test_config_round_trip(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg.to_dict()), encoding="utf-8")
     assert RunConfig.from_file(str(path)) == cfg
+
+
+def test_small_build_bytes_are_pinned(tmp_path, small_build):
+    recs, manifest = small_build
+    write_corpus(recs, manifest, str(tmp_path))
+    digest = hashlib.sha256()
+    for split in SPLITS:
+        digest.update((tmp_path / f"{split}.jsonl").read_bytes())
+    assert digest.hexdigest() == SMALL_BUILD_SHA256
+
+
+def _cp_depth_three(tree):
+    # Training never shows CP depth 3, so no tree passes the depth check.
+    return Analysis(depths={"CP": 3})
+
+
+def test_draw_gives_up_after_its_budget(bank):
+    with pytest.raises(UnsatisfiableConstraintError,
+                       match="^test stream: no fresh record in 10000"):
+        _draw(bank.grammar, Random(0), None, lambda tree: False, bank,
+              default_case_frames(), False, set(), [0], "test stream")
+
+
+def test_concatenation_part_draw_is_bounded(bank, monkeypatch):
+    monkeypatch.setattr(build, "analyze", _cp_depth_three)
+    with pytest.raises(UnsatisfiableConstraintError,
+                       match="^concatenation record 0 part 0:"):
+        concatenate_for_length(bank, default_case_frames(), 1, 1, 10, False,
+                               set(), [0])
+
+
+def test_in_distribution_pool_draw_is_bounded(bank, monkeypatch):
+    def one_gen_record(pid, *_args):
+        return [SentenceRecord(f"gen-{pid}", "gen", pid, (pid,), (pid,))], \
+            0, 0
+
+    monkeypatch.setattr(build, "_build_pattern", one_gen_record)
+    monkeypatch.setattr(build, "primitive_exposures", lambda *_args: [])
+    monkeypatch.setattr(build, "analyze", _cp_depth_three)
+    with pytest.raises(UnsatisfiableConstraintError,
+                       match="^in-distribution pool"):
+        build_splits(RunConfig(scale=0.001), bank=bank)

@@ -1,10 +1,11 @@
 import json
-import os
 
 import pytest
 from click.testing import CliRunner
 
+from compmt.bank import default_bank
 from compmt.cli import main
+from compmt.transduce import TransductionRuleSet
 
 
 @pytest.fixture(scope="module")
@@ -35,7 +36,17 @@ def test_generate_writes_all_files(corpus_dir):
 def test_validate_ok(runner):
     result = runner.invoke(main, ["validate"])
     assert result.exit_code == 0, result.output
+    assert "ok: 47 grammars" in result.output
     assert "42 pattern grammars" in result.output
+
+
+def test_validate_reports_uncovered_production(runner, monkeypatch):
+    bank = default_bank()
+    monkeypatch.setattr(bank, "rules", TransductionRuleSet(
+        rule for pid, rule in bank.rules.by_id.items() if pid != "s_pass"))
+    result = runner.invoke(main, ["validate"])
+    assert result.exit_code == 1, result.output
+    assert "in_dist: uncovered_production: s_pass" in result.output
 
 
 def test_audit_existing_corpus(runner, corpus_dir):
@@ -143,6 +154,10 @@ def test_config_file_and_flag_overrides(runner, tmp_path):
 def test_bad_config_file_is_io_error(runner, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"no_such_key": 1}', encoding="utf-8")
+    result = runner.invoke(main, ["validate", "--config", str(cfg)])
+    assert result.exit_code == 2
+    # A knob that was accepted but never read is now unknown.
+    cfg.write_text('{"cp_embedding_fraction": 0.5}', encoding="utf-8")
     result = runner.invoke(main, ["validate", "--config", str(cfg)])
     assert result.exit_code == 2
     result = runner.invoke(main, ["validate", "--config",
