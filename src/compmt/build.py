@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from random import Random
 
 from .grammar import (Constraints, GrammarError, LitNode, ProdNode,
@@ -25,7 +26,8 @@ from .grammar import (Constraints, GrammarError, LitNode, ProdNode,
 from .transduce import span_for_source, transduce, linearize
 from .bank import analyze, default_bank, tag_role, _np_head
 from .naturalize import (CaseFrameList, UnrepairableRecordError,
-                         default_case_frames, naturalize, reject_duplicates)
+                         default_case_frames, naturalize, read_case_frames,
+                         reject_duplicates)
 
 TRAIN_DEPTHS = frozenset({0, 1, 2, 4})
 _MOD_DOBJ_IDS = frozenset(
@@ -41,6 +43,9 @@ DRAW_BUDGET = 10_000    # samples per record, in every stream
 
 OUT_DIR_ENV = "COMPMT_OUT_DIR"
 
+# JSON value types accepted for each RunConfig field type.
+_JSON_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str}
+
 
 @dataclass
 class RunConfig:
@@ -55,12 +60,41 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path):
+        """Config from a JSON object; an unknown key or a value of the wrong
+        type (a bool is not a number) raises ValueError naming the file."""
         with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-        unknown = set(data) - set(cls().__dict__)
+            try:
+                data = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}:{exc.lineno}: {exc.msg}") from None
+        if not isinstance(data, dict):
+            raise ValueError(f"{path}: expected a JSON object")
+        types = {f.name: f.type for f in fields(cls)}
+        unknown = set(data) - set(types)
         if unknown:
-            raise GrammarError(f"unknown config keys: {sorted(unknown)}")
+            raise ValueError(f"{path}: unknown config keys: {sorted(unknown)}")
+        for key, value in data.items():
+            want = types[key]
+            if not isinstance(value, _JSON_TYPES[want]) or \
+                    (isinstance(value, bool) and want != "bool"):
+                raise ValueError(f"{path}: {key} must be of type {want}, "
+                                 f"got {value!r}")
         return cls(**data)
+
+    def range_errors(self, gen_counts):
+        """(field, message) for each value the build cannot run with;
+        ``gen_counts`` are the patterns' unscaled generalization counts."""
+        errors = []
+        if not (math.isfinite(self.scale)
+                and all(round(n * self.scale) >= 1 for n in gen_counts)):
+            errors.append(("scale", f"{self.scale} leaves a pattern with no "
+                           f"generalization records (round({min(gen_counts)}"
+                           " x scale) must be at least 1)"))
+        if not 0 <= self.topicalization_fraction <= 1:
+            errors.append(("topicalization_fraction",
+                           f"{self.topicalization_fraction} is outside "
+                           "[0, 1]"))
+        return errors
 
     def to_dict(self):
         out = dict(self.__dict__)
@@ -374,9 +408,7 @@ def build_splits(config: RunConfig, bank=None):
     if bank is None:
         bank = default_bank()
     if config.case_frame_path:
-        from .naturalize import parse_case_frames
-        with open(config.case_frame_path, encoding="utf-8") as fh:
-            cf = parse_case_frames(fh.read())
+        cf = read_case_frames(config.case_frame_path)
     else:
         cf = default_case_frames()
     cf_rows = [(v, r, nn, rank) for (v, r), entries in cf.pool.items()

@@ -23,6 +23,7 @@ from .build import (OUT_DIR_ENV, RunConfig, build_splits, read_corpus,
                     write_corpus)
 from .grammar import CONSTRUCTS, GrammarError
 from .metrics import ScoringError, score_file
+from .naturalize import read_case_frames
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -38,10 +39,12 @@ def _fail_io(message):
 
 def _load_config(config_path, seed, scale, wo_concat, strict_selectional,
                  out):
+    """The run configuration: the file, then the flags over it.  A bad
+    value exits 2 naming the flag or the file it came from."""
     try:
         config = (RunConfig.from_file(config_path) if config_path
                   else RunConfig())
-    except (OSError, ValueError, GrammarError) as exc:
+    except (OSError, ValueError) as exc:
         _fail_io(exc)
     if seed is not None:
         config.master_seed = seed
@@ -55,6 +58,16 @@ def _load_config(config_path, seed, scale, wo_concat, strict_selectional,
         config.out_dir = out
     elif os.environ.get(OUT_DIR_ENV):
         config.out_dir = os.environ[OUT_DIR_ENV]
+    gen_counts = [p.gen_count for p in default_bank().patterns]
+    for key, message in config.range_errors(gen_counts):
+        if key == "scale" and scale is not None:
+            _fail_io(f"--scale {message}")
+        _fail_io(f"{config_path}: {key} {message}")
+    if config.case_frame_path:
+        try:
+            read_case_frames(config.case_frame_path)
+        except (OSError, GrammarError) as exc:
+            _fail_io(exc)
     return config
 
 
@@ -186,6 +199,9 @@ def score(corpus_dir, split, hyp_path, report_path):
     except (OSError, ScoringError) as exc:
         _fail_io(exc)
     click.echo(report.table())
+    if report.unmatched:
+        click.echo(f"warning: {hyp_path}: {report.unmatched} hypothesis ids "
+                   f"match no {split} record", err=True)
     if report_path:
         try:
             with open(report_path, "w", encoding="utf-8") as fh:

@@ -422,40 +422,6 @@ class Pcfg:
         """Draw one derivation tree; pure in (grammar, seed, constraints)."""
         return self.sample_with_rng(Random(rng_seed), constraints)
 
-    def sample_many(self, rng_seed: int, n: int,
-                    constraints: "Constraints" = None) -> list:
-        rng = Random(rng_seed)
-        return [self.sample_with_rng(rng, constraints) for _ in range(n)]
-
-    # -- probabilities -----------------------------------------------------
-
-    def derivation_probability(self, tree) -> float:
-        """Product of normalized rule weights and Zipfian lexical choices."""
-        prob = 1.0
-
-        def walk(node):
-            nonlocal prob
-            prod = node.production
-            if prod.id not in self.by_id:
-                raise GrammarError(f"foreign production {prod.id}")
-            total = sum((p.weight for p in self.by_lhs[prod.lhs]), Fraction(0))
-            prob *= float(prod.weight / total)
-            for sym, child in zip(prod.rhs, node.children):
-                if isinstance(sym, NT):
-                    walk(child)
-                elif isinstance(sym, Slot):
-                    entries, probs = self.slot_candidates(sym)
-                    for e, p in zip(entries, probs):
-                        if e is child.entry:
-                            prob *= p
-                            break
-                    else:
-                        raise GrammarError(
-                            f"entry {child.entry.lemma} not admitted by {sym.tag}")
-
-        walk(tree)
-        return prob
-
 
 @dataclass
 class Constraints:

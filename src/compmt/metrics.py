@@ -182,7 +182,8 @@ class EvalReport:
     per_group: dict
     per_pattern: list
     scored: int
-    skipped: int = 0
+    skipped: int = 0  # records with no hypothesis
+    unmatched: int = 0  # hypothesis ids with no record
 
     def to_dict(self):
         return {
@@ -201,6 +202,7 @@ class EvalReport:
             ],
             "scored": self.scored,
             "skipped": self.skipped,
+            "unmatched": self.unmatched,
         }
 
     def to_json(self):
@@ -282,8 +284,10 @@ def score_records(hyp_by_id, records, patterns) -> EvalReport:
             per_group[group] = _aggregate(grows, gpairs)
     allpairs = [p for r in ordered for p in pairs[r.pattern_id]]
     overall = _aggregate(ordered, allpairs)
+    unmatched = len(set(hyp_by_id) - {r.id for r in records})
     return EvalReport(overall, per_group, ordered,
-                      scored=sum(r.count for r in ordered), skipped=skipped)
+                      scored=sum(r.count for r in ordered), skipped=skipped,
+                      unmatched=unmatched)
 
 
 # --------------------------------------------------------------------------
@@ -328,6 +332,12 @@ def read_hypotheses(path, records=None, tokenizer=None):
 
 
 def score_file(hyp_path, records, patterns, tokenizer=None) -> EvalReport:
+    """Score a hypothesis file; ScoringError if none of its ids is a record
+    id (a file for another split would otherwise score as all zeros)."""
     records = list(records)
     hyp_by_id = read_hypotheses(hyp_path, records, tokenizer)
-    return score_records(hyp_by_id, records, patterns)
+    report = score_records(hyp_by_id, records, patterns)
+    if not report.scored:
+        raise ScoringError(f"{hyp_path}: none of its {len(hyp_by_id)} "
+                           "hypothesis ids is a reference record id")
+    return report

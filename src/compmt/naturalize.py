@@ -81,30 +81,31 @@ def default_case_frames() -> CaseFrameList:
     return CaseFrameList(rows)
 
 
-def parse_case_frames(text: str) -> CaseFrameList:
+def parse_case_frames(text: str, source="case-frames") -> CaseFrameList:
+    """Rows ``verb<TAB>role<TAB>noun<TAB>rank``; an error names
+    ``source:line``."""
     rows = []
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
+        where = f"{source}:{lineno}"
         cols = line.split("\t")
         if len(cols) != 4:
             raise GrammarError(
-                f"case-frame line {lineno}: expected 4 columns, got "
-                f"{len(cols)}")
+                f"{where}: expected 4 columns, got {len(cols)}")
         verb, role, noun, rank = cols
+        if role not in ROLES:
+            raise GrammarError(f"{where}: unknown case-frame role {role!r}")
         if not rank.isdigit():
-            raise GrammarError(f"case-frame line {lineno}: bad rank {rank!r}")
+            raise GrammarError(f"{where}: bad rank {rank!r}")
         rows.append((verb, role, noun, int(rank)))
     return CaseFrameList(rows)
 
 
-def serialize_case_frames(cf: CaseFrameList) -> str:
-    lines = ["# verb\trole\tnoun\trank"]
-    for (verb, role), entries in sorted(cf.pool.items()):
-        for rank, noun in entries:
-            lines.append(f"{verb}\t{role}\t{noun}\t{rank}")
-    return "\n".join(lines) + "\n"
+def read_case_frames(path) -> CaseFrameList:
+    with open(path, encoding="utf-8") as fh:
+        return parse_case_frames(fh.read(), path)
 
 
 # --------------------------------------------------------------------------

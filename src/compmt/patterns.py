@@ -6,14 +6,31 @@ training grammar wherever the clause shape is identical), the constraint
 variants cycled during generation (complement-clause embedding on/off,
 exact recursion depths), and the primitive-exposure recipes that seed the
 training set with the pattern's prerequisites.
+
+Embedded copies.  34 patterns test their withheld combination both in a
+matrix clause and in a clause embedded under "X thought that ...".  Each
+matrix clause and noun phrase is written once; `_with_embedded` and `_np`
+derive the copy by one naming rule, the one the audit reads back
+(`bank.ROLE_BY_TAG`, `audit._CANON_FRAME`):
+
+- clause ids lose their tense: `s_trans_past_cf` -> `semb_trans_cf` on SEMB;
+- noun-phrase ids gain an `e`: `np_dobj_c` -> `np_edobj_c`;
+- `NP_X` -> `NP_EX` (other nonterminals are shared);
+- slot-tag stems gain an `e`: `v:trans:past` -> `v:etrans:past`,
+  `n:dobj:cf` -> `n:edobj:cf`.
+
+Written by hand instead: `_gen_pres_cp`, whose target verb itself takes
+the complement, so its embedded clause is a different clause; the CP
+branch of `_gen_recursion`, where the complement nests in itself; and the
+wh-question generators, which do not embed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .grammar import Constraints, NT, Pcfg
+from .grammar import Constraints, NT, Pcfg, Slot
 from .bank import (
     DET, L, GrammarSpec, adj, n, pn, prep, v,
     ACT2PASS, DO2PP, OBJ2SUBJ_C, OBJ2SUBJ_P, OBJOM2TRANS, PASS2ACT, PP2DO,
@@ -79,20 +96,45 @@ class PatternSpec:
 # --------------------------------------------------------------------------
 
 
-def _pair(g, stem, common, proper, wc=F(7, 10), nt=None, annot=False):
-    nt = nt or "NP_" + stem.upper()
-    g.add(f"np_{stem}_c", nt, [DET, n(f"n:{stem}:c", common)],
-          wc, "$1", annot=annot)
-    g.add(f"np_{stem}_p", nt, [pn(f"n:{stem}:p", proper)],
-          F(1) - wc, "$0", annot=annot)
+def _pair(g, stem, common, proper):
+    """Common (7/10) and proper (3/10) noun phrases on NP_<STEM>."""
+    nt = "NP_" + stem.upper()
+    g.add(f"np_{stem}_c", nt, [DET, n(f"n:{stem}:c", common)], F(7, 10), "$1")
+    g.add(f"np_{stem}_p", nt, [pn(f"n:{stem}:p", proper)], F(3, 10), "$0")
 
 
-def _npc(g, pid, nt, tag, pool, w=F(1), annot=False):
-    g.add(pid, nt, [DET, n(tag, pool)], w, "$1", annot=annot)
+def _pairs(g, stem, common, proper):
+    """`_pair` for `stem` and for its embedded copy `e<stem>`."""
+    _pair(g, stem, common, proper)
+    _pair(g, "e" + stem, common, proper)
 
 
-def _npp(g, pid, nt, tag, pool, w=F(1), annot=False):
-    g.add(pid, nt, [pn(tag, pool)], w, "$0", annot=annot)
+def _npc(g, pid, nt, tag, pool, w=F(1)):
+    g.add(pid, nt, [DET, n(tag, pool)], w, "$1")
+
+
+def _emb(sym):
+    """A symbol's copy inside a complement clause: `NP_X` -> `NP_EX`, a
+    slot's tag stem gains an `e`; other symbols are shared."""
+    if isinstance(sym, NT) and sym.name.startswith("NP_"):
+        return NT("NP_E" + sym.name[3:])
+    if isinstance(sym, Slot):
+        kind, rest = sym.tag.split(":", 1)
+        return replace(sym, tag=f"{kind}:e{rest}")
+    return sym
+
+
+def _emb_id(pid):
+    """Embedded clause id: `s_<clause>` -> `semb_<clause>`, tense dropped."""
+    return "semb_" + pid[2:].replace("_past", "").replace("_pres", "")
+
+
+def _np(g, pid, nt, rhs, w, template, annot=False):
+    """Noun-phrase production `np_<stem>...` on `nt` and its embedded copy
+    `np_e<stem>...` on `_emb(nt)`."""
+    g.add(pid, nt, rhs, w, template, annot=annot)
+    g.add("np_e" + pid[3:], _emb(NT(nt)).name, [_emb(s) for s in rhs], w,
+          template, annot=annot)
 
 
 def _base(g, question=False):
@@ -111,15 +153,24 @@ def _clauses(g, lhs, clauses, mass=F(1)):
         g.add(pid, lhs, rhs, mass * F(rel, total), template)
 
 
-def _embed(g, weight=F(1, 2), cp_nt="CP", marker="cp_clause",
-           semb_nt="SEMB"):
-    """Outer complement-clause scaffold: free subject + free CP verb."""
+def _embed(g, cp_nt="CP", marker="cp_clause", semb_nt="SEMB"):
+    """Outer complement-clause scaffold on half the S mass: free subject +
+    free CP verb."""
     g.add("s_cp_past", "S",
           [NT("NP_OSUBJ"), v("v:cp:past", "past", V_CP_PRES), NT(cp_nt)],
-          weight, T_CP)
+          F(1, 2), T_CP)
     g.add(marker, cp_nt, [L("that"), NT(semb_nt)], F(1), "$1 to",
           construct="CP")
     _pair(g, "osubj", FREE_ANIM, FREE_PROP)
+
+
+def _with_embedded(g, clauses):
+    """Matrix `clauses` on half the S mass, the complement-clause scaffold,
+    and each clause's embedded copy on SEMB with the same relative weight."""
+    _clauses(g, "S", clauses, F(1, 2))
+    _embed(g)
+    _clauses(g, "SEMB", [(_emb_id(pid), [_emb(s) for s in rhs], template, rel)
+                         for pid, rhs, template, rel in clauses])
 
 
 def _compile(g, lexicon, zipf=1.0):
@@ -169,7 +220,7 @@ def _gen_subject(targets, proper, include_do=True, include_objom=False):
     """Targets in the (animate) subject position of simple clauses."""
     g = GrammarSpec()
     _base(g)
-    plain = [
+    clauses = [
         ("s_trans_past",
          [NT("NP_TSUBJ"), v("v:trans:past", "past", V_TRANS_SAFE),
           NT("NP_DOBJ")], T_TRANS, 5),
@@ -177,42 +228,24 @@ def _gen_subject(targets, proper, include_do=True, include_objom=False):
          [NT("NP_TSUBJ"), v("v:intrans:past", "past", V_INTRANS)],
          T_INTRANS, 2),
     ]
-    emb = [
-        ("semb_trans",
-         [NT("NP_TESUBJ"), v("v:etrans:past", "past", V_TRANS_SAFE),
-          NT("NP_EDOBJ")], T_TRANS, 5),
-        ("semb_intrans",
-         [NT("NP_TESUBJ"), v("v:eintrans:past", "past", V_INTRANS)],
-         T_INTRANS, 2),
-    ]
     if include_do:
-        plain.append(("s_do_past",
-                      [NT("NP_TSUBJ"), v("v:do:past", "past", V_DO_PAST),
-                       NT("NP_IOBJ"), NT("NP_DOBJ")], T_DO, 2))
-        emb.append(("semb_do",
-                    [NT("NP_TESUBJ"), v("v:edo:past", "past", V_DO_PAST),
-                     NT("NP_EIOBJ"), NT("NP_EDOBJ")], T_DO, 2))
+        clauses.append(("s_do_past",
+                        [NT("NP_TSUBJ"), v("v:do:past", "past", V_DO_PAST),
+                         NT("NP_IOBJ"), NT("NP_DOBJ")], T_DO, 2))
     if include_objom:
-        plain.append(("s_objom_past",
-                      [NT("NP_TSUBJ"), v("v:objom:past", "past", V_OBJOM)],
-                      T_INTRANS, 1))
-        emb.append(("semb_objom",
-                    [NT("NP_TESUBJ"), v("v:eobjom:past", "past", V_OBJOM)],
-                    T_INTRANS, 1))
-    _clauses(g, "S", plain, F(1, 2))
-    _embed(g)
-    _clauses(g, "SEMB", emb)
+        clauses.append(("s_objom_past",
+                        [NT("NP_TSUBJ"), v("v:objom:past", "past", V_OBJOM)],
+                        T_INTRANS, 1))
+    _with_embedded(g, clauses)
     if proper:
-        _npp(g, "np_subj_p", "NP_TSUBJ", "n:subj:p", targets, annot=True)
-        _npp(g, "np_esubj_p", "NP_TESUBJ", "n:esubj:p", targets, annot=True)
+        _np(g, "np_subj_p", "NP_TSUBJ", [pn("n:subj:p", targets)], F(1),
+            "$0", annot=True)
     else:
-        _npc(g, "np_subj_c", "NP_TSUBJ", "n:subj:c", targets, annot=True)
-        _npc(g, "np_esubj_c", "NP_TESUBJ", "n:esubj:c", targets, annot=True)
-    _pair(g, "dobj", FREE_MIXED, FREE_PROP)
-    _pair(g, "edobj", FREE_MIXED, FREE_PROP)
+        _np(g, "np_subj_c", "NP_TSUBJ", [DET, n("n:subj:c", targets)], F(1),
+            "$1", annot=True)
+    _pairs(g, "dobj", FREE_MIXED, FREE_PROP)
     if include_do:
-        _pair(g, "iobj", FREE_ANIM, FREE_PROP)
-        _pair(g, "eiobj", FREE_ANIM, FREE_PROP)
+        _pairs(g, "iobj", FREE_ANIM, FREE_PROP)
     return g
 
 
@@ -220,7 +253,7 @@ def _gen_dobj_common(targets):
     """Targets as the direct object of transitive/ditransitive clauses."""
     g = GrammarSpec()
     _base(g)
-    _clauses(g, "S", [
+    _with_embedded(g, [
         ("s_trans_past",
          [NT("NP_SUBJ"), v("v:trans:past", "past", V_TRANS_SAFE),
           NT("NP_TOBJ")], T_TRANS, 5),
@@ -230,25 +263,11 @@ def _gen_dobj_common(targets):
         ("s_ppdat_past",
          [NT("NP_SUBJ"), v("v:ppdat:past", "past", V_PPDAT_PAST),
           NT("NP_TOBJ"), L("to"), NT("NP_IOBJ")], T_PPDAT, 2),
-    ], F(1, 2))
-    _embed(g)
-    _clauses(g, "SEMB", [
-        ("semb_trans",
-         [NT("NP_ESUBJ"), v("v:etrans:past", "past", V_TRANS_SAFE),
-          NT("NP_TEOBJ")], T_TRANS, 5),
-        ("semb_do",
-         [NT("NP_ESUBJ"), v("v:edo:past", "past", V_DO_PAST),
-          NT("NP_EIOBJ"), NT("NP_TEOBJ")], T_DO, 3),
-        ("semb_ppdat",
-         [NT("NP_ESUBJ"), v("v:eppdat:past", "past", V_PPDAT_PAST),
-          NT("NP_TEOBJ"), L("to"), NT("NP_EIOBJ")], T_PPDAT, 2),
     ])
-    _npc(g, "np_dobj_c", "NP_TOBJ", "n:dobj:c", targets, annot=True)
-    _npc(g, "np_edobj_c", "NP_TEOBJ", "n:edobj:c", targets, annot=True)
-    _pair(g, "subj", FREE_ANIM, FREE_PROP)
-    _pair(g, "esubj", FREE_ANIM, FREE_PROP)
-    _pair(g, "iobj", FREE_ANIM, FREE_PROP)
-    _pair(g, "eiobj", FREE_ANIM, FREE_PROP)
+    _np(g, "np_dobj_c", "NP_TOBJ", [DET, n("n:dobj:c", targets)], F(1), "$1",
+        annot=True)
+    _pairs(g, "subj", FREE_ANIM, FREE_PROP)
+    _pairs(g, "iobj", FREE_ANIM, FREE_PROP)
     return g
 
 
@@ -256,31 +275,21 @@ def _gen_obj_proper(targets):
     """Proper-noun targets as direct object (trans) or recipient (DO)."""
     g = GrammarSpec()
     _base(g)
-    _clauses(g, "S", [
+    _with_embedded(g, [
         ("s_trans_past",
          [NT("NP_SUBJ"), v("v:trans:past", "past", V_TRANS_SAFE),
           NT("NP_TOBJ")], T_TRANS, 3),
         ("s_do_past",
          [NT("NP_SUBJ"), v("v:do:past", "past", V_DO_PAST),
           NT("NP_TIOBJ"), NT("NP_DOBJ")], T_DO, 2),
-    ], F(1, 2))
-    _embed(g)
-    _clauses(g, "SEMB", [
-        ("semb_trans",
-         [NT("NP_ESUBJ"), v("v:etrans:past", "past", V_TRANS_SAFE),
-          NT("NP_TEOBJ")], T_TRANS, 3),
-        ("semb_do",
-         [NT("NP_ESUBJ"), v("v:edo:past", "past", V_DO_PAST),
-          NT("NP_TEIOBJ"), NT("NP_EDOBJ")], T_DO, 2),
     ])
-    _npp(g, "np_dobj_p", "NP_TOBJ", "n:dobj:p", targets, annot=True)
-    _npp(g, "np_edobj_p", "NP_TEOBJ", "n:edobj:p", targets, annot=True)
-    _npp(g, "np_iobj_p", "NP_TIOBJ", "n:iobj:p", targets, annot=True)
-    _npp(g, "np_eiobj_p", "NP_TEIOBJ", "n:eiobj:p", targets, annot=True)
-    _npc(g, "np_dobj_c", "NP_DOBJ", "n:dobj:c", FREE_MIXED)
-    _npc(g, "np_edobj_c", "NP_EDOBJ", "n:edobj:c", FREE_MIXED)
-    _pair(g, "subj", FREE_ANIM, FREE_PROP)
-    _pair(g, "esubj", FREE_ANIM, FREE_PROP)
+    _np(g, "np_dobj_p", "NP_TOBJ", [pn("n:dobj:p", targets)], F(1), "$0",
+        annot=True)
+    _np(g, "np_iobj_p", "NP_TIOBJ", [pn("n:iobj:p", targets)], F(1), "$0",
+        annot=True)
+    _np(g, "np_dobj_c", "NP_DOBJ", [DET, n("n:dobj:c", FREE_MIXED)], F(1),
+        "$1")
+    _pairs(g, "subj", FREE_ANIM, FREE_PROP)
     return g
 
 
@@ -288,7 +297,7 @@ def _gen_prim_obj_proper(targets):
     """Proper-noun targets as recipients and objects, incl. passive dative."""
     g = GrammarSpec()
     _base(g)
-    _clauses(g, "S", [
+    _with_embedded(g, [
         ("s_passdat",
          [NT("NP_PSUBJ"), L("was"), v("v:passdat", "part", V_PASSDAT),
           L("to"), NT("NP_TIOBJ")], T_PASSDAT, 2),
@@ -298,29 +307,16 @@ def _gen_prim_obj_proper(targets):
         ("s_ppdat_past",
          [NT("NP_SUBJ"), v("v:ppdat:past", "past", V_PPDAT_PAST),
           NT("NP_DOBJ"), L("to"), NT("NP_TIOBJ")], T_PPDAT, 1),
-    ], F(1, 2))
-    _embed(g)
-    _clauses(g, "SEMB", [
-        ("semb_passdat",
-         [NT("NP_EPSUBJ"), L("was"), v("v:epassdat", "part", V_PASSDAT),
-          L("to"), NT("NP_TEIOBJ")], T_PASSDAT, 2),
-        ("semb_trans",
-         [NT("NP_ESUBJ"), v("v:etrans:past", "past", V_TRANS_SAFE),
-          NT("NP_TEOBJ")], T_TRANS, 2),
-        ("semb_ppdat",
-         [NT("NP_ESUBJ"), v("v:eppdat:past", "past", V_PPDAT_PAST),
-          NT("NP_EDOBJ"), L("to"), NT("NP_TEIOBJ")], T_PPDAT, 1),
     ])
-    _npp(g, "np_iobj_p", "NP_TIOBJ", "n:iobj:p", targets, annot=True)
-    _npp(g, "np_eiobj_p", "NP_TEIOBJ", "n:eiobj:p", targets, annot=True)
-    _npp(g, "np_dobj_p", "NP_TOBJ", "n:dobj:p", targets, annot=True)
-    _npp(g, "np_edobj_p", "NP_TEOBJ", "n:edobj:p", targets, annot=True)
-    _npc(g, "np_psubj_c", "NP_PSUBJ", "n:psubj:c", INANIM_POOL)
-    _npc(g, "np_epsubj_c", "NP_EPSUBJ", "n:epsubj:c", INANIM_POOL)
-    _npc(g, "np_dobj_c", "NP_DOBJ", "n:dobj:c", INANIM_POOL)
-    _npc(g, "np_edobj_c", "NP_EDOBJ", "n:edobj:c", INANIM_POOL)
-    _pair(g, "subj", FREE_ANIM, FREE_PROP)
-    _pair(g, "esubj", FREE_ANIM, FREE_PROP)
+    _np(g, "np_iobj_p", "NP_TIOBJ", [pn("n:iobj:p", targets)], F(1), "$0",
+        annot=True)
+    _np(g, "np_dobj_p", "NP_TOBJ", [pn("n:dobj:p", targets)], F(1), "$0",
+        annot=True)
+    _np(g, "np_psubj_c", "NP_PSUBJ", [DET, n("n:psubj:c", INANIM_POOL)], F(1),
+        "$1")
+    _np(g, "np_dobj_c", "NP_DOBJ", [DET, n("n:dobj:c", INANIM_POOL)], F(1),
+        "$1")
+    _pairs(g, "subj", FREE_ANIM, FREE_PROP)
     return g
 
 
@@ -328,19 +324,12 @@ def _gen_prim_inf():
     """Primitive verbs as the infinitival complement."""
     g = GrammarSpec()
     _base(g)
-    _clauses(g, "S", [
+    _with_embedded(g, [
         ("s_inf_past",
          [NT("NP_SUBJ"), v("v:inf:past", "past", V_INF_PAST), L("to"),
           v("v:infbase", "inf", PRIM_VERBS)], T_INF, 1),
-    ], F(1, 2))
-    _embed(g)
-    _clauses(g, "SEMB", [
-        ("semb_inf",
-         [NT("NP_ESUBJ"), v("v:einf:past", "past", V_INF_PAST), L("to"),
-          v("v:einfbase", "inf", PRIM_VERBS)], T_INF, 1),
     ])
-    _pair(g, "subj", FREE_ANIM, FREE_PROP)
-    _pair(g, "esubj", FREE_ANIM, FREE_PROP)
+    _pairs(g, "subj", FREE_ANIM, FREE_PROP)
     return g
 
 
@@ -352,46 +341,29 @@ def _gen_prim_inf():
 def _gen_pres_dit(targets):
     g = GrammarSpec()
     _base(g)
-    _clauses(g, "S", [
+    _with_embedded(g, [
         ("s_do_pres",
          [NT("NP_SUBJ"), v("v:do:pres", "pres", targets),
           NT("NP_IOBJ"), NT("NP_DOBJ")], T_DO, 1),
         ("s_ppdat_pres",
          [NT("NP_SUBJ"), v("v:ppdat:pres", "pres", targets),
           NT("NP_DOBJ"), L("to"), NT("NP_IOBJ")], T_PPDAT, 1),
-    ], F(1, 2))
-    _embed(g)
-    _clauses(g, "SEMB", [
-        ("semb_do",
-         [NT("NP_ESUBJ"), v("v:edo:pres", "pres", targets),
-          NT("NP_EIOBJ"), NT("NP_EDOBJ")], T_DO, 1),
-        ("semb_ppdat",
-         [NT("NP_ESUBJ"), v("v:eppdat:pres", "pres", targets),
-          NT("NP_EDOBJ"), L("to"), NT("NP_EIOBJ")], T_PPDAT, 1),
     ])
-    for stem in ("subj", "esubj", "iobj", "eiobj"):
-        _pair(g, stem, FREE_ANIM, FREE_PROP)
-    for stem in ("dobj", "edobj"):
-        _pair(g, stem, FREE_MIXED, FREE_PROP)
+    _pairs(g, "subj", FREE_ANIM, FREE_PROP)
+    _pairs(g, "iobj", FREE_ANIM, FREE_PROP)
+    _pairs(g, "dobj", FREE_MIXED, FREE_PROP)
     return g
 
 
 def _gen_pres_inf(targets):
     g = GrammarSpec()
     _base(g)
-    _clauses(g, "S", [
+    _with_embedded(g, [
         ("s_inf_pres",
          [NT("NP_SUBJ"), v("v:inf:pres", "pres", targets), L("to"),
           v("v:infbase", "inf", V_INFBASE)], T_INF, 1),
-    ], F(1, 2))
-    _embed(g)
-    _clauses(g, "SEMB", [
-        ("semb_inf",
-         [NT("NP_ESUBJ"), v("v:einf:pres", "pres", targets), L("to"),
-          v("v:einfbase", "inf", V_INFBASE)], T_INF, 1),
     ])
-    _pair(g, "subj", FREE_ANIM, FREE_PROP)
-    _pair(g, "esubj", FREE_ANIM, FREE_PROP)
+    _pairs(g, "subj", FREE_ANIM, FREE_PROP)
     return g
 
 
@@ -426,8 +398,7 @@ def _gen_pres_cp(targets):
          [NT("NP_FISUBJ"), v("v:funacc:past", "past", V_UNACC_SAFE)],
          T_INTRANS, 1),
     ])
-    _pair(g, "subj", FREE_ANIM, FREE_PROP)
-    _pair(g, "esubj", FREE_ANIM, FREE_PROP)
+    _pairs(g, "subj", FREE_ANIM, FREE_PROP)
     _pair(g, "fsubj", FREE_ANIM, FREE_PROP)
     _pair(g, "fdobj", FREE_MIXED, FREE_PROP)
     _pair(g, "fpsubj", FREE_MIXED, FREE_PROP)
@@ -444,27 +415,16 @@ def _gen_pres_cp(targets):
 def _gen_passive(targets):
     g = GrammarSpec()
     _base(g)
-    _clauses(g, "S", [
+    _with_embedded(g, [
         ("s_pass",
          [NT("NP_PSUBJ"), L("was"), v("v:pass", "part", targets)],
          T_PASS, 2),
         ("s_pass_by",
          [NT("NP_PSUBJ"), L("was"), v("v:pass", "part", targets),
           L("by"), NT("NP_AGENT")], T_PASS_BY, 3),
-    ], F(1, 2))
-    _embed(g)
-    _clauses(g, "SEMB", [
-        ("semb_pass",
-         [NT("NP_EPSUBJ"), L("was"), v("v:epass", "part", targets)],
-         T_PASS, 2),
-        ("semb_pass_by",
-         [NT("NP_EPSUBJ"), L("was"), v("v:epass", "part", targets),
-          L("by"), NT("NP_EAGENT")], T_PASS_BY, 3),
     ])
-    _pair(g, "psubj", FREE_MIXED, FREE_PROP)
-    _pair(g, "epsubj", FREE_MIXED, FREE_PROP)
-    _pair(g, "agent", FREE_ANIM, FREE_PROP)
-    _pair(g, "eagent", FREE_ANIM, FREE_PROP)
+    _pairs(g, "psubj", FREE_MIXED, FREE_PROP)
+    _pairs(g, "agent", FREE_ANIM, FREE_PROP)
     return g
 
 
@@ -476,37 +436,26 @@ def _gen_active_trans(targets, dobj_common, dobj_proper=None):
     safe = tuple(t for t in targets
                  if t not in {verb for verb, _role, _ns in CASE_FRAMES})
     framed = tuple(t for t in targets if t not in safe)
-    plain = [("s_trans_past",
-              [NT("NP_SUBJ"), v("v:trans:past", "past", safe),
-               NT("NP_DOBJ")], T_TRANS, len(safe))]
-    emb = [("semb_trans",
-            [NT("NP_ESUBJ"), v("v:etrans:past", "past", safe),
-             NT("NP_EDOBJ")], T_TRANS, len(safe))]
+    clauses = [("s_trans_past",
+                [NT("NP_SUBJ"), v("v:trans:past", "past", safe),
+                 NT("NP_DOBJ")], T_TRANS, len(safe))]
     if framed:
-        licensed = {}
-        for verb, role, nouns in CASE_FRAMES:
-            if verb in framed and role == "direct_object":
-                licensed[verb] = tuple(nouns)
-        pool = tuple(sorted({x for ns in licensed.values() for x in ns}))
-        plain.append(("s_trans_past_cf",
-                      [NT("NP_SUBJ"), v("v:trans:past", "past", framed),
-                       NT("NP_CFOBJ")], T_TRANS, len(framed)))
-        emb.append(("semb_trans_cf",
-                    [NT("NP_ESUBJ"), v("v:etrans:past", "past", framed),
-                     NT("NP_ECFOBJ")], T_TRANS, len(framed)))
-        _npc(g, "np_dobj_cf", "NP_CFOBJ", "n:dobj:cf", pool)
-        _npc(g, "np_edobj_cf", "NP_ECFOBJ", "n:edobj:cf", pool)
-    _clauses(g, "S", plain, F(1, 2))
-    _embed(g)
-    _clauses(g, "SEMB", emb)
+        clauses.append(("s_trans_past_cf",
+                        [NT("NP_SUBJ"), v("v:trans:past", "past", framed),
+                         NT("NP_CFOBJ")], T_TRANS, len(framed)))
+    _with_embedded(g, clauses)
+    if framed:
+        pool = tuple(sorted({x for verb, role, nouns in CASE_FRAMES
+                             if verb in framed and role == "direct_object"
+                             for x in nouns}))
+        _np(g, "np_dobj_cf", "NP_CFOBJ", [DET, n("n:dobj:cf", pool)], F(1),
+            "$1")
     if dobj_proper:
-        _pair(g, "dobj", dobj_common, dobj_proper)
-        _pair(g, "edobj", dobj_common, dobj_proper)
+        _pairs(g, "dobj", dobj_common, dobj_proper)
     else:
-        _npc(g, "np_dobj_c", "NP_DOBJ", "n:dobj:c", dobj_common)
-        _npc(g, "np_edobj_c", "NP_EDOBJ", "n:edobj:c", dobj_common)
-    _pair(g, "subj", FREE_ANIM, FREE_PROP)
-    _pair(g, "esubj", FREE_ANIM, FREE_PROP)
+        _np(g, "np_dobj_c", "NP_DOBJ", [DET, n("n:dobj:c", dobj_common)],
+            F(1), "$1")
+    _pairs(g, "subj", FREE_ANIM, FREE_PROP)
     return g
 
 
@@ -515,26 +464,17 @@ def _gen_dat(targets, double_object):
     g = GrammarSpec()
     _base(g)
     if double_object:
-        plain = [("s_do_past",
+        clause = ("s_do_past",
                   [NT("NP_SUBJ"), v("v:do:past", "past", targets),
-                   NT("NP_IOBJ"), NT("NP_DOBJ")], T_DO, 1)]
-        emb = [("semb_do",
-                [NT("NP_ESUBJ"), v("v:edo:past", "past", targets),
-                 NT("NP_EIOBJ"), NT("NP_EDOBJ")], T_DO, 1)]
+                   NT("NP_IOBJ"), NT("NP_DOBJ")], T_DO, 1)
     else:
-        plain = [("s_ppdat_past",
+        clause = ("s_ppdat_past",
                   [NT("NP_SUBJ"), v("v:ppdat:past", "past", targets),
-                   NT("NP_DOBJ"), L("to"), NT("NP_IOBJ")], T_PPDAT, 1)]
-        emb = [("semb_ppdat",
-                [NT("NP_ESUBJ"), v("v:eppdat:past", "past", targets),
-                 NT("NP_EDOBJ"), L("to"), NT("NP_EIOBJ")], T_PPDAT, 1)]
-    _clauses(g, "S", plain, F(1, 2))
-    _embed(g)
-    _clauses(g, "SEMB", emb)
-    for stem in ("subj", "esubj", "iobj", "eiobj"):
-        _pair(g, stem, FREE_ANIM, FREE_PROP)
-    for stem in ("dobj", "edobj"):
-        _pair(g, stem, FREE_MIXED, FREE_PROP)
+                   NT("NP_DOBJ"), L("to"), NT("NP_IOBJ")], T_PPDAT, 1)
+    _with_embedded(g, [clause])
+    _pairs(g, "subj", FREE_ANIM, FREE_PROP)
+    _pairs(g, "iobj", FREE_ANIM, FREE_PROP)
+    _pairs(g, "dobj", FREE_MIXED, FREE_PROP)
     return g
 
 
@@ -557,8 +497,8 @@ def _add_rc(g, nesting=F(0)):
     rest = F(1) - nesting
     _npc(g, "np_cesubj_c", "NP_CESUBJ", "n:cesubj:c", FREE_ANIM,
          rest * F(65, 100))
-    _npp(g, "np_cesubj_p", "NP_CESUBJ", "n:cesubj:p", FREE_PROP,
-         rest * F(35, 100))
+    g.add("np_cesubj_p", "NP_CESUBJ", [pn("n:cesubj:p", FREE_PROP)],
+          rest * F(35, 100), "$0")
     if nesting:
         g.add("np_cesubj_rc", "NP_CESUBJ",
               [DET, n("n:cesubj:c", FREE_ANIM), NT("RC_OBJ")],
@@ -577,73 +517,51 @@ def _add_rc_subjgap(g):
     _pair(g, "rciobj", FREE_ANIM, FREE_PROP)
 
 
+def _add_modifiers(g, kind, nt, stem):
+    """A PP / RC / adjective modifier on `nt`, an animate common noun
+    tagged `n:<stem>:c`, and on its embedded copy; the target constituent."""
+    noun = n(f"n:{stem}:c", FREE_ANIM)
+    if kind == "pp":
+        _add_pp(g)
+        _np(g, f"np_{stem}_pp", nt, [DET, noun, NT("PP")], F(1), T_MOD,
+            annot=True)
+    elif kind == "rc":
+        _add_rc(g)
+        _add_rc_subjgap(g)
+        _np(g, f"np_{stem}_rco", nt, [DET, noun, NT("RC_OBJ")], F(1, 2),
+            T_MOD, annot=True)
+        _np(g, f"np_{stem}_rcs", nt, [DET, noun, NT("RC_SUBJ")], F(1, 2),
+            T_MOD, annot=True)
+    else:
+        g.add("adj_one", "ADJSEQ", [adj()], F(1), "$0", construct="Adj")
+        _np(g, f"np_{stem}_adj", nt, [DET, NT("ADJSEQ"), noun], F(1), T_ADJ,
+            annot=True)
+
+
 def _gen_mod_subj(kind):
     """A PP / RC / adjective modifier on the subject."""
     g = GrammarSpec()
     _base(g)
-    pp = kind == "pp"
-    plain = [("s_trans_past",
-              [NT("NP_MSUBJ"), v("v:trans:past", "past", V_TRANS_SAFE),
-               NT("NP_DOBJ")], T_TRANS, 3)]
-    emb = [("semb_trans",
-            [NT("NP_MESUBJ"), v("v:etrans:past", "past", V_TRANS_SAFE),
-             NT("NP_EDOBJ")], T_TRANS, 3)]
-    if pp:
-        plain.append(("s_unacc_past",
-                      [NT("NP_MISUBJ"), v("v:unacc:past", "past",
-                                          V_UNACC_SAFE)], T_INTRANS, 2))
-        emb.append(("semb_unacc",
-                    [NT("NP_MEISUBJ"), v("v:eunacc:past", "past",
-                                         V_UNACC_SAFE)], T_INTRANS, 2))
+    if kind == "pp":
+        other = ("s_unacc_past",
+                 [NT("NP_MISUBJ"), v("v:unacc:past", "past", V_UNACC_SAFE)],
+                 T_INTRANS, 2)
     else:
-        plain.append(("s_intrans_past",
-                      [NT("NP_MSUBJ"), v("v:intrans:past", "past",
-                                         V_INTRANS)], T_INTRANS, 2))
-        emb.append(("semb_intrans",
-                    [NT("NP_MESUBJ"), v("v:eintrans:past", "past",
-                                        V_INTRANS)], T_INTRANS, 2))
-    _clauses(g, "S", plain, F(1, 2))
-    _embed(g)
-    _clauses(g, "SEMB", emb)
-    if pp:
-        _add_pp(g)
-        g.add("np_subj_pp", "NP_MSUBJ",
-              [DET, n("n:subj:c", FREE_ANIM), NT("PP")], F(1), T_MOD,
-              annot=True)
-        g.add("np_esubj_pp", "NP_MESUBJ",
-              [DET, n("n:esubj:c", FREE_ANIM), NT("PP")], F(1), T_MOD,
-              annot=True)
-        g.add("np_isubj_pp", "NP_MISUBJ",
-              [DET, n("n:isubj", INANIM_POOL), NT("PP")], F(1), T_MOD,
-              annot=True)
-        g.add("np_eisubj_pp", "NP_MEISUBJ",
-              [DET, n("n:eisubj", INANIM_POOL), NT("PP")], F(1), T_MOD,
-              annot=True)
-    elif kind == "rc":
-        _add_rc(g)
-        _add_rc_subjgap(g)
-        g.add("np_subj_rco", "NP_MSUBJ",
-              [DET, n("n:subj:c", FREE_ANIM), NT("RC_OBJ")], F(1, 2), T_MOD,
-              annot=True)
-        g.add("np_subj_rcs", "NP_MSUBJ",
-              [DET, n("n:subj:c", FREE_ANIM), NT("RC_SUBJ")], F(1, 2), T_MOD,
-              annot=True)
-        g.add("np_esubj_rco", "NP_MESUBJ",
-              [DET, n("n:esubj:c", FREE_ANIM), NT("RC_OBJ")], F(1, 2), T_MOD,
-              annot=True)
-        g.add("np_esubj_rcs", "NP_MESUBJ",
-              [DET, n("n:esubj:c", FREE_ANIM), NT("RC_SUBJ")], F(1, 2),
-              T_MOD, annot=True)
-    else:
-        g.add("adj_one", "ADJSEQ", [adj()], F(1), "$0", construct="Adj")
-        g.add("np_subj_adj", "NP_MSUBJ",
-              [DET, NT("ADJSEQ"), n("n:subj:c", FREE_ANIM)], F(1), T_ADJ,
-              annot=True)
-        g.add("np_esubj_adj", "NP_MESUBJ",
-              [DET, NT("ADJSEQ"), n("n:esubj:c", FREE_ANIM)], F(1), T_ADJ,
-              annot=True)
-    _pair(g, "dobj", FREE_MIXED, FREE_PROP)
-    _pair(g, "edobj", FREE_MIXED, FREE_PROP)
+        other = ("s_intrans_past",
+                 [NT("NP_MSUBJ"), v("v:intrans:past", "past", V_INTRANS)],
+                 T_INTRANS, 2)
+    _with_embedded(g, [
+        ("s_trans_past",
+         [NT("NP_MSUBJ"), v("v:trans:past", "past", V_TRANS_SAFE),
+          NT("NP_DOBJ")], T_TRANS, 3),
+        other,
+    ])
+    _add_modifiers(g, kind, "NP_MSUBJ", "subj")
+    if kind == "pp":
+        _np(g, "np_isubj_pp", "NP_MISUBJ",
+            [DET, n("n:isubj", INANIM_POOL), NT("PP")], F(1), T_MOD,
+            annot=True)
+    _pairs(g, "dobj", FREE_MIXED, FREE_PROP)
     return g
 
 
@@ -651,58 +569,17 @@ def _gen_mod_iobj(kind):
     """A PP / RC / adjective modifier on the indirect object."""
     g = GrammarSpec()
     _base(g)
-    _clauses(g, "S", [
+    _with_embedded(g, [
         ("s_ppdat_past",
          [NT("NP_SUBJ"), v("v:ppdat:past", "past", V_PPDAT_PAST),
           NT("NP_DOBJ"), L("to"), NT("NP_MIOBJ")], T_PPDAT, 3),
         ("s_do_past",
          [NT("NP_SUBJ"), v("v:do:past", "past", V_DO_PAST),
           NT("NP_MIOBJ"), NT("NP_DOBJ")], T_DO, 2),
-    ], F(1, 2))
-    _embed(g)
-    _clauses(g, "SEMB", [
-        ("semb_ppdat",
-         [NT("NP_ESUBJ"), v("v:eppdat:past", "past", V_PPDAT_PAST),
-          NT("NP_EDOBJ"), L("to"), NT("NP_MEIOBJ")], T_PPDAT, 3),
-        ("semb_do",
-         [NT("NP_ESUBJ"), v("v:edo:past", "past", V_DO_PAST),
-          NT("NP_MEIOBJ"), NT("NP_EDOBJ")], T_DO, 2),
     ])
-    if kind == "pp":
-        _add_pp(g)
-        g.add("np_iobj_pp", "NP_MIOBJ",
-              [DET, n("n:iobj:c", FREE_ANIM), NT("PP")], F(1), T_MOD,
-              annot=True)
-        g.add("np_eiobj_pp", "NP_MEIOBJ",
-              [DET, n("n:eiobj:c", FREE_ANIM), NT("PP")], F(1), T_MOD,
-              annot=True)
-    elif kind == "rc":
-        _add_rc(g)
-        _add_rc_subjgap(g)
-        g.add("np_iobj_rco", "NP_MIOBJ",
-              [DET, n("n:iobj:c", FREE_ANIM), NT("RC_OBJ")], F(1, 2), T_MOD,
-              annot=True)
-        g.add("np_iobj_rcs", "NP_MIOBJ",
-              [DET, n("n:iobj:c", FREE_ANIM), NT("RC_SUBJ")], F(1, 2), T_MOD,
-              annot=True)
-        g.add("np_eiobj_rco", "NP_MEIOBJ",
-              [DET, n("n:eiobj:c", FREE_ANIM), NT("RC_OBJ")], F(1, 2), T_MOD,
-              annot=True)
-        g.add("np_eiobj_rcs", "NP_MEIOBJ",
-              [DET, n("n:eiobj:c", FREE_ANIM), NT("RC_SUBJ")], F(1, 2),
-              T_MOD, annot=True)
-    else:
-        g.add("adj_one", "ADJSEQ", [adj()], F(1), "$0", construct="Adj")
-        g.add("np_iobj_adj", "NP_MIOBJ",
-              [DET, NT("ADJSEQ"), n("n:iobj:c", FREE_ANIM)], F(1), T_ADJ,
-              annot=True)
-        g.add("np_eiobj_adj", "NP_MEIOBJ",
-              [DET, NT("ADJSEQ"), n("n:eiobj:c", FREE_ANIM)], F(1), T_ADJ,
-              annot=True)
-    _pair(g, "subj", FREE_ANIM, FREE_PROP)
-    _pair(g, "esubj", FREE_ANIM, FREE_PROP)
-    _pair(g, "dobj", FREE_MIXED, FREE_PROP)
-    _pair(g, "edobj", FREE_MIXED, FREE_PROP)
+    _add_modifiers(g, kind, "NP_MIOBJ", "iobj")
+    _pairs(g, "subj", FREE_ANIM, FREE_PROP)
+    _pairs(g, "dobj", FREE_MIXED, FREE_PROP)
     return g
 
 
@@ -740,46 +617,36 @@ def _gen_recursion(construct, cont):
         g.add("semb_cp", "SEMB",
               [NT("NP_ESUBJ"), v("v:ecp:past", "past", V_CP_PAST), NT("CP")],
               cont, T_CP)
-        _pair(g, "subj", FREE_ANIM, FREE_PROP)
-        _pair(g, "esubj", FREE_ANIM, FREE_PROP)
+        _pairs(g, "subj", FREE_ANIM, FREE_PROP)
         _pair(g, "edobj", FREE_MIXED, FREE_PROP)
         _pair(g, "epsubj", FREE_MIXED, FREE_PROP)
         _pair(g, "eagent", FREE_ANIM, FREE_PROP)
         return g
     # The other three constructs nest inside a (possibly CP-embedded)
     # transitive clause's direct object.
-    g.add("s_trans_past", "S",
-          [NT("NP_SUBJ"), v("v:trans:past", "past", V_TRANS_SAFE),
-           NT("NP_DOBJ")], F(1, 2), T_TRANS)
-    _embed(g)
-    g.add("semb_trans", "SEMB",
-          [NT("NP_ESUBJ"), v("v:etrans:past", "past", V_TRANS_SAFE),
-           NT("NP_EDOBJ")], F(1), T_TRANS)
+    _with_embedded(g, [
+        ("s_trans_past",
+         [NT("NP_SUBJ"), v("v:trans:past", "past", V_TRANS_SAFE),
+          NT("NP_DOBJ")], T_TRANS, 1),
+    ])
     if construct == "PP":
-        g.add("np_dobj_pp", "NP_DOBJ",
-              [DET, n("n:dobj:c", INANIM_POOL), NT("PP")], F(1), T_MOD)
-        g.add("np_edobj_pp", "NP_EDOBJ",
-              [DET, n("n:edobj:c", INANIM_POOL), NT("PP")], F(1), T_MOD)
+        _np(g, "np_dobj_pp", "NP_DOBJ",
+            [DET, n("n:dobj:c", INANIM_POOL), NT("PP")], F(1), T_MOD)
         _add_pp(g, depth_one=False)
         _npc(g, "np_ppn", "NP_PPN", "n:ppn", LOC_NOUNS, rest)
         g.add("np_ppn_pp", "NP_PPN",
               [DET, n("n:ppn", LOC_NOUNS), NT("PP")], cont, T_MOD)
     elif construct == "CenterEmbedRC":
-        g.add("np_dobj_rco", "NP_DOBJ",
-              [DET, n("n:dobj:c", FREE_MIXED), NT("RC_OBJ")], F(1), T_MOD)
-        g.add("np_edobj_rco", "NP_EDOBJ",
-              [DET, n("n:edobj:c", FREE_MIXED), NT("RC_OBJ")], F(1), T_MOD)
+        _np(g, "np_dobj_rco", "NP_DOBJ",
+            [DET, n("n:dobj:c", FREE_MIXED), NT("RC_OBJ")], F(1), T_MOD)
         _add_rc(g, nesting=cont)
     else:  # stacked adjectives
-        g.add("np_dobj_adj", "NP_DOBJ",
-              [DET, NT("ADJSEQ"), n("n:dobj:c", FREE_MIXED)], F(1), T_ADJ)
-        g.add("np_edobj_adj", "NP_EDOBJ",
-              [DET, NT("ADJSEQ"), n("n:edobj:c", FREE_MIXED)], F(1), T_ADJ)
+        _np(g, "np_dobj_adj", "NP_DOBJ",
+            [DET, NT("ADJSEQ"), n("n:dobj:c", FREE_MIXED)], F(1), T_ADJ)
         g.add("adj_one", "ADJSEQ", [adj()], rest, "$0", construct="Adj")
         g.add("adj_more", "ADJSEQ", [adj(), NT("ADJSEQ")], cont, "$0 $1",
               construct="Adj")
-    _pair(g, "subj", FREE_ANIM, FREE_PROP)
-    _pair(g, "esubj", FREE_ANIM, FREE_PROP)
+    _pairs(g, "subj", FREE_ANIM, FREE_PROP)
     return g
 
 
@@ -802,27 +669,21 @@ def _depth_variants(construct, depths, embedded):
 def _gen_rc_iobj_gap():
     g = GrammarSpec()
     _base(g)
-    g.add("s_trans_past", "S",
-          [NT("NP_SUBJ"), v("v:trans:past", "past", V_TRANS_SAFE),
-           NT("NP_GOBJ")], F(1, 2), T_TRANS)
-    _embed(g)
-    g.add("semb_trans", "SEMB",
-          [NT("NP_ESUBJ"), v("v:etrans:past", "past", V_TRANS_SAFE),
-           NT("NP_GEOBJ")], F(1), T_TRANS)
-    g.add("np_dobj_rcio", "NP_GOBJ",
-          [DET, n("n:dobj:c", FREE_MIXED), NT("RC_IOBJ")], F(1), T_MOD,
-          annot=True)
-    g.add("np_edobj_rcio", "NP_GEOBJ",
-          [DET, n("n:edobj:c", FREE_MIXED), NT("RC_IOBJ")], F(1), T_MOD,
-          annot=True)
+    _with_embedded(g, [
+        ("s_trans_past",
+         [NT("NP_SUBJ"), v("v:trans:past", "past", V_TRANS_SAFE),
+          NT("NP_GOBJ")], T_TRANS, 1),
+    ])
+    _np(g, "np_dobj_rcio", "NP_GOBJ",
+        [DET, n("n:dobj:c", FREE_MIXED), NT("RC_IOBJ")], F(1), T_MOD,
+        annot=True)
     g.add("rc_iobjgap", "RC_IOBJ",
           [L("that"), NT("NP_RCSUBJ"),
            v("v:rcio:past", "past", V_PPDAT_PAST), NT("NP_RCOBJ"), L("to")],
           F(1), "$1 ga $3 o @morph(2)")
     _pair(g, "rcsubj", FREE_ANIM, FREE_PROP)
     _npc(g, "np_rcobj_c", "NP_RCOBJ", "n:rcobj:c", INANIM_POOL)
-    _pair(g, "subj", FREE_ANIM, FREE_PROP)
-    _pair(g, "esubj", FREE_ANIM, FREE_PROP)
+    _pairs(g, "subj", FREE_ANIM, FREE_PROP)
     return g
 
 
@@ -995,10 +856,6 @@ LEX = "Lexical"
 LEXMOR = "LexicalMorphological"
 STRUCT = "Structural"
 
-CATEGORY_COUNTS = {PRIM_SUB: 9, TENSE: 6, PRIM_STRUCT: 6, PHRASE: 6,
-                   RECURSION: 8, GAP: 2, WH: 5}
-GROUP_COUNTS = {LEX: 11, LEXMOR: 10, STRUCT: 21}
-
 
 def build_patterns(lexicon) -> list:
     specs = []
@@ -1165,36 +1022,4 @@ def build_patterns(lexicon) -> list:
     add("wh_long_move", WH, STRUCT, (), _gen_wh_long_move(), "wh",
         count=1000, emb=False, wh_word="nani", role="direct_object",
         exposures=_sample_exposures(["q_whatobj", "s_cp_past"]))
-
-    _check_inventory(specs)
     return specs
-
-
-def _check_inventory(specs):
-    if len(specs) != 42:
-        raise ValueError(f"expected 42 patterns, built {len(specs)}")
-    ids = [s.id for s in specs]
-    if len(set(ids)) != 42:
-        raise ValueError("duplicate pattern id")
-    for category, want in CATEGORY_COUNTS.items():
-        got = sum(1 for s in specs if s.category == category)
-        if got != want:
-            raise ValueError(f"{category}: {got} patterns, expected {want}")
-    for group, want in GROUP_COUNTS.items():
-        got = sum(1 for s in specs if s.group == group)
-        if got != want:
-            raise ValueError(f"{group}: {got} patterns, expected {want}")
-    total = sum(s.gen_count for s in specs)
-    if total != 76_000:
-        raise ValueError(f"gen counts sum to {total}, expected 76000")
-    small = {s.id for s in specs if s.gen_count == 1000}
-    if len(small) != 8:
-        raise ValueError(f"expected 8 patterns at 1000, got {sorted(small)}")
-    for s in specs:
-        if s.partial_evaluable == (s.category == RECURSION):
-            raise ValueError(f"{s.id}: partial_evaluable mis-set")
-        if len(s.exposures) == 0:
-            raise ValueError(f"{s.id}: no exposure recipes")
-        lex_groups = (LEX, LEXMOR)
-        if (s.group in lex_groups) != (len(s.target_lexemes) == 5):
-            raise ValueError(f"{s.id}: target lexeme count mismatch")

@@ -12,10 +12,10 @@ and therefore drop.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .grammar import GrammarError, LeafNode, LitNode, ProdNode, yield_tokens
+from .grammar import GrammarError, LeafNode, ProdNode
 
 
 class TransductionError(GrammarError):
@@ -145,20 +145,12 @@ class MorphTable:
 @dataclass(frozen=True)
 class TLeaf:
     token: str
-    src_index: Optional[int] = None  # source leaf position, None for particles
 
 
 @dataclass(frozen=True)
 class TNode:
     source: object  # the ProdNode / LeafNode this node rewrites
     children: tuple
-
-
-@dataclass(frozen=True)
-class SentencePair:
-    source_tokens: tuple
-    target_tokens: tuple
-    alignment: dict = field(hash=False, default_factory=dict)
 
 
 def linearize(tt) -> list:
@@ -174,27 +166,10 @@ def linearize(tt) -> list:
     return out
 
 
-def _leaf_indices(tree) -> dict:
-    index = {}
-    pos = 0
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (LeafNode, LitNode)):
-            index[id(node)] = pos
-            pos += 1
-        else:
-            stack.extend(reversed(node.children))
-    return index
-
-
 def transduce(tree: ProdNode, rules: TransductionRuleSet,
               dictionary: BilingualDictionary, morph: MorphTable) -> TNode:
     """Rewrite a source derivation tree into a target tree, bottom-up."""
-    src_index = _leaf_indices(tree)
-
     def render_leaf(leaf: LeafNode, tense, voice) -> TNode:
-        idx = src_index[id(leaf)]
         entry = leaf.entry
         if entry.pos == "Verb":
             bt, bv = BUNDLE_TV[leaf.bundle]
@@ -203,7 +178,7 @@ def transduce(tree: ProdNode, rules: TransductionRuleSet,
             tokens = dictionary.lookup(entry.lemma, "Verb", stem_key) + suffixes
         else:
             tokens = dictionary.lookup(entry.lemma, entry.pos, leaf.bundle)
-        return TNode(leaf, tuple(TLeaf(t, idx) for t in tokens))
+        return TNode(leaf, tuple(TLeaf(t) for t in tokens))
 
     def rewrite(node: ProdNode) -> TNode:
         rule = rules.get(node.production.id)
@@ -235,26 +210,6 @@ def transduce(tree: ProdNode, rules: TransductionRuleSet,
     return rewrite(tree)
 
 
-def alignment_of(tt: TNode) -> dict:
-    """Source leaf index -> contiguous (start, end) span in target tokens."""
-    spans = {}
-    pos = 0
-    stack = [tt]
-    order = []
-    while stack:
-        node = stack.pop()
-        if isinstance(node, TLeaf):
-            order.append(node)
-        else:
-            stack.extend(reversed(node.children))
-    for leaf in order:
-        if leaf.src_index is not None:
-            start, end = spans.get(leaf.src_index, (pos, pos))
-            spans[leaf.src_index] = (min(start, pos), pos + 1)
-        pos += 1
-    return spans
-
-
 def target_spans(tt: TNode) -> list:
     """(source node, start, end) for every target node, in preorder."""
     out = []
@@ -277,15 +232,6 @@ def span_for_source(tt: TNode, src_node) -> Optional[tuple]:
         if source is src_node:
             return (start, end)
     return None
-
-
-def translate(tree: ProdNode, rules: TransductionRuleSet,
-              dictionary: BilingualDictionary, morph: MorphTable) -> SentencePair:
-    tt = transduce(tree, rules, dictionary, morph)
-    return SentencePair(
-        tuple(yield_tokens(tree)),
-        tuple(linearize(tt)),
-        alignment_of(tt))
 
 
 # -- template tokens --------------------------------------------------------

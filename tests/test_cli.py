@@ -61,14 +61,22 @@ def test_audit_missing_corpus_is_io_error(runner, tmp_path):
     assert result.exit_code == 2
 
 
-def test_score_self_hypotheses(runner, corpus_dir, tmp_path):
-    gen = [json.loads(line) for line in
-           (corpus_dir / "gen.jsonl").read_text().splitlines()]
-    hyp_path = tmp_path / "hyp.jsonl"
-    with open(hyp_path, "w", encoding="utf-8") as fh:
-        for rec in gen:
+def _write_hypotheses(path, records):
+    with open(path, "w", encoding="utf-8") as fh:
+        for rec in records:
             fh.write(json.dumps({"id": rec["id"],
                                  "hypothesis": rec["target"]}) + "\n")
+
+
+def _read_split(corpus_dir, split):
+    return [json.loads(line) for line in
+            (corpus_dir / f"{split}.jsonl").read_text().splitlines()]
+
+
+def test_score_self_hypotheses(runner, corpus_dir, tmp_path):
+    gen = _read_split(corpus_dir, "gen")
+    hyp_path = tmp_path / "hyp.jsonl"
+    _write_hypotheses(hyp_path, gen)
     report_path = tmp_path / "report.json"
     result = runner.invoke(
         main, ["score", "--corpus", str(corpus_dir), "--hyp", str(hyp_path),
@@ -78,6 +86,35 @@ def test_score_self_hypotheses(runner, corpus_dir, tmp_path):
     report = json.loads(report_path.read_text())
     assert report["overall"]["exact_pct"] == 100.0
     assert report["scored"] == len(gen)
+
+
+def test_score_counts_unmatched_ids(runner, corpus_dir, tmp_path):
+    gen = _read_split(corpus_dir, "gen")
+    hyp_path = tmp_path / "hyp.jsonl"
+    _write_hypotheses(hyp_path, gen + [{"id": "no-such-id",
+                                        "target": "x"}])
+    report_path = tmp_path / "report.json"
+    result = runner.invoke(
+        main, ["score", "--corpus", str(corpus_dir), "--hyp", str(hyp_path),
+               "--report", str(report_path)])
+    assert result.exit_code == 0, result.output
+    report = json.loads(report_path.read_text())
+    assert report["unmatched"] == 1
+    assert report["scored"] == len(gen) and report["skipped"] == 0
+    assert f"{hyp_path}: 1 hypothesis ids match no gen record" in \
+        result.stderr
+
+
+def test_score_with_no_matching_id_is_io_error(runner, corpus_dir,
+                                               tmp_path):
+    hyp_path = tmp_path / "dev-hyp.jsonl"
+    _write_hypotheses(hyp_path, _read_split(corpus_dir, "dev"))
+    result = runner.invoke(
+        main, ["score", "--corpus", str(corpus_dir), "--split", "gen",
+               "--hyp", str(hyp_path)])
+    assert result.exit_code == 2
+    assert f"error: {hyp_path}: none of its 50 hypothesis ids" in \
+        result.stderr
 
 
 def test_score_missing_hypothesis_file(runner, corpus_dir, tmp_path):
@@ -163,3 +200,37 @@ def test_bad_config_file_is_io_error(runner, tmp_path):
     result = runner.invoke(main, ["validate", "--config",
                                   str(tmp_path / "missing.json")])
     assert result.exit_code == 2
+    frames = tmp_path / "frames.tsv"
+    bad = {
+        '{"scale": "0.01"}': f"{cfg}: scale must be of type float",
+        '{"master_seed": true}': f"{cfg}: master_seed must be of type int",
+        '{"with_concat": 1}': f"{cfg}: with_concat must be of type bool",
+        '[1, 2]': f"{cfg}: expected a JSON object",
+        '{"scale": 0.01,\n "seed"}': f"{cfg}:2: ",
+        '{"scale": 0}': f"{cfg}: scale 0 leaves a pattern",
+        '{"scale": 0.0001}': f"{cfg}: scale 0.0001 leaves a pattern",
+        '{"topicalization_fraction": 1.5}':
+            f"{cfg}: topicalization_fraction 1.5 is outside [0, 1]",
+        json.dumps({"case_frame_path": str(frames)}):
+            f"{frames}:2: expected 4 columns, got 3",
+    }
+    frames.write_text("eat\tdirect_object\tapple\t1\n"
+                      "eat\tdirect_object\tcake\n", encoding="utf-8")
+    for text, message in bad.items():
+        cfg.write_text(text, encoding="utf-8")
+        result = runner.invoke(main, ["validate", "--config", str(cfg)])
+        assert result.exit_code == 2, text
+        assert f"error: {message}" in result.stderr, (text, result.stderr)
+    frames.write_text("eat\toblique\tapple\t1\n", encoding="utf-8")
+    cfg.write_text(json.dumps({"case_frame_path": str(frames)}),
+                   encoding="utf-8")
+    result = runner.invoke(main, ["generate", "--config", str(cfg),
+                                  "--out", str(tmp_path / "never")])
+    assert result.exit_code == 2
+    assert f"{frames}:1: unknown case-frame role 'oblique'" in result.stderr
+    assert not (tmp_path / "never").exists()
+    for scale in ("0", "-0.5", "0.0001", "nan"):
+        result = runner.invoke(main, ["validate", "--scale", scale])
+        assert result.exit_code == 2, scale
+        assert result.stderr.startswith(
+            f"error: --scale {float(scale)} leaves a pattern"), scale

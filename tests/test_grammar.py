@@ -110,13 +110,6 @@ def test_depth_of_counts_nested_constructs():
     assert yield_tokens(tree) == ["(", "(", "(", "x", ")", ")", ")"]
 
 
-def test_derivation_probability_matches_rule_weights():
-    g = _toy_grammar()
-    tree = g.sample(5)
-    p = g.derivation_probability(tree)
-    assert 0.0 < p < 1.0
-
-
 def test_default_bank_grammars_validate(bank, patterns):
     assert bank.grammar_for("in_dist").validate() == []
     for p in patterns:

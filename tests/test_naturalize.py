@@ -7,7 +7,7 @@ from compmt.grammar import GrammarError
 from compmt.naturalize import (CaseFrameList, UnrepairableRecordError,
                                check_selectional, default_case_frames,
                                naturalize, parse_case_frames,
-                               reject_duplicates, serialize_case_frames)
+                               reject_duplicates)
 from compmt.transduce import linearize, transduce
 
 
@@ -88,19 +88,29 @@ def test_strict_mode_flags_uncovered_pairs(bank):
 
 
 def test_case_frame_tsv_round_trip():
-    cf = default_case_frames()
-    text = serialize_case_frames(cf)
-    cf2 = parse_case_frames(text)
-    assert cf2.pairs == cf.pairs
-    assert cf2.pool == cf.pool
-    assert serialize_case_frames(cf2) == text
+    rows = [("eat", "direct_object", "apple", 1),
+            ("eat", "direct_object", "cake", 2),
+            ("eat", "direct_object", "fig", 2),
+            ("drink", "direct_object", "wine", 1),
+            ("bloom", "inanimate_subject", "flower", 3),
+            ("bloom", "inanimate_subject", "tree", 1)]
+    text = "# verb\trole\tnoun\trank\n" + "".join(
+        "\t".join(map(str, row)) + "\n" for row in rows)
+    cf = parse_case_frames(text)
+    want = CaseFrameList(rows)
+    assert cf.pairs == want.pairs
+    assert cf.pool == want.pool
+    assert cf.ranked("eat", "direct_object") == [["apple"], ["cake", "fig"]]
 
 
 def test_parse_case_frames_rejects_malformed_lines():
-    with pytest.raises(GrammarError):
-        parse_case_frames("eat\tdirect_object\tapple\n")
-    with pytest.raises(GrammarError):
-        parse_case_frames("eat\tdirect_object\tapple\tfirst\n")
+    with pytest.raises(GrammarError, match="^frames.tsv:1: expected 4"):
+        parse_case_frames("eat\tdirect_object\tapple\n", "frames.tsv")
+    with pytest.raises(GrammarError, match="^frames.tsv:2: bad rank"):
+        parse_case_frames("# header\neat\tdirect_object\tapple\tfirst\n",
+                          "frames.tsv")
+    with pytest.raises(GrammarError, match="^frames.tsv:1: unknown"):
+        parse_case_frames("eat\toblique\tapple\t1\n", "frames.tsv")
     with pytest.raises(GrammarError):
         CaseFrameList([("eat", "oblique", "apple", 1)])
 

@@ -1,6 +1,19 @@
 """Inventory invariants for the 42 generalization patterns."""
 
+import hashlib
+import json
 from collections import Counter
+
+from compmt.bank import DET, L, n, v
+from compmt.grammar import NT, Slot
+from compmt.patterns import _emb, _emb_id
+
+# sha256 of `_grammar_dump` over the 42 pattern grammars.  Any change to a
+# production (order within its left-hand side, id, rhs, weight, construct,
+# target flag, template) or to a pattern's variants, exposure recipes or
+# metadata moves it; so does renaming a nonterminal.
+GRAMMAR_DUMP_SHA256 = (
+    "52cf1528cb9602cefb50c028c6d9c57a7758385cf4ec22b6847254bbb8b66bed")
 
 SMALL_COUNT_IDS = {
     "cp_recursion_shallower", "cp_recursion_deeper",
@@ -118,3 +131,60 @@ def test_constraints_for_cycles_variants(patterns):
     a = p.constraints_for(0)
     assert p.constraints_for(n) == a
     assert p.constraints_for(1) != a
+
+
+def _canon(x):
+    if isinstance(x, (set, frozenset)):
+        return sorted(_canon(y) for y in x)
+    if isinstance(x, (tuple, list)):
+        return [_canon(y) for y in x]
+    if isinstance(x, dict):
+        return sorted([_canon(k), _canon(y)] for k, y in x.items())
+    if isinstance(x, Slot):
+        return ["Slot", x.pos, x.bundle, x.tag, _canon(x.features),
+                None if x.lemmas is None else sorted(x.lemmas)]
+    if isinstance(x, (str, int, float, bool)) or x is None:
+        return x
+    return repr(x)
+
+
+def _grammar_dump(patterns):
+    """Every pattern grammar as sampled: each left-hand side's ordered
+    productions (id, rhs, weight, construct, target flag, template), plus
+    the pattern's variants, exposure recipes and metadata."""
+    out = []
+    for p in patterns:
+        g = p.gen_grammar
+        rules = sorted(
+            [lhs, [[q.id, _canon(q.rhs), str(q.weight), q.construct,
+                    q.annot_target, repr(p.templates[q.id])] for q in prods]]
+            for lhs, prods in g.by_lhs.items())
+        out.append([p.id, p.category, p.group, list(p.target_lexemes),
+                    p.gen_count, p.partial_evaluable, p.cp_embedding,
+                    p.target_kind, p.wh_word, p.expected_role,
+                    p.embed_marker, g.start, g.zipf_exponent, rules,
+                    _canon(p.variants), _canon(p.exposures)])
+    return json.dumps(out, sort_keys=True)
+
+
+def test_pattern_grammars_are_pinned(patterns):
+    digest = hashlib.sha256(_grammar_dump(patterns).encode()).hexdigest()
+    assert digest == GRAMMAR_DUMP_SHA256
+
+
+def test_embedded_copy_rule():
+    assert _emb(NT("NP_TSUBJ")) == NT("NP_ETSUBJ")
+    assert _emb(NT("NP_DOBJ")) == NT("NP_EDOBJ")
+    for shared in (DET, NT("PP"), NT("RC_OBJ"), NT("ADJSEQ"), L("was")):
+        assert _emb(shared) == shared
+    assert _emb(v("v:trans:past", "past", ["see"])) == \
+        v("v:etrans:past", "past", ["see"])
+    assert _emb(v("v:pass", "part", ["see"])) == v("v:epass", "part", ["see"])
+    assert _emb(n("n:isubj", ["jar"])) == n("n:eisubj", ["jar"])
+    assert _emb(n("n:dobj:cf", ["apple"])) == n("n:edobj:cf", ["apple"])
+    featured = Slot("Adjective", "base", "a:mod", (("color", "red"),))
+    assert _emb(featured) == Slot("Adjective", "base", "a:emod",
+                                  (("color", "red"),))
+    assert [_emb_id(pid) for pid in ("s_trans_past_cf", "s_do_pres",
+                                     "s_passdat")] == \
+        ["semb_trans_cf", "semb_do", "semb_passdat"]

@@ -87,12 +87,3 @@ def test_zipf_slope_matches_exponent():
 def test_zipf_slope_matches_half_exponent():
     slope = _zipf_slope(exponent=0.5, n_draws=1_000_000, seed=11)
     assert abs(slope + 0.5) <= 0.1, slope
-
-
-def test_sample_many_reproducible():
-    g = _ten_rule_grammar()
-    a = [tuple(p.id for p in iter_productions(t))
-         for t in g.sample_many(99, 50)]
-    b = [tuple(p.id for p in iter_productions(t))
-         for t in g.sample_many(99, 50)]
-    assert a == b
