@@ -79,6 +79,8 @@ class RunConfig:
                     (isinstance(value, bool) and want != "bool"):
                 raise ValueError(f"{path}: {key} must be of type {want}, "
                                  f"got {value!r}")
+            if want == "float":
+                data[key] = float(value)  # 1 and 1.0 give one manifest
         return cls(**data)
 
     def range_errors(self, gen_counts):

@@ -131,7 +131,8 @@ def generate(config_path, seed, scale, wo_concat, strict_selectional, out,
     """Build all four splits, audit the gap, and write the corpus."""
     config = _load_config(config_path, seed, scale, wo_concat,
                           strict_selectional, out)
-    config.parallel = parallel
+    if parallel:
+        config.parallel = True
     try:
         bank = default_bank()
         splits, manifest = build_splits(config, bank=bank)

@@ -3,7 +3,7 @@
 The grammar side of the pipeline: lexical entries with morphological forms,
 weighted productions whose right-hand sides mix nonterminals, part-of-speech
 slots and literal tokens, plus validation, Zipfian lexical weighting,
-seeded sampling, derivation probabilities and construct-depth analysis.
+seeded sampling and construct-depth analysis.
 """
 
 from __future__ import annotations
@@ -254,6 +254,7 @@ class Pcfg:
             self.by_id[p.id] = p
             self.by_lhs.setdefault(p.lhs, []).append(p)
         self._slot_cache = {}
+        self._surface_cache = {}
         self._sampler_cache = {}
 
     # -- lexical slot machinery -------------------------------------------
@@ -273,6 +274,17 @@ class Pcfg:
                 probs = []
             cached = (entries, probs)
             self._slot_cache[slot] = cached
+        return cached
+
+    def slot_surfaces(self, slot: Slot) -> dict:
+        """The slot's admitted entries by surface form, {surface: [entries]},
+        each list in ``slot_candidates`` order."""
+        cached = self._surface_cache.get(slot)
+        if cached is None:
+            cached = {}
+            for e in self.slot_candidates(slot)[0]:
+                cached.setdefault(e.form(slot.bundle), []).append(e)
+            self._surface_cache[slot] = cached
         return cached
 
     def restrict_slots(self, overrides: dict) -> "Pcfg":
@@ -417,10 +429,6 @@ class Pcfg:
                 return tree
         raise UnsatisfiableConstraintError(
             f"constraint not satisfied after {budget} attempts: {constraints}")
-
-    def sample(self, rng_seed: int, constraints: "Constraints" = None):
-        """Draw one derivation tree; pure in (grammar, seed, constraints)."""
-        return self.sample_with_rng(Random(rng_seed), constraints)
 
 
 @dataclass

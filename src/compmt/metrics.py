@@ -2,8 +2,7 @@
 
 All three consume whitespace-tokenized text.  References come out of the
 corpus builder pre-tokenized at morpheme level; model output that arrives
-detokenized must be segmented by the caller (``score_file`` accepts a
-tokenizer hook, but none is bundled).
+detokenized must be segmented by the caller.
 
 Partial Match scores only the constituent a generalization pattern is
 about: the constituent's reference translation must appear contiguously in
@@ -53,13 +52,12 @@ def _ngrams(tokens, n):
     return [tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1)]
 
 
-def corpus_bleu(hyps, refs, max_n=4, smooth=True) -> float:
+def corpus_bleu(hyps, refs) -> float:
     """4-gram corpus BLEU in [0, 100].
 
     Geometric mean of modified n-gram precisions times the brevity
-    penalty.  With ``smooth`` (the default), a zero n-gram count falls
-    back to a floor of 1/(2^k * denominator), halving for each zero order
-    in turn; without it any zero count makes the score 0.
+    penalty.  A zero n-gram count falls back to a floor of
+    1/(2^k * denominator), halving for each zero order in turn.
     """
     hyps, refs = list(hyps), list(refs)
     if not hyps:
@@ -67,6 +65,7 @@ def corpus_bleu(hyps, refs, max_n=4, smooth=True) -> float:
     if len(hyps) != len(refs):
         raise ScoringError(
             f"hypothesis/reference count mismatch: {len(hyps)} vs {len(refs)}")
+    max_n = 4
     matched = [0] * max_n
     total = [0] * max_n
     hyp_len = ref_len = 0
@@ -88,11 +87,9 @@ def corpus_bleu(hyps, refs, max_n=4, smooth=True) -> float:
             return 0.0
         if matched[n - 1] > 0:
             p = matched[n - 1] / total[n - 1]
-        elif smooth:
+        else:
             floor /= 2.0
             p = floor / total[n - 1]
-        else:
-            return 0.0
         log_precision += math.log(p) / max_n
     brevity = 1.0 if hyp_len > ref_len else math.exp(1.0 - ref_len / hyp_len)
     return 100.0 * brevity * math.exp(log_precision)
@@ -103,33 +100,10 @@ def corpus_bleu(hyps, refs, max_n=4, smooth=True) -> float:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RoleExtraction:
-    role: str  # a ROLE_PARTICLES value or "unknown"
-    evidence: str = ""  # the particle token the decision rests on
-
-
 def _occurrences(tokens, needle):
     n = len(needle)
     return [i for i in range(len(tokens) - n + 1)
             if tokens[i:i + n] == needle]
-
-
-def extract_role(hyp_tokens, constituent_tokens) -> RoleExtraction:
-    """Role of the constituent in the hypothesis, read off the particle
-    immediately following its last token."""
-    hyp = list(hyp_tokens)
-    needle = list(constituent_tokens)
-    if not needle:
-        raise ScoringError("cannot extract a role for an empty constituent")
-    starts = _occurrences(hyp, needle)
-    if not starts:
-        return RoleExtraction("unknown")
-    after = starts[0] + len(needle)
-    if after >= len(hyp):
-        return RoleExtraction("unknown")
-    particle = hyp[after]
-    return RoleExtraction(ROLE_PARTICLES.get(particle, "unknown"), particle)
 
 
 def partial_match(hyp_tokens, annotation) -> bool:
@@ -295,14 +269,13 @@ def score_records(hyp_by_id, records, patterns) -> EvalReport:
 # --------------------------------------------------------------------------
 
 
-def read_hypotheses(path, records=None, tokenizer=None):
+def read_hypotheses(path, records=None):
     """Hypotheses as {record id: token list}.
 
     Two formats: JSONL objects ``{"id": ..., "hypothesis": ...}``, or plain
     text with one sentence per line aligned to ``records`` in order (the
-    record-id manifest).  ``tokenizer`` overrides whitespace splitting.
+    record-id manifest).
     """
-    tok = tokenizer if tokenizer is not None else str.split
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if lines and lines[0].lstrip().startswith("{"):
@@ -316,7 +289,7 @@ def read_hypotheses(path, records=None, tokenizer=None):
             except (json.JSONDecodeError, KeyError) as exc:
                 raise ScoringError(f"{path}:{i}: bad hypothesis record: "
                                    f"{exc}") from exc
-            out[rid] = tok(hyp) if isinstance(hyp, str) else list(hyp)
+            out[rid] = hyp.split() if isinstance(hyp, str) else list(hyp)
         return out
     if records is None:
         raise ScoringError(
@@ -328,14 +301,14 @@ def read_hypotheses(path, records=None, tokenizer=None):
             f"{path}: {len(lines)} hypothesis lines for {len(records)} "
             "reference records; first unmatched line is "
             f"{min(len(lines), len(records)) + 1}")
-    return {r.id: tok(line) for r, line in zip(records, lines)}
+    return {r.id: line.split() for r, line in zip(records, lines)}
 
 
-def score_file(hyp_path, records, patterns, tokenizer=None) -> EvalReport:
+def score_file(hyp_path, records, patterns) -> EvalReport:
     """Score a hypothesis file; ScoringError if none of its ids is a record
     id (a file for another split would otherwise score as all zeros)."""
     records = list(records)
-    hyp_by_id = read_hypotheses(hyp_path, records, tokenizer)
+    hyp_by_id = read_hypotheses(hyp_path, records)
     report = score_records(hyp_by_id, records, patterns)
     if not report.scored:
         raise ScoringError(f"{hyp_path}: none of its {len(hyp_by_id)} "

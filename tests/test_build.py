@@ -180,6 +180,14 @@ def test_config_round_trip(tmp_path):
     assert RunConfig.from_file(str(path)) == cfg
 
 
+def test_float_config_field_from_file_is_a_float(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"scale": 1}', encoding="utf-8")
+    from_file = RunConfig.from_file(str(path)).to_dict()
+    assert json.dumps(from_file, sort_keys=True) == \
+        json.dumps(RunConfig(scale=1.0).to_dict(), sort_keys=True)
+
+
 def test_small_build_bytes_are_pinned(tmp_path, small_build):
     recs, manifest = small_build
     write_corpus(recs, manifest, str(tmp_path))

@@ -5,6 +5,7 @@ from click.testing import CliRunner
 
 from compmt.bank import default_bank
 from compmt.cli import main
+from compmt.grammar import GrammarError
 from compmt.transduce import TransductionRuleSet
 
 
@@ -188,6 +189,24 @@ def test_config_file_and_flag_overrides(runner, tmp_path):
     assert not (tmp_path / "a").exists()
 
 
+def test_parallel_comes_from_the_config_file_or_the_flag(runner, tmp_path,
+                                                         monkeypatch):
+    seen = []
+
+    def record_parallel(config, bank=None):
+        seen.append(config.parallel)
+        raise GrammarError("stop after reading the config")
+
+    monkeypatch.setattr("compmt.cli.build_splits", record_parallel)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"parallel": True, "scale": 0.002}),
+                   encoding="utf-8")
+    for args in (["--config", str(cfg)], [], ["--parallel"]):
+        result = runner.invoke(main, ["generate", *args])
+        assert result.exit_code == 1, result.output
+    assert seen == [True, False, True]
+
+
 def test_bad_config_file_is_io_error(runner, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"no_such_key": 1}', encoding="utf-8")
@@ -207,7 +226,7 @@ def test_bad_config_file_is_io_error(runner, tmp_path):
         '{"with_concat": 1}': f"{cfg}: with_concat must be of type bool",
         '[1, 2]': f"{cfg}: expected a JSON object",
         '{"scale": 0.01,\n "seed"}': f"{cfg}:2: ",
-        '{"scale": 0}': f"{cfg}: scale 0 leaves a pattern",
+        '{"scale": 0}': f"{cfg}: scale 0.0 leaves a pattern",
         '{"scale": 0.0001}': f"{cfg}: scale 0.0001 leaves a pattern",
         '{"topicalization_fraction": 1.5}':
             f"{cfg}: topicalization_fraction 1.5 is outside [0, 1]",

@@ -1,8 +1,19 @@
+import hashlib
+import json
 from random import Random
 
+from compmt.audit import PARSE_LIMIT, audit_grammar, segment
 from compmt.earley import parse
-from compmt.grammar import yield_tokens
+from compmt.grammar import (LeafNode, LexEntry, Lexicon, Lit, LitNode, NT,
+                            Pcfg, ProdNode, Production, Slot, iter_leaves,
+                            yield_tokens)
 from compmt.transduce import transduce, linearize
+
+# sha256 of the _dump of every parse list of the scale-0.01 train split at
+# seed 1, in list order; the Earley recognizer that filtered spans before
+# enumeration gave the same digest.
+SMALL_TRAIN_PARSES_SHA256 = \
+    "72b7884a14fa648768a96474d8511acddc2b1ccbb6a45e3eac6eed1c01b23c9e"
 
 
 def _translate(bank, tree):
@@ -44,3 +55,58 @@ def test_parse_is_deterministic(bank):
     a = parse(g, tokens)
     b = parse(g, tokens)
     assert a == b and len(a) >= 1
+
+
+def _dump(node):
+    if isinstance(node, ProdNode):
+        return [node.production.id, [_dump(c) for c in node.children]]
+    if isinstance(node, LeafNode):
+        return [node.entry.lemma, node.bundle, node.tag]
+    return node.text
+
+
+def test_audit_parse_lists_are_pinned(bank, patterns, small_build):
+    """The same trees in the same order: the audit charges a segment with
+    the first of its most innocent parses."""
+    recs, _ = small_build
+    g = audit_grammar(bank, patterns)
+    digest = hashlib.sha256()
+    for record in recs["train"]:
+        for seg in segment(record.source_tokens):
+            lowered = [seg[0][0].lower() + seg[0][1:]] + seg[1:]
+            for tokens in (seg, lowered):
+                trees = parse(g, tokens, PARSE_LIMIT)
+                digest.update(json.dumps([_dump(t) for t in trees]).encode())
+    assert digest.hexdigest() == SMALL_TRAIN_PARSES_SHA256
+
+
+def test_unit_cycle_terminates():
+    g = Pcfg("A", [Production("a_b", "A", (NT("B"),)),
+                   Production("b_a", "B", (NT("A"),)),
+                   Production("b_x", "B", (Lit("x"),))], Lexicon([]))
+    # the cycle A -> B -> A over one span contributes no tree
+    assert parse(g, ["x"]) == [
+        ProdNode(g.by_id["a_b"],
+                 (ProdNode(g.by_id["b_x"], (LitNode("x"),)),))]
+    assert parse(g, ["x", "x"]) == []
+
+
+def test_grammars_sharing_a_slot_use_their_own_lexicons():
+    slot = Slot("N", "base", "n")
+
+    def grammar(word):
+        lexicon = Lexicon([LexEntry(word, "N", forms={"base": word})])
+        return Pcfg("S", [Production("s", "S", (slot,))], lexicon)
+
+    cat, dog = grammar("cat"), grammar("dog")
+    for g, word, other in ((cat, "cat", "dog"), (dog, "dog", "cat")):
+        [tree] = parse(g, [word])
+        assert tree.children[0].entry is g.lexicon.get(word, "N")
+        assert parse(g, [other]) == []
+
+
+def test_repeated_word_gets_a_leaf_per_position(bank):
+    g = bank.grammar_for("in_dist")
+    [tree] = parse(g, "the woman found the small small panda .".split())
+    small = [leaf for leaf in iter_leaves(tree) if leaf.entry.lemma == "small"]
+    assert len(small) == 2 and small[0] is not small[1]

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from random import Random
 
 import pytest
 
@@ -67,26 +68,29 @@ def test_slot_admission_respects_lemmas_and_bundle():
 def test_restrict_slots_swaps_lemma_sets():
     g = _toy_grammar()
     g2 = g.restrict_slots({"n:head": {"owl"}})
-    tree = g2.sample(7)
+    tree = g2.sample_with_rng(Random(7))
     leaves = [t for t in yield_tokens(tree) if t not in ("one", "two")]
     assert leaves == ["owl"]
     # the original grammar is untouched
-    lemmas = {yield_tokens(g.sample(seed))[-1] for seed in range(40)}
+    lemmas = {yield_tokens(g.sample_with_rng(Random(seed)))[-1]
+              for seed in range(40)}
     assert len(lemmas) > 1
 
 
 def test_sampling_is_deterministic_in_seed():
     g = _toy_grammar()
-    a = [yield_tokens(g.sample(s)) for s in range(20)]
-    b = [yield_tokens(g.sample(s)) for s in range(20)]
+    a = [yield_tokens(g.sample_with_rng(Random(s))) for s in range(20)]
+    b = [yield_tokens(g.sample_with_rng(Random(s))) for s in range(20)]
     assert a == b
 
 
 def test_constraints_required_and_forbidden():
     g = _toy_grammar()
-    tree = g.sample(3, Constraints(required=frozenset({"a_one"})))
+    tree = g.sample_with_rng(Random(3),
+                             Constraints(required=frozenset({"a_one"})))
     assert "a_one" in {p.id for p in iter_productions(tree)}
-    tree = g.sample(3, Constraints(forbidden=frozenset({"a_one"})))
+    tree = g.sample_with_rng(Random(3),
+                             Constraints(forbidden=frozenset({"a_one"})))
     assert "a_one" not in {p.id for p in iter_productions(tree)}
 
 
@@ -94,8 +98,8 @@ def test_constraints_unsatisfiable_raises():
     from compmt.grammar import UnsatisfiableConstraintError
     g = _toy_grammar()
     with pytest.raises(UnsatisfiableConstraintError):
-        g.sample(3, Constraints(required=frozenset({"a_one", "a_two"}),
-                                budget=50))
+        g.sample_with_rng(Random(3), Constraints(
+            required=frozenset({"a_one", "a_two"}), budget=50))
 
 
 def test_depth_of_counts_nested_constructs():
@@ -105,7 +109,7 @@ def test_depth_of_counts_nested_constructs():
                    Fraction(1, 3), construct="CP"),
         Production("stop", "S", (Lit("x"),), Fraction(2, 3)),
     ], lex)
-    tree = g.sample(1, Constraints(depths=(("CP", 3),)))
+    tree = g.sample_with_rng(Random(1), Constraints(depths=(("CP", 3),)))
     assert depth_of(tree, "CP") == 3
     assert yield_tokens(tree) == ["(", "(", "(", "x", ")", ")", ")"]
 

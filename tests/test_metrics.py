@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from compmt.metrics import (ROLE_PARTICLES, ScoringError, corpus_bleu,
-                            exact_match, extract_role, partial_match,
+                            exact_match, partial_match,
                             read_hypotheses, score_records)
 
 GOLD = "jyosei ga panda o mituke ta".split()
@@ -30,6 +30,16 @@ def test_partial_match_reference_trio():
     assert partial_match(pred_iii, PANDA_OBJ)
     assert not exact_match(pred_iii, GOLD)
     assert partial_match(GOLD, PANDA_OBJ)
+    # the role is read off the particle right after the constituent
+    assert partial_match(GOLD, {"target_constituent_ref_tokens": ["jyosei"],
+                                "expected_role": "subject"})
+    assert not partial_match(GOLD, {"target_constituent_ref_tokens":
+                                    ["mituke"],
+                                    "expected_role": "direct_object"})
+    # an absent constituent, and one in final position with no particle
+    assert not partial_match(GOLD, {"target_constituent_ref_tokens": ["zou"],
+                                    "expected_role": "direct_object"})
+    assert not partial_match(["panda"], PANDA_OBJ)
 
 
 def test_partial_match_requires_contiguity():
@@ -55,20 +65,10 @@ def test_partial_match_considers_every_occurrence():
 
 
 def test_partial_match_empty_constituent_rejected():
-    with pytest.raises(ScoringError):
-        partial_match(GOLD, {"target_constituent_ref_tokens": [],
-                             "expected_role": "subject"})
-
-
-def test_extract_role():
-    assert extract_role(GOLD, ["panda"]).role == "direct_object"
-    assert extract_role(GOLD, ["jyosei"]).role == "subject"
-    assert extract_role(GOLD, ["mituke"]).role == "unknown"
-    assert extract_role(GOLD, ["zou"]).role == "unknown"
-    # constituent in final position has no following particle
-    assert extract_role(["panda"], ["panda"]).role == "unknown"
-    with pytest.raises(ScoringError):
-        extract_role(GOLD, [])
+    for role in ("subject", None):
+        with pytest.raises(ScoringError):
+            partial_match(GOLD, {"target_constituent_ref_tokens": [],
+                                 "expected_role": role})
 
 
 @given(st.lists(st.sampled_from("w x y z ga o ni".split()), min_size=1,
@@ -132,7 +132,6 @@ def test_bleu_smoothing_floor():
     p4 = 0.125 / 1  # floor 1/8
     want = 100.0 * (p1 * p2 * p3 * p4) ** 0.25
     assert corpus_bleu([hyp], [ref]) == pytest.approx(want, abs=1e-9)
-    assert corpus_bleu([hyp], [ref], smooth=False) == 0.0
 
 
 def test_bleu_is_order_insensitive():
