@@ -290,9 +290,8 @@ class GapAuditor:
                         pid, "leak",
                         f"target {lemma!r} in withheld cell {cell}",
                         record_id, sentence))
-        for flag in an.flags:
-            pid = FLAG_PATTERNS.get(flag)
-            if pid is not None:
+        for flag, pid in FLAG_PATTERNS.items():  # not the set's order
+            if flag in an.flags:
                 out.append(GapViolation(
                     pid, "leak", f"withheld structure {flag}",
                     record_id, sentence))

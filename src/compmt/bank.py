@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .grammar import (
-    CONSTRUCTS, Lit, NT, Pcfg, Production, Slot,
-    LeafNode, ProdNode, depth_of, iter_leaves, iter_productions,
+    Lit, NT, Pcfg, Production, Slot, LeafNode, ProdNode, iter_leaves,
+    profile,
 )
 from .lexdata import (
     ANIMATE_NOUNS, INANIMATE_NOUNS, PROPER_NOUNS, VERBS, build_lexicon,
@@ -420,6 +420,7 @@ class Analysis:
     pairs: list = field(default_factory=list)  # (verb, sel-role, noun, tag)
     flags: set = field(default_factory=set)
     depths: dict = field(default_factory=dict)  # construct -> depth
+    ids: set = field(default_factory=set)  # production ids
 
 
 def _verb_facts(leaf: LeafNode):
@@ -462,8 +463,7 @@ def _is_clause(prod: Production) -> bool:
 
 def analyze(tree: ProdNode) -> Analysis:
     out = Analysis()
-    for c in CONSTRUCTS:
-        out.depths[c] = depth_of(tree, c)
+    out.ids, out.depths = profile(tree)
 
     def clause(node: ProdNode):
         """Collect facts for the clause headed at node, recursing into
@@ -520,10 +520,7 @@ def analyze(tree: ProdNode) -> Analysis:
         role = tag_role(leaf.tag)
         if role is not None:
             out.lemma_roles.append((leaf.entry.lemma, role))
-    for prod_id in {p.id for p in iter_productions(tree)}:
-        flag = _FLAG_IDS.get(prod_id)
-        if flag:
-            out.flags.add(flag)
+    out.flags = {_FLAG_IDS[i] for i in out.ids if i in _FLAG_IDS}
     return out
 
 

@@ -22,7 +22,7 @@ from random import Random
 
 from .grammar import (Constraints, GrammarError, LitNode, ProdNode,
                       UnsatisfiableConstraintError, iter_leaves, iter_nodes,
-                      iter_productions, yield_tokens)
+                      profile, yield_tokens)
 from .transduce import span_for_source, transduce, linearize
 from .bank import analyze, default_bank, tag_role, _np_head
 from .naturalize import (CaseFrameList, UnrepairableRecordError,
@@ -39,7 +39,7 @@ N_TEST = 5000
 N_POOL_TRAIN = 39_200   # in-distribution train records incl. topicalized
 N_EXPOSURE = 100        # per pattern
 N_CONCAT = 400
-DRAW_BUDGET = 10_000    # samples per record, in every stream
+DRAW_BUDGET = 10_000    # root draws per record, in every stream
 
 OUT_DIR_ENV = "COMPMT_OUT_DIR"
 
@@ -163,7 +163,7 @@ def _capitalize(tokens):
 
 
 def _train_depths(tree):
-    return all(d in TRAIN_DEPTHS for d in analyze(tree).depths.values())
+    return all(d in TRAIN_DEPTHS for d in profile(tree)[1].values())
 
 
 def _pair_key(src_tokens, tgt_tokens):
@@ -178,17 +178,18 @@ def _render(bank, tree):
 
 def _draw(grammar, rng, constraints, accept, bank, cf, strict, seen,
           dropped, what):
-    """One record of a stream: sample, accept, reject duplicate lexemes,
+    """One record of a stream, by the build's only rejection loop: draw a
+    tree meeting ``constraints``, accept, reject duplicate lexemes,
     naturalize, translate, capitalize and, unless ``seen`` is None, reject a
     (source, target) pair already used.
 
     Returns (tree, target tree, source, target, residuals, samples), where
-    ``samples`` counts the grammar draws this record took.  Raises
-    UnsatisfiableConstraintError naming ``what`` after DRAW_BUDGET draws.
+    ``samples`` counts its root draws.  Raises UnsatisfiableConstraintError
+    naming ``what`` and ``constraints`` after DRAW_BUDGET root draws.
     """
     for samples in range(1, DRAW_BUDGET + 1):
         tree = grammar.sample_with_rng(rng, constraints)
-        if accept is not None and not accept(tree):
+        if tree is None or (accept is not None and not accept(tree)):
             continue
         if reject_duplicates(tree):
             continue
@@ -206,14 +207,14 @@ def _draw(grammar, rng, constraints, accept, bank, cf, strict, seen,
             seen.add(key)
         return tree, tt, source, target, residuals, samples
     raise UnsatisfiableConstraintError(
-        f"{what}: no fresh record in {DRAW_BUDGET} samples")
+        f"{what}: no fresh record in {DRAW_BUDGET} root draws "
+        f"(constraints: {constraints or 'none'})")
 
 
 def _annotate(tree, tt, target_tokens, spec):
     """Annotation payload for one generalization record."""
     analysis = analyze(tree)
-    in_cp = bool(spec.cp_embedding) and any(
-        p.id == spec.embed_marker for p in iter_productions(tree))
+    in_cp = bool(spec.cp_embedding) and spec.embed_marker in analysis.ids
     if spec.target_kind == "none":
         return None, dict(analysis.depths), in_cp
     if spec.target_kind == "wh":

@@ -3,7 +3,7 @@
 The grammar side of the pipeline: lexical entries with morphological forms,
 weighted productions whose right-hand sides mix nonterminals, part-of-speech
 slots and literal tokens, plus validation, Zipfian lexical weighting,
-seeded sampling and construct-depth analysis.
+seeded one-draw sampling and ``profile``, the one structural walk of a tree.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ class GrammarError(Exception):
 
 
 class UnsatisfiableConstraintError(GrammarError):
-    """Rejection budget exhausted while sampling under constraints."""
+    """A record's draw budget ran out before an acceptable tree."""
 
 
 @dataclass(frozen=True)
@@ -190,10 +190,6 @@ def iter_nodes(tree) -> Iterator[ProdNode]:
             stack.extend(node.children[::-1])
 
 
-def iter_productions(tree) -> Iterator[Production]:
-    return (node.production for node in iter_nodes(tree))
-
-
 def iter_leaves(tree) -> Iterator[LeafNode]:
     stack = [tree]
     while stack:
@@ -204,27 +200,24 @@ def iter_leaves(tree) -> Iterator[LeafNode]:
             stack.extend(reversed(node.children))
 
 
-def depth_of(tree, construct: str) -> int:
-    """Maximum nesting count of ``construct`` within itself in the tree.
+def profile(tree: ProdNode) -> tuple:
+    """(production ids, {construct: depth}) of a derivation tree, in one walk.
+    A construct's depth is the most productions tagged with it on any path
+    from the root: how deeply it nests within itself."""
+    ids, depths = set(), dict.fromkeys(CONSTRUCTS, 0)
 
-    A production tagged with the construct contributes one level; the depth is
-    the largest number of tagged productions on any root-to-leaf path.
-    """
-    if construct not in CONSTRUCTS:
-        raise GrammarError(f"unknown construct {construct!r}")
-
-    def walk(node) -> int:
-        if not isinstance(node, ProdNode):
-            return 0
-        here = 1 if node.production.construct == construct else 0
-        best = 0
+    def walk(node, path):  # path: the constructs tagged above node
+        ids.add(node.production.id)
+        construct = node.production.construct
+        if construct:
+            path += (construct,)
+            depths[construct] = max(depths[construct], path.count(construct))
         for child in node.children:
-            d = walk(child)
-            if d > best:
-                best = d
-        return here + best
+            if isinstance(child, ProdNode):
+                walk(child, path)
 
-    return walk(tree)
+    walk(tree, ())
+    return ids, depths
 
 
 @dataclass
@@ -420,15 +413,11 @@ class Pcfg:
         return ProdNode(prod, tuple(children))
 
     def sample_with_rng(self, rng: Random, constraints: "Constraints" = None):
-        if constraints is None:
-            return self._expand(self.start, rng)
-        budget = constraints.budget
-        for _ in range(budget):
-            tree = self._expand(self.start, rng)
-            if constraints.satisfied_by(tree):
-                return tree
-        raise UnsatisfiableConstraintError(
-            f"constraint not satisfied after {budget} attempts: {constraints}")
+        """One root draw: the tree, or None if it fails ``constraints``."""
+        tree = self._expand(self.start, rng)
+        if constraints is None or constraints.satisfied_by(tree):
+            return tree
+        return None
 
 
 @dataclass
@@ -442,18 +431,16 @@ class Constraints:
     required: frozenset = frozenset()
     forbidden: frozenset = frozenset()
     depths: tuple = ()  # ((construct, depth), ...)
-    budget: int = 10_000
+
+    def __post_init__(self):
+        for construct, _ in self.depths:
+            if construct not in CONSTRUCTS:
+                raise GrammarError(f"unknown construct {construct!r}")
 
     def satisfied_by(self, tree) -> bool:
-        ids = {p.id for p in iter_productions(tree)}
-        if self.required - ids:
-            return False
-        if self.forbidden & ids:
-            return False
-        for construct, depth in self.depths:
-            if depth_of(tree, construct) != depth:
-                return False
-        return True
+        ids, depths = profile(tree)
+        return self.required <= ids and not self.forbidden & ids and \
+            all(depths[c] == d for c, d in self.depths)
 
     def __str__(self):
         bits = []

@@ -179,17 +179,18 @@ def _pick_replacement(cf, violation, slot, lexicon, present, rng):
 def repair(tree, violations, cf: CaseFrameList, rng, lexicon, strict=False):
     """Replace offending nouns until only multi-constraint residuals remain.
 
-    Returns (tree, residuals).  A noun constrained by several verbs at once
-    is repaired to satisfy one of its pairs; the pairs left unlicensed are
-    returned rather than retried, mirroring the documented limitation of
-    noun replacement.
+    ``violations`` is ``check_selectional(tree, cf, strict)``.  Returns
+    (tree, residuals).  A noun constrained by several verbs at once is
+    repaired to satisfy one of its pairs; the pairs left unlicensed are
+    returned rather than retried, mirroring the documented limitation of noun
+    replacement.
     """
     if not violations:
         return tree, []
     residual = []
+    current = violations  # the check of the tree in hand
     for _ in range(len(violations) + 8):
-        pending = [v for v in check_selectional(tree, cf, strict=strict)
-                   if v not in residual]
+        pending = [v for v in current if v not in residual]
         if not pending:
             break
         v = pending[0]
@@ -203,7 +204,8 @@ def repair(tree, violations, cf: CaseFrameList, rng, lexicon, strict=False):
                                                   leaf.tag))
         # Any violation still involving the replaced noun is a second
         # constraint on the same position; log it instead of looping.
-        for o in check_selectional(tree, cf, strict=strict):
+        current = check_selectional(tree, cf, strict=strict)
+        for o in current:
             if o.noun == entry.lemma and o.tag == leaf.tag \
                     and o not in residual:
                 residual.append(o)

@@ -1,6 +1,11 @@
 """The leakage audit: clean on a real build, and sharp enough to catch a
 single injected generalization sentence per pattern."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from compmt.audit import GapAuditor, audit_gap, segment
@@ -118,3 +123,27 @@ def test_most_innocent_parse_rule(bank, patterns):
     a.consume(SentenceRecord(
         "amb", "train", "", tuple("Harper wrote .".split()), ()))
     assert a.violations == []
+
+
+_FLAG_ORDER_SCRIPT = """
+from compmt.audit import GapAuditor
+from compmt.bank import Analysis, default_bank
+auditor = GapAuditor(default_bank().patterns)
+an = Analysis(flags={"wh_long_move", "pp_on_subj", "rc_on_iobj",
+                     "adj_on_subj"})
+print(" ".join(v.pattern_id for v in
+               auditor._analysis_violations(an, "r", "s")))
+"""
+
+
+def test_flag_violations_do_not_depend_on_the_hash_seed():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = set()
+    for hash_seed in ("1", "2", "3", "4"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", _FLAG_ORDER_SCRIPT],
+                              env=env, capture_output=True, text=True,
+                              timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outputs.add(proc.stdout.strip())
+    assert outputs == {"pp_in_subj rc_in_iobj adj_in_subj wh_long_move"}

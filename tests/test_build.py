@@ -5,11 +5,10 @@ from random import Random
 import pytest
 
 from compmt import build
-from compmt.bank import Analysis
 from compmt.build import (SPLITS, RunConfig, SentenceRecord, _draw,
                           build_splits, child_seed, concatenate_for_length,
                           read_corpus, write_corpus)
-from compmt.grammar import UnsatisfiableConstraintError
+from compmt.grammar import Constraints, UnsatisfiableConstraintError
 from compmt.naturalize import default_case_frames
 
 # sha256 over train, dev, test and gen.jsonl, in that order, at seed 1 and
@@ -199,18 +198,34 @@ def test_small_build_bytes_are_pinned(tmp_path, small_build):
 
 def _cp_depth_three(tree):
     # Training never shows CP depth 3, so no tree passes the depth check.
-    return Analysis(depths={"CP": 3})
+    return set(), {"CP": 3}
 
 
-def test_draw_gives_up_after_its_budget(bank):
+def test_draw_gives_up_after_its_budget(bank, monkeypatch):
     with pytest.raises(UnsatisfiableConstraintError,
                        match="^test stream: no fresh record in 10000"):
         _draw(bank.grammar, Random(0), None, lambda tree: False, bank,
               default_case_frames(), False, set(), [0], "test stream")
+    # A constraint reject spends one root draw of the same budget.
+    monkeypatch.setattr(build, "DRAW_BUDGET", 20)
+    sample, draws = bank.grammar.sample_with_rng, []
+
+    def counted(rng, constraints):
+        draws.append(sample(rng, constraints))
+        return draws[-1]
+
+    monkeypatch.setattr(bank.grammar, "sample_with_rng", counted)
+    never = Constraints(required=frozenset({"root_decl", "root_q"}))
+    with pytest.raises(UnsatisfiableConstraintError,
+                       match=r"^test stream: no fresh record in 20 root draws "
+                             r"\(constraints: required=root_decl,root_q\)$"):
+        _draw(bank.grammar, Random(0), never, None, bank,
+              default_case_frames(), False, set(), [0], "test stream")
+    assert draws == [None] * 20
 
 
 def test_concatenation_part_draw_is_bounded(bank, monkeypatch):
-    monkeypatch.setattr(build, "analyze", _cp_depth_three)
+    monkeypatch.setattr(build, "profile", _cp_depth_three)
     with pytest.raises(UnsatisfiableConstraintError,
                        match="^concatenation record 0 part 0:"):
         concatenate_for_length(bank, default_case_frames(), 1, 1, 10, False,
@@ -224,7 +239,7 @@ def test_in_distribution_pool_draw_is_bounded(bank, monkeypatch):
 
     monkeypatch.setattr(build, "_build_pattern", one_gen_record)
     monkeypatch.setattr(build, "primitive_exposures", lambda *_args: [])
-    monkeypatch.setattr(build, "analyze", _cp_depth_three)
+    monkeypatch.setattr(build, "profile", _cp_depth_three)
     with pytest.raises(UnsatisfiableConstraintError,
                        match="^in-distribution pool"):
         build_splits(RunConfig(scale=0.001), bank=bank)

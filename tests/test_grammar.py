@@ -4,8 +4,9 @@ from random import Random
 import pytest
 
 from compmt.grammar import (Constraints, GrammarError, LexEntry, Lexicon,
-                            Lit, NT, Pcfg, Production, Slot, depth_of,
-                            iter_productions, yield_tokens)
+                            Lit, LitNode, NT, Pcfg, ProdNode, Production,
+                            Slot, UnsatisfiableConstraintError, profile,
+                            yield_tokens)
 
 
 def _toy_lexicon():
@@ -84,34 +85,89 @@ def test_sampling_is_deterministic_in_seed():
     assert a == b
 
 
+def _first_accepted(g, rng, constraints, budget=200):
+    """The first tree meeting ``constraints`` within ``budget`` root draws."""
+    for _ in range(budget):
+        tree = g.sample_with_rng(rng, constraints)
+        if tree is not None:
+            return tree
+    raise UnsatisfiableConstraintError(f"{budget} draws: {constraints}")
+
+
 def test_constraints_required_and_forbidden():
     g = _toy_grammar()
-    tree = g.sample_with_rng(Random(3),
-                             Constraints(required=frozenset({"a_one"})))
-    assert "a_one" in {p.id for p in iter_productions(tree)}
-    tree = g.sample_with_rng(Random(3),
-                             Constraints(forbidden=frozenset({"a_one"})))
-    assert "a_one" not in {p.id for p in iter_productions(tree)}
+    tree = _first_accepted(g, Random(3),
+                           Constraints(required=frozenset({"a_one"})))
+    assert "a_one" in profile(tree)[0]
+    tree = _first_accepted(g, Random(3),
+                           Constraints(forbidden=frozenset({"a_one"})))
+    assert "a_one" not in profile(tree)[0]
+
+
+def test_constrained_sample_is_one_root_draw():
+    g = _toy_grammar()
+    required = Constraints(required=frozenset({"a_one"}))
+    rng, twin = Random(3), Random(3)
+    for _ in range(40):
+        tree = g.sample_with_rng(rng, required)
+        plain = g.sample_with_rng(twin)
+        assert tree == (plain if "a_one" in profile(plain)[0] else None)
 
 
 def test_constraints_unsatisfiable_raises():
-    from compmt.grammar import UnsatisfiableConstraintError
     g = _toy_grammar()
-    with pytest.raises(UnsatisfiableConstraintError):
-        g.sample_with_rng(Random(3), Constraints(
-            required=frozenset({"a_one", "a_two"}), budget=50))
+    never = Constraints(required=frozenset({"a_one", "a_two"}))
+    rng = Random(3)
+    assert all(g.sample_with_rng(rng, never) is None for _ in range(50))
+    with pytest.raises(UnsatisfiableConstraintError,
+                       match="required=a_one,a_two"):
+        _first_accepted(g, rng, never, budget=50)
 
 
-def test_depth_of_counts_nested_constructs():
+def test_unknown_construct_rejected():
+    with pytest.raises(GrammarError, match="unknown construct 'RC'"):
+        Constraints(depths=(("RC", 1),))
+
+
+def _nest(g, pid, *children):
+    return ProdNode(g.by_id[pid], children)
+
+
+def test_profile_counts_nested_constructs():
     lex = _toy_lexicon()
     g = Pcfg("S", [
         Production("wrap", "S", (Lit("("), NT("S"), Lit(")")),
                    Fraction(1, 3), construct="CP"),
         Production("stop", "S", (Lit("x"),), Fraction(2, 3)),
     ], lex)
-    tree = g.sample_with_rng(Random(1), Constraints(depths=(("CP", 3),)))
-    assert depth_of(tree, "CP") == 3
+    tree = _first_accepted(g, Random(1), Constraints(depths=(("CP", 3),)))
+    assert profile(tree) == ({"wrap", "stop"},
+                             {"CP": 3, "PP": 0, "CenterEmbedRC": 0, "Adj": 0})
     assert yield_tokens(tree) == ["(", "(", "(", "x", ")", ")", ")"]
+
+
+def test_profile_depth_is_the_deepest_branch():
+    g = Pcfg("S", [
+        Production("pair", "S", (NT("P"), NT("P"))),
+        Production("pp", "P", (Lit("on"), NT("P")), Fraction(1, 2),
+                   construct="PP"),
+        Production("adj", "P", (Lit("red"), NT("P")), Fraction(1, 4),
+                   construct="Adj"),
+        Production("end", "P", (Lit("x"),), Fraction(1, 4)),
+    ], _toy_lexicon())
+    end = _nest(g, "end", LitNode("x"))
+    # Left branch: PP over Adj over PP; right branch: PP over PP over PP.
+    left = _nest(g, "pp", LitNode("on"), _nest(
+        g, "adj", LitNode("red"), _nest(g, "pp", LitNode("on"), end)))
+    right = _nest(g, "pp", LitNode("on"), _nest(
+        g, "pp", LitNode("on"), _nest(g, "pp", LitNode("on"), end)))
+    ids, depths = profile(_nest(g, "pair", left, right))
+    assert ids == {"pair", "pp", "adj", "end"}
+    assert depths == {"CP": 0, "PP": 3, "CenterEmbedRC": 0, "Adj": 1}
+    _, depths = profile(_nest(g, "pair", right, left))
+    assert depths["PP"] == 3
+    _, depths = profile(_nest(g, "pair", left, end))
+    assert depths["PP"] == 2
 
 
 def test_default_bank_grammars_validate(bank, patterns):

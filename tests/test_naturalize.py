@@ -2,6 +2,7 @@ from random import Random
 
 import pytest
 
+from compmt.bank import analyze
 from compmt.earley import parse
 from compmt.grammar import GrammarError
 from compmt.naturalize import (CaseFrameList, UnrepairableRecordError,
@@ -41,6 +42,24 @@ def test_unlicensed_object_repaired_to_top_ranked_noun(bank):
         tree, cf, Random(0), bank.grammar_for("in_dist").lexicon)
     assert changed and residual == []
     assert _gloss(bank, fixed) == "kyoosi ga ringo o tabe ta"
+
+
+def test_repair_analyzes_each_tree_state_once(bank, monkeypatch):
+    """One check of the sampled tree and one of the repaired tree."""
+    import compmt.naturalize as nat
+    calls = []
+
+    def counted(tree):
+        calls.append(tree)
+        return analyze(tree)
+
+    monkeypatch.setattr(nat, "analyze", counted)
+    tree = _parse_one(bank, "the teacher ate the bed .")
+    fixed, residual, changed = naturalize(
+        tree, default_case_frames(), Random(0),
+        bank.grammar_for("in_dist").lexicon)
+    assert changed and residual == []
+    assert calls == [tree, fixed]
 
 
 def test_inanimate_subject_repair(bank):

@@ -12,7 +12,7 @@ from fractions import Fraction
 from random import Random
 
 from compmt.grammar import (LexEntry, Lexicon, Lit, NT, Pcfg, Production,
-                            Slot, iter_productions)
+                            Slot, iter_nodes)
 
 F = Fraction
 
@@ -50,8 +50,8 @@ def test_rule_frequencies_within_l1_tolerance():
     rng = Random(123)
     counts = Counter()
     for _ in range(n):
-        for prod in iter_productions(g.sample_with_rng(rng)):
-            counts[prod.id] += 1
+        for node in iter_nodes(g.sample_with_rng(rng)):
+            counts[node.production.id] += 1
     l1 = sum(abs(counts[pid] / n - exact) for pid, exact in EXACT.items())
     assert l1 <= 0.01, l1
 
