@@ -150,12 +150,13 @@ class GrammarSpec:
         return Pcfg(start, self.prods, lexicon, zipf_exponent)
 
 
-def _np_pair(spec, nt, pid_stem, tag_stem, common_pool, proper_pool,
-             w_common="7/10", annot=False):
-    spec.add(f"np_{pid_stem}_c", nt, [DET, n(f"n:{tag_stem}:c", common_pool)],
-             w_common, "$1", annot=annot)
-    spec.add(f"np_{pid_stem}_p", nt, [pn(f"n:{tag_stem}:p", proper_pool)],
-             str(Fraction(1) - Fraction(w_common)), "$0", annot=annot)
+def np_pair(g, stem, common, proper):
+    """Common (7/10) and proper (3/10) noun phrases on NP_<STEM>."""
+    nt = "NP_" + stem.upper()
+    g.add(f"np_{stem}_c", nt, [DET, n(f"n:{stem}:c", common)],
+          Fraction(7, 10), "$1")
+    g.add(f"np_{stem}_p", nt, [pn(f"n:{stem}:p", proper)],
+          Fraction(3, 10), "$0")
 
 
 def _det(spec):
@@ -260,11 +261,11 @@ def in_distribution_spec() -> GrammarSpec:
           "3/10", "$2 ga dare o @morph(3,past) @q ?")
 
     # Noun phrases by position.
-    _np_pair(g, "NP_SUBJ", "subj", "subj", SUBJ_ANIM, SUBJ_PROP)
+    np_pair(g, "subj", SUBJ_ANIM, SUBJ_PROP)
     g.add("np_isubj", "NP_ISUBJ", [DET, n("n:isubj", INANIM_POOL)], "1", "$1")
-    _np_pair(g, "NP_PSUBJ", "psubj", "psubj", PSUBJ_POOL, FREE_PROP)
-    _np_pair(g, "NP_IOBJ", "iobj", "iobj", OBJ_ANIM, OBJ_PROP)
-    _np_pair(g, "NP_AGENT", "agent", "agent", FREE_ANIM, FREE_PROP)
+    np_pair(g, "psubj", PSUBJ_POOL, FREE_PROP)
+    np_pair(g, "iobj", OBJ_ANIM, OBJ_PROP)
+    np_pair(g, "agent", FREE_ANIM, FREE_PROP)
 
     g.add("np_dobj_c", "NP_DOBJ", [DET, n("n:dobj:c", DOBJ_POOL)],
           "30/100", "$1")
@@ -307,8 +308,8 @@ def in_distribution_spec() -> GrammarSpec:
           [L("that"), v("v:rcsdo:past", "past", V_DO_PAST),
            NT("NP_RCIOBJ"), NT("NP_RCOBJ")],
           "3/10", "$2 ni $3 o @morph(1)")
-    _np_pair(g, "NP_RCOBJ", "rcobj", "rcobj", DOBJ_POOL, OBJ_PROP)
-    _np_pair(g, "NP_RCIOBJ", "rciobj", "rciobj", OBJ_ANIM, OBJ_PROP)
+    np_pair(g, "rcobj", DOBJ_POOL, OBJ_PROP)
+    np_pair(g, "rciobj", OBJ_ANIM, OBJ_PROP)
 
     # Complement clauses.
     g.add("cp_clause", "CP", [L("that"), NT("SEMB")], "1", "$1 to",
@@ -333,12 +334,12 @@ def in_distribution_spec() -> GrammarSpec:
     g.add("semb_cp", "SEMB",
           [NT("NP_ESUBJ"), v("v:ecp:past", "past", V_CP_PAST), NT("CP")],
           "25/100", "$0 ga $2 @morph(1)")
-    _np_pair(g, "NP_ESUBJ", "esubj", "esubj", SUBJ_ANIM, SUBJ_PROP)
-    _np_pair(g, "NP_EDOBJ", "edobj", "edobj", DOBJ_POOL, OBJ_PROP)
+    np_pair(g, "esubj", SUBJ_ANIM, SUBJ_PROP)
+    np_pair(g, "edobj", DOBJ_POOL, OBJ_PROP)
     g.add("np_eisubj", "NP_EISUBJ", [DET, n("n:eisubj", INANIM_POOL)],
           "1", "$1")
-    _np_pair(g, "NP_EPSUBJ", "epsubj", "epsubj", PSUBJ_POOL, FREE_PROP)
-    _np_pair(g, "NP_EAGENT", "eagent", "eagent", FREE_ANIM, FREE_PROP)
+    np_pair(g, "epsubj", PSUBJ_POOL, FREE_PROP)
+    np_pair(g, "eagent", FREE_ANIM, FREE_PROP)
 
     _det(g)
     return g
@@ -421,6 +422,7 @@ class Analysis:
     flags: set = field(default_factory=set)
     depths: dict = field(default_factory=dict)  # construct -> depth
     ids: set = field(default_factory=set)  # production ids
+    lemmas: list = field(default_factory=list)  # content lemmas, leaf order
 
 
 def _verb_facts(leaf: LeafNode):
@@ -520,13 +522,10 @@ def analyze(tree: ProdNode) -> Analysis:
         role = tag_role(leaf.tag)
         if role is not None:
             out.lemma_roles.append((leaf.entry.lemma, role))
+        if leaf.entry.pos in CONTENT_POS:
+            out.lemmas.append(leaf.entry.lemma)
     out.flags = {_FLAG_IDS[i] for i in out.ids if i in _FLAG_IDS}
     return out
-
-
-def content_lemmas(tree) -> list:
-    return [leaf.entry.lemma for leaf in iter_leaves(tree)
-            if leaf.entry.pos in CONTENT_POS]
 
 
 # --------------------------------------------------------------------------

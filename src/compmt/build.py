@@ -20,10 +20,10 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from random import Random
 
-from .grammar import (Constraints, GrammarError, LitNode, ProdNode,
+from .grammar import (Constraints, GrammarError, LeafNode, LitNode, ProdNode,
                       UnsatisfiableConstraintError, iter_leaves, iter_nodes,
                       profile, yield_tokens)
-from .transduce import span_for_source, transduce, linearize
+from .transduce import linearize, render_leaf, span_for_source, transduce
 from .bank import analyze, default_bank, tag_role, _np_head
 from .naturalize import (CaseFrameList, UnrepairableRecordError,
                          default_case_frames, naturalize, read_case_frames,
@@ -179,23 +179,25 @@ def _render(bank, tree):
 def _draw(grammar, rng, constraints, accept, bank, cf, strict, seen,
           dropped, what):
     """One record of a stream, by the build's only rejection loop: draw a
-    tree meeting ``constraints``, accept, reject duplicate lexemes,
+    tree meeting ``constraints``, accept, analyze, reject duplicate lexemes,
     naturalize, translate, capitalize and, unless ``seen`` is None, reject a
     (source, target) pair already used.
 
-    Returns (tree, target tree, source, target, residuals, samples), where
-    ``samples`` counts its root draws.  Raises UnsatisfiableConstraintError
-    naming ``what`` and ``constraints`` after DRAW_BUDGET root draws.
+    Returns (tree, analysis, target tree, source, target, residuals,
+    samples), where ``analysis`` is ``analyze(tree)`` and ``samples`` counts
+    its root draws.  Raises UnsatisfiableConstraintError naming ``what`` and
+    ``constraints`` after DRAW_BUDGET root draws.
     """
     for samples in range(1, DRAW_BUDGET + 1):
         tree = grammar.sample_with_rng(rng, constraints)
         if tree is None or (accept is not None and not accept(tree)):
             continue
-        if reject_duplicates(tree):
+        analysis = analyze(tree)
+        if reject_duplicates(analysis):
             continue
         try:
-            tree, residuals, _ = naturalize(tree, cf, rng, bank.lexicon,
-                                            strict=strict)
+            tree, residuals, _, analysis = naturalize(
+                tree, analysis, cf, rng, bank.lexicon, strict=strict)
         except UnrepairableRecordError:
             dropped[0] += 1
             continue
@@ -205,15 +207,14 @@ def _draw(grammar, rng, constraints, accept, bank, cf, strict, seen,
             if key in seen:
                 continue
             seen.add(key)
-        return tree, tt, source, target, residuals, samples
+        return tree, analysis, tt, source, target, residuals, samples
     raise UnsatisfiableConstraintError(
         f"{what}: no fresh record in {DRAW_BUDGET} root draws "
         f"(constraints: {constraints or 'none'})")
 
 
-def _annotate(tree, tt, target_tokens, spec):
+def _annotate(tree, analysis, tt, target_tokens, spec):
     """Annotation payload for one generalization record."""
-    analysis = analyze(tree)
     in_cp = bool(spec.cp_embedding) and spec.embed_marker in analysis.ids
     if spec.target_kind == "none":
         return None, dict(analysis.depths), in_cp
@@ -267,18 +268,18 @@ def _build_pattern(pattern_id, master_seed, scale, strict, cf_rows):
     residual_count = 0
     dropped = [0]
     for i in range(count):
-        tree, tt, source_tokens, target_tokens, residuals, _ = _draw(
+        tree, analysis, tt, source, target, residuals, _ = _draw(
             spec.gen_grammar, rng, spec.constraints_for(i), None, bank, cf,
             strict, seen, dropped, f"pattern {pattern_id}: gen record {i}")
         residual_count += len(residuals)
-        annotation, depths, in_cp = _annotate(tree, tt, target_tokens, spec)
+        annotation, depths, in_cp = _annotate(tree, analysis, tt, target, spec)
         provenance = {"seed": seed, "grammar_id": pattern_id,
                       "variant": i % len(spec.variants), "in_cp": in_cp}
         if not spec.partial_evaluable:
             provenance["depths"] = depths
         records.append(SentenceRecord(
             f"gen-{pattern_id}-{i:05d}", "gen", pattern_id,
-            source_tokens, target_tokens, annotation, provenance))
+            source, target, annotation, provenance))
     return records, residual_count, dropped[0]
 
 
@@ -298,16 +299,11 @@ def primitive_exposures(bank, spec, n, master_seed, cf, strict, seen,
         rid = f"train-exp-{spec.id}-{k:03d}"
         if recipe[0] == "bare":
             _, pos, lemma = recipe
-            entry = bank.lexicon.by_key[(lemma, pos)]
-            source = (entry.form("inf" if pos == "Verb" else "base"),)
-            if pos == "Verb":
-                cls = bank.dictionary.verb_class(lemma)
-                stem_key, suffixes = bank.morph.inflect(cls, "pres",
-                                                        "active")
-                target = tuple(bank.dictionary.lookup(lemma, "Verb",
-                                                      stem_key)) + suffixes
-            else:
-                target = tuple(bank.dictionary.lookup(lemma, pos, "base"))
+            leaf = LeafNode(bank.lexicon.by_key[(lemma, pos)],
+                            "inf" if pos == "Verb" else "base", "")
+            source = (leaf.surface,)
+            target = tuple(linearize(render_leaf(leaf, bank.dictionary,
+                                                 bank.morph)))
             records.append(SentenceRecord(
                 rid, "train", "", source, target,
                 provenance={"seed": seed, "grammar_id": "lexicon",
@@ -324,7 +320,7 @@ def primitive_exposures(bank, spec, n, master_seed, cf, strict, seen,
                     {tag: frozenset(ls) for tag, ls in overrides.items()})
             grammar_cache[cache_key] = grammar
         cons = Constraints(frozenset(required), frozenset(), tuple(depths))
-        _, _, source, target, _, _ = _draw(
+        _, _, _, source, target, _, _ = _draw(
             grammar, rng, cons, _train_depths, bank, cf, strict, seen,
             dropped, f"pattern {spec.id}: exposure recipe {recipe!r}")
         records.append(SentenceRecord(
@@ -367,28 +363,35 @@ def _declarative_train_depths(tree):
 def concatenate_for_length(bank, cf, master_seed, n, gen_max_len, strict,
                            seen, dropped):
     """Training records longer than any generalization sentence, formed by
-    concatenating independent declarative in-distribution sentences."""
+    concatenating independent declarative in-distribution sentences.
+
+    A record's root draws, over all its parts and retries, count against
+    one DRAW_BUDGET.  It is checked after each part, so a record overdraws
+    by at most one part's draws."""
     seed = child_seed(master_seed, "concat")
     rng = Random(seed)
     records = []
     for j in range(n):
-        for _attempt in range(10_000):
+        draws = 0
+        while True:
             source, target, parts = (), (), 0
             while len(source) <= gen_max_len:
-                _, _, src, tgt, _, _ = _draw(
+                if draws >= DRAW_BUDGET:
+                    raise UnsatisfiableConstraintError(
+                        f"concatenation record {j}: no fresh joined pair in "
+                        f"{draws} root draws")
+                _, _, _, src, tgt, _, samples = _draw(
                     bank.grammar, rng, None, _declarative_train_depths, bank,
                     cf, strict, None, dropped,
                     f"concatenation record {j} part {parts}")
+                draws += samples
                 source = source + src
                 target = target + ((".",) if target else ()) + tgt
                 parts += 1
             key = _pair_key(source, target)
             if key not in seen:
-                seen.add(key)
                 break
-        else:
-            raise UnsatisfiableConstraintError(
-                f"concatenation record {j}: every joined pair already used")
+        seen.add(key)
         records.append(SentenceRecord(
             f"train-cat-{j:04d}", "train", "", source, target,
             provenance={"seed": seed, "grammar_id": "in_dist",
@@ -475,7 +478,7 @@ def build_splits(config: RunConfig, bank=None):
         if config.topicalization_fraction else 0
     while len(dev) < n_dev or len(test) < n_test or \
             len(train_pool) < n_pool_train:
-        tree, _, source, target, _, samples = _draw(
+        tree, _, _, source, target, _, samples = _draw(
             bank.grammar, rng, None, _train_depths, bank, cf, strict, seen,
             dropped, f"in-distribution pool (draw {index})")
         index += samples
@@ -599,19 +602,36 @@ def write_corpus(records, manifest, out_dir):
 
 
 def read_jsonl(path):
+    """Records of one split file; a line that is not a JSON object with
+    string ``id``, ``split``, ``source`` and ``target`` raises ValueError
+    naming ``path:line``."""
     out = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
-            if line:
-                out.append(SentenceRecord.from_json(json.loads(line)))
+            if not line:
+                continue
+            try:
+                data = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc.msg}") from None
+            if not isinstance(data, dict):
+                raise ValueError(f"{path}:{lineno}: expected a JSON object")
+            for key in ("id", "split", "source", "target"):
+                if not isinstance(data.get(key), str):
+                    raise ValueError(f"{path}:{lineno}: {key!r} is missing "
+                                     "or not a string")
+            out.append(SentenceRecord.from_json(data))
     return out
 
 
 def read_corpus(out_dir):
     records = {split: read_jsonl(os.path.join(out_dir, f"{split}.jsonl"))
                for split in SPLITS}
-    with open(os.path.join(out_dir, "manifest.json"),
-              encoding="utf-8") as fh:
-        manifest = json.load(fh)
+    path = os.path.join(out_dir, "manifest.json")
+    with open(path, encoding="utf-8") as fh:
+        try:
+            manifest = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}:{exc.lineno}: {exc.msg}") from None
     return records, manifest

@@ -226,7 +226,8 @@ def _record_depths(record):
               help="Construct depth filter, e.g. cp=5 or pp=3.")
 @click.option("--regex", default=None,
               help="Regular expression over the source sentence.")
-@click.option("--limit", type=int, default=20, show_default=True)
+@click.option("--limit", type=click.IntRange(min=1), default=20,
+              show_default=True)
 def inspect(corpus_dir, split, pattern_id, depth_filter, regex, limit):
     """Pretty-print records matching the given filters."""
     try:

@@ -283,13 +283,24 @@ def read_hypotheses(path, records=None):
         for i, line in enumerate(lines, 1):
             if not line.strip():
                 continue
+            where = f"{path}:{i}: bad hypothesis record"
             try:
                 obj = json.loads(line)
-                rid, hyp = obj["id"], obj["hypothesis"]
-            except (json.JSONDecodeError, KeyError) as exc:
-                raise ScoringError(f"{path}:{i}: bad hypothesis record: "
-                                   f"{exc}") from exc
-            out[rid] = hyp.split() if isinstance(hyp, str) else list(hyp)
+            except json.JSONDecodeError as exc:
+                raise ScoringError(f"{where}: {exc}") from exc
+            if not isinstance(obj, dict) or \
+                    not isinstance(obj.get("id"), str) or \
+                    "hypothesis" not in obj:
+                raise ScoringError(f"{where}: expected an object with a "
+                                   "string \"id\" and a \"hypothesis\"")
+            hyp = obj["hypothesis"]
+            if isinstance(hyp, str):
+                hyp = hyp.split()
+            elif not (isinstance(hyp, list)
+                      and all(isinstance(t, str) for t in hyp)):
+                raise ScoringError(f"{where}: \"hypothesis\" must be a "
+                                   "string or a list of strings")
+            out[obj["id"]] = hyp
         return out
     if records is None:
         raise ScoringError(

@@ -15,11 +15,10 @@ from the list is a violation.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 from .grammar import GrammarError, LeafNode, ProdNode, Slot
-from .bank import analyze, content_lemmas
+from .bank import analyze
 from .lexdata import CASE_FRAMES
 
 ROLES = ("inanimate_subject", "direct_object")
@@ -113,15 +112,15 @@ def read_case_frames(path) -> CaseFrameList:
 # --------------------------------------------------------------------------
 
 
-def reject_duplicates(tree) -> bool:
-    """True iff some content lemma occurs at least twice in the sentence."""
-    counts = Counter(content_lemmas(tree))
-    return any(c >= 2 for c in counts.values())
+def reject_duplicates(analysis) -> bool:
+    """True iff some content lemma occurs at least twice in the analyzed
+    sentence."""
+    return len(set(analysis.lemmas)) < len(analysis.lemmas)
 
 
-def check_selectional(tree, cf: CaseFrameList, strict=False) -> list:
+def check_selectional(analysis, cf: CaseFrameList, strict=False) -> list:
     out = []
-    for verb, role, noun, tag in analyze(tree).pairs:
+    for verb, role, noun, tag in analysis.pairs:
         if not cf.licensed(verb, role, noun, strict=strict):
             out.append(SelViolation(verb, role, noun, tag))
     return out
@@ -176,51 +175,50 @@ def _pick_replacement(cf, violation, slot, lexicon, present, rng):
     return None
 
 
-def repair(tree, violations, cf: CaseFrameList, rng, lexicon, strict=False):
+def repair(tree, analysis, cf: CaseFrameList, rng, lexicon, strict=False):
     """Replace offending nouns until only multi-constraint residuals remain.
 
-    ``violations`` is ``check_selectional(tree, cf, strict)``.  Returns
-    (tree, residuals).  A noun constrained by several verbs at once is
-    repaired to satisfy one of its pairs; the pairs left unlicensed are
-    returned rather than retried, mirroring the documented limitation of noun
-    replacement.
+    ``analysis`` is ``analyze(tree)``.  Returns (tree, residuals, analysis of
+    that tree); only a tree a replacement made is analyzed again.  A noun
+    constrained by several verbs at once is repaired to satisfy one of its
+    pairs; the pairs left unlicensed are returned rather than retried,
+    mirroring the documented limitation of noun replacement.
     """
-    if not violations:
-        return tree, []
     residual = []
-    current = violations  # the check of the tree in hand
-    for _ in range(len(violations) + 8):
+    current = check_selectional(analysis, cf, strict=strict)
+    for _ in range(len(current) + 8):
         pending = [v for v in current if v not in residual]
         if not pending:
             break
         v = pending[0]
         leaf, slot = _locate(tree, v)
-        present = set(content_lemmas(tree))
+        present = set(analysis.lemmas)
         entry = _pick_replacement(cf, v, slot, lexicon, present, rng)
         if entry is None:
             raise UnrepairableRecordError(
                 f"no replacement for {v.noun!r} as {v.role} of {v.verb!r}")
         tree = _replace_leaf(tree, leaf, LeafNode(entry, leaf.bundle,
                                                   leaf.tag))
+        analysis = analyze(tree)
+        current = check_selectional(analysis, cf, strict=strict)
         # Any violation still involving the replaced noun is a second
         # constraint on the same position; log it instead of looping.
-        current = check_selectional(tree, cf, strict=strict)
         for o in current:
             if o.noun == entry.lemma and o.tag == leaf.tag \
                     and o not in residual:
                 residual.append(o)
-    return tree, residual
+    return tree, residual, analysis
 
 
-def naturalize(tree, cf: CaseFrameList, rng, lexicon, strict=False):
-    """Run the selectional check-and-repair cycle on one derivation tree.
+def naturalize(tree, analysis, cf: CaseFrameList, rng, lexicon,
+               strict=False):
+    """Run the selectional check-and-repair cycle on one derivation tree and
+    its ``analysis``.
 
-    Returns (tree, residuals, changed).  Duplicate-lexeme rejection is the
-    caller's job (it resamples rather than repairs).
+    Returns (tree, residuals, changed, analysis of the returned tree).
+    Duplicate-lexeme rejection is the caller's job (it resamples rather than
+    repairs).
     """
-    violations = check_selectional(tree, cf, strict=strict)
-    if not violations:
-        return tree, [], False
-    fixed, residual = repair(tree, violations, cf, rng, lexicon,
-                             strict=strict)
-    return fixed, residual, True
+    fixed, residual, analysis = repair(tree, analysis, cf, rng, lexicon,
+                                       strict=strict)
+    return fixed, residual, fixed is not tree, analysis

@@ -32,7 +32,7 @@ from fractions import Fraction
 
 from .grammar import Constraints, NT, Pcfg, Slot
 from .bank import (
-    DET, L, GrammarSpec, adj, n, pn, prep, v,
+    DET, L, GrammarSpec, adj, n, np_pair, pn, prep, v,
     ACT2PASS, DO2PP, OBJ2SUBJ_C, OBJ2SUBJ_P, OBJOM2TRANS, PASS2ACT, PP2DO,
     PRIM_OBJ_C, PRIM_OBJ_P, PRIM_SUBJ_C, PRIM_SUBJ_P, PRIM_VERBS,
     SUBJ2OBJ_C, SUBJ2OBJ_P, TENSE_CP, TENSE_DIT, TENSE_INF,
@@ -96,17 +96,10 @@ class PatternSpec:
 # --------------------------------------------------------------------------
 
 
-def _pair(g, stem, common, proper):
-    """Common (7/10) and proper (3/10) noun phrases on NP_<STEM>."""
-    nt = "NP_" + stem.upper()
-    g.add(f"np_{stem}_c", nt, [DET, n(f"n:{stem}:c", common)], F(7, 10), "$1")
-    g.add(f"np_{stem}_p", nt, [pn(f"n:{stem}:p", proper)], F(3, 10), "$0")
-
-
 def _pairs(g, stem, common, proper):
-    """`_pair` for `stem` and for its embedded copy `e<stem>`."""
-    _pair(g, stem, common, proper)
-    _pair(g, "e" + stem, common, proper)
+    """`np_pair` for `stem` and for its embedded copy `e<stem>`."""
+    np_pair(g, stem, common, proper)
+    np_pair(g, "e" + stem, common, proper)
 
 
 def _npc(g, pid, nt, tag, pool, w=F(1)):
@@ -161,7 +154,7 @@ def _embed(g, cp_nt="CP", marker="cp_clause", semb_nt="SEMB"):
           F(1, 2), T_CP)
     g.add(marker, cp_nt, [L("that"), NT(semb_nt)], F(1), "$1 to",
           construct="CP")
-    _pair(g, "osubj", FREE_ANIM, FREE_PROP)
+    np_pair(g, "osubj", FREE_ANIM, FREE_PROP)
 
 
 def _with_embedded(g, clauses):
@@ -399,10 +392,10 @@ def _gen_pres_cp(targets):
          T_INTRANS, 1),
     ])
     _pairs(g, "subj", FREE_ANIM, FREE_PROP)
-    _pair(g, "fsubj", FREE_ANIM, FREE_PROP)
-    _pair(g, "fdobj", FREE_MIXED, FREE_PROP)
-    _pair(g, "fpsubj", FREE_MIXED, FREE_PROP)
-    _pair(g, "fagent", FREE_ANIM, FREE_PROP)
+    np_pair(g, "fsubj", FREE_ANIM, FREE_PROP)
+    np_pair(g, "fdobj", FREE_MIXED, FREE_PROP)
+    np_pair(g, "fpsubj", FREE_MIXED, FREE_PROP)
+    np_pair(g, "fagent", FREE_ANIM, FREE_PROP)
     _npc(g, "np_fisubj", "NP_FISUBJ", "n:fisubj", INANIM_POOL)
     return g
 
@@ -513,8 +506,8 @@ def _add_rc_subjgap(g):
           [L("that"), v("v:rcsdo:past", "past", V_DO_PAST),
            NT("NP_RCIOBJ"), NT("NP_RCOBJ")],
           F(3, 10), "$2 ni $3 o @morph(1)")
-    _pair(g, "rcobj", FREE_MIXED, FREE_PROP)
-    _pair(g, "rciobj", FREE_ANIM, FREE_PROP)
+    np_pair(g, "rcobj", FREE_MIXED, FREE_PROP)
+    np_pair(g, "rciobj", FREE_ANIM, FREE_PROP)
 
 
 def _add_modifiers(g, kind, nt, stem):
@@ -618,9 +611,9 @@ def _gen_recursion(construct, cont):
               [NT("NP_ESUBJ"), v("v:ecp:past", "past", V_CP_PAST), NT("CP")],
               cont, T_CP)
         _pairs(g, "subj", FREE_ANIM, FREE_PROP)
-        _pair(g, "edobj", FREE_MIXED, FREE_PROP)
-        _pair(g, "epsubj", FREE_MIXED, FREE_PROP)
-        _pair(g, "eagent", FREE_ANIM, FREE_PROP)
+        np_pair(g, "edobj", FREE_MIXED, FREE_PROP)
+        np_pair(g, "epsubj", FREE_MIXED, FREE_PROP)
+        np_pair(g, "eagent", FREE_ANIM, FREE_PROP)
         return g
     # The other three constructs nest inside a (possibly CP-embedded)
     # transitive clause's direct object.
@@ -681,7 +674,7 @@ def _gen_rc_iobj_gap():
           [L("that"), NT("NP_RCSUBJ"),
            v("v:rcio:past", "past", V_PPDAT_PAST), NT("NP_RCOBJ"), L("to")],
           F(1), "$1 ga $3 o @morph(2)")
-    _pair(g, "rcsubj", FREE_ANIM, FREE_PROP)
+    np_pair(g, "rcsubj", FREE_ANIM, FREE_PROP)
     _npc(g, "np_rcobj_c", "NP_RCOBJ", "n:rcobj:c", INANIM_POOL)
     _pairs(g, "subj", FREE_ANIM, FREE_PROP)
     return g
@@ -695,8 +688,8 @@ def _gen_wh_iobj_gap():
            v("v:dit:inf", "inf", V_PPDAT_PAST), NT("NP_DOBJ"), L("to"),
            L("?")],
           F(1), "$2 ga dare ni $4 o @morph(3,past) @q ?")
-    _pair(g, "subj", FREE_ANIM, FREE_PROP)
-    _pair(g, "dobj", FREE_MIXED, FREE_PROP)
+    np_pair(g, "subj", FREE_ANIM, FREE_PROP)
+    np_pair(g, "dobj", FREE_MIXED, FREE_PROP)
     return g
 
 
@@ -734,10 +727,10 @@ def _gen_wh_active_subj():
          [NT("NP_ESUBJ"), v("v:eintrans:past", "past", V_INTRANS)],
          T_INTRANS, 2),
     ])
-    _pair(g, "esubj", FREE_ANIM, FREE_PROP)
-    _pair(g, "edobj", FREE_MIXED, FREE_PROP)
-    _pair(g, "iobj", FREE_ANIM, FREE_PROP)
-    _pair(g, "dobj", FREE_MIXED, FREE_PROP)
+    np_pair(g, "esubj", FREE_ANIM, FREE_PROP)
+    np_pair(g, "edobj", FREE_MIXED, FREE_PROP)
+    np_pair(g, "iobj", FREE_ANIM, FREE_PROP)
+    np_pair(g, "dobj", FREE_MIXED, FREE_PROP)
     return g
 
 
@@ -751,7 +744,7 @@ def _gen_wh_passive_subj():
           [L("What"), L("was"), v("v:pass", "part", V_PASS), L("by"),
            NT("NP_AGENT"), L("?")],
           F(9, 10), "nani ga $4 niyotte @morph(2) @q ?")
-    _pair(g, "agent", FREE_ANIM, FREE_PROP)
+    np_pair(g, "agent", FREE_ANIM, FREE_PROP)
     return g
 
 
@@ -763,8 +756,8 @@ def _gen_wh_do_dit():
            v("v:dit:inf", "inf", V_PPDAT_PAST), L("to"), NT("NP_IOBJ"),
            L("?")],
           F(1), "$2 ga nani o $5 ni @morph(3,past) @q ?")
-    _pair(g, "subj", FREE_ANIM, FREE_PROP)
-    _pair(g, "iobj", FREE_ANIM, FREE_PROP)
+    np_pair(g, "subj", FREE_ANIM, FREE_PROP)
+    np_pair(g, "iobj", FREE_ANIM, FREE_PROP)
     return g
 
 
@@ -790,8 +783,8 @@ def _gen_wh_long_move():
            v("v:cp:inf", "inf", V_CP_PAST), L("that"), NT("NP_ESUBJ"),
            v("v:etrans:inf", "inf", V_TRANS_SAFE), L("?")],
           F(1), "$2 ga $5 ga nani o @morph(6,past) to @morph(3,past) @q ?")
-    _pair(g, "subj", FREE_ANIM, FREE_PROP)
-    _pair(g, "esubj", FREE_ANIM, FREE_PROP)
+    np_pair(g, "subj", FREE_ANIM, FREE_PROP)
+    np_pair(g, "esubj", FREE_ANIM, FREE_PROP)
     return g
 
 

@@ -166,20 +166,24 @@ def linearize(tt) -> list:
     return out
 
 
+def render_leaf(leaf: LeafNode, dictionary: BilingualDictionary,
+                morph: MorphTable, tense=None, voice=None) -> TNode:
+    """Target node of one lexical leaf.  A verb is inflected for its
+    bundle's tense and voice unless ``tense`` or ``voice`` overrides them."""
+    entry = leaf.entry
+    if entry.pos == "Verb":
+        bt, bv = BUNDLE_TV[leaf.bundle]
+        cls = dictionary.verb_class(entry.lemma)
+        stem_key, suffixes = morph.inflect(cls, tense or bt, voice or bv)
+        tokens = dictionary.lookup(entry.lemma, "Verb", stem_key) + suffixes
+    else:
+        tokens = dictionary.lookup(entry.lemma, entry.pos, leaf.bundle)
+    return TNode(leaf, tuple(TLeaf(t) for t in tokens))
+
+
 def transduce(tree: ProdNode, rules: TransductionRuleSet,
               dictionary: BilingualDictionary, morph: MorphTable) -> TNode:
     """Rewrite a source derivation tree into a target tree, bottom-up."""
-    def render_leaf(leaf: LeafNode, tense, voice) -> TNode:
-        entry = leaf.entry
-        if entry.pos == "Verb":
-            bt, bv = BUNDLE_TV[leaf.bundle]
-            cls = dictionary.verb_class(entry.lemma)
-            stem_key, suffixes = morph.inflect(cls, tense or bt, voice or bv)
-            tokens = dictionary.lookup(entry.lemma, "Verb", stem_key) + suffixes
-        else:
-            tokens = dictionary.lookup(entry.lemma, entry.pos, leaf.bundle)
-        return TNode(leaf, tuple(TLeaf(t) for t in tokens))
-
     def rewrite(node: ProdNode) -> TNode:
         rule = rules.get(node.production.id)
         out = []
@@ -193,7 +197,7 @@ def transduce(tree: ProdNode, rules: TransductionRuleSet,
                 if isinstance(child, ProdNode):
                     out.append(rewrite(child))
                 elif isinstance(child, LeafNode):
-                    out.append(render_leaf(child, None, None))
+                    out.append(render_leaf(child, dictionary, morph))
                 else:
                     raise TransductionError(
                         f"rule {rule.source_production_id}: template references "
@@ -204,7 +208,8 @@ def transduce(tree: ProdNode, rules: TransductionRuleSet,
                     raise TransductionError(
                         f"rule {rule.source_production_id}: @morph target "
                         f"{item.index} is not a verb leaf")
-                out.append(render_leaf(child, item.tense, item.voice))
+                out.append(render_leaf(child, dictionary, morph,
+                                       item.tense, item.voice))
         return TNode(node, tuple(out))
 
     return rewrite(tree)

@@ -14,6 +14,7 @@ from random import Random
 import pytest
 
 from compmt.audit import GapAuditor, segment
+from compmt.bank import analyze
 from compmt.build import (RunConfig, SentenceRecord, build_splits,
                           write_corpus)
 from compmt.earley import parse
@@ -316,8 +317,8 @@ def test_implausible_object_repair_golden(bank):
     trees = parse(bank.grammar_for("in_dist"),
                   "the teacher ate the bed .".split())
     assert len(trees) == 1
-    fixed, residual, changed = naturalize(
-        trees[0], default_case_frames(), Random(0),
+    fixed, residual, changed, _ = naturalize(
+        trees[0], analyze(trees[0]), default_case_frames(), Random(0),
         bank.grammar_for("in_dist").lexicon)
     assert changed and residual == []
     got = " ".join(linearize(transduce(fixed, bank.rules, bank.dictionary,

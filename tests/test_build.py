@@ -232,6 +232,30 @@ def test_concatenation_part_draw_is_bounded(bank, monkeypatch):
                                set(), [0])
 
 
+class _EveryPairUsed(set):
+    def __contains__(self, key):
+        return True
+
+
+def test_concatenation_record_has_one_draw_budget(bank, monkeypatch):
+    """Parts and retries of one record share DRAW_BUDGET root draws, checked
+    after each part: a record overdraws by at most one part's budget."""
+    monkeypatch.setattr(build, "DRAW_BUDGET", 20)
+    sample, draws = bank.grammar.sample_with_rng, []
+
+    def counted(rng, constraints):
+        draws.append(1)
+        return sample(rng, constraints)
+
+    monkeypatch.setattr(bank.grammar, "sample_with_rng", counted)
+    with pytest.raises(UnsatisfiableConstraintError,
+                       match=r"^concatenation record 0: no fresh joined pair "
+                             r"in \d+ root draws$"):
+        concatenate_for_length(bank, default_case_frames(), 1, 1, 10, False,
+                               _EveryPairUsed(), [0])
+    assert 20 <= len(draws) < 2 * 20
+
+
 def test_in_distribution_pool_draw_is_bounded(bank, monkeypatch):
     def one_gen_record(pid, *_args):
         return [SentenceRecord(f"gen-{pid}", "gen", pid, (pid,), (pid,))], \

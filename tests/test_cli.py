@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import pytest
 from click.testing import CliRunner
@@ -148,6 +149,35 @@ def test_inspect_regex_filter(runner, corpus_dir):
                "--regex", r"^What\b", "--limit", "1"])
     assert result.exit_code == 0, result.output
     assert "src: What" in result.output
+
+
+def test_inspect_limit_must_be_positive(runner, corpus_dir):
+    for limit in ("0", "-1"):
+        result = runner.invoke(main, ["inspect", "--corpus", str(corpus_dir),
+                                      "--limit", limit])
+        assert result.exit_code == 2, limit
+        assert "--limit" in result.stderr, limit
+
+
+def test_bad_corpus_line_is_io_error_naming_the_line(runner, corpus_dir,
+                                                     tmp_path):
+    copy = tmp_path / "corpus"
+    shutil.copytree(corpus_dir, copy)
+    path = copy / "train.jsonl"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    record = json.loads(lines[2])
+    del record["source"]
+    bad = {
+        "{id: 1}": f"{path}:3: Expecting property name",
+        "[1, 2]": f"{path}:3: expected a JSON object",
+        json.dumps(record): f"{path}:3: 'source' is missing or not a string",
+    }
+    for text, message in bad.items():
+        path.write_text("\n".join(lines[:2] + [text] + lines[3:]) + "\n",
+                        encoding="utf-8")
+        result = runner.invoke(main, ["audit", "--corpus", str(copy)])
+        assert result.exit_code == 2, text
+        assert result.stderr.startswith(f"error: {message}"), result.stderr
 
 
 def test_inspect_bad_depth_filter(runner, corpus_dir):

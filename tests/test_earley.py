@@ -1,12 +1,16 @@
 import hashlib
 import json
+import re
 from random import Random
+
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from compmt.audit import PARSE_LIMIT, audit_grammar, segment
 from compmt.earley import parse
-from compmt.grammar import (LeafNode, LexEntry, Lexicon, Lit, LitNode, NT,
-                            Pcfg, ProdNode, Production, Slot, iter_leaves,
-                            yield_tokens)
+from compmt.grammar import (CONSTRUCTS, LeafNode, LexEntry, Lexicon, Lit,
+                            LitNode, NT, Pcfg, ProdNode, Production, Slot,
+                            iter_leaves, yield_tokens)
 from compmt.transduce import transduce, linearize
 
 # sha256 of the _dump of every parse list of the scale-0.01 train split at
@@ -78,6 +82,38 @@ def test_audit_parse_lists_are_pinned(bank, patterns, small_build):
                 trees = parse(g, tokens, PARSE_LIMIT)
                 digest.update(json.dumps([_dump(t) for t in trees]).encode())
     assert digest.hexdigest() == SMALL_TRAIN_PARSES_SHA256
+
+
+def _shape(node):
+    """A tree up to the audit grammar's ``__n`` id suffixes, its leaves by
+    lemma, POS, bundle and tag."""
+    if isinstance(node, ProdNode):
+        return (re.sub(r"__\d+$", "", node.production.id),
+                tuple(_shape(c) for c in node.children))
+    if isinstance(node, LeafNode):
+        return (node.entry.lemma, node.entry.pos, node.bundle, node.tag)
+    return node.text
+
+
+@pytest.fixture(scope="module")
+def audit_g(bank, patterns):
+    return audit_grammar(bank, patterns)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**64 - 1))
+def test_every_sampled_tree_is_among_its_audit_parses(bank, patterns,
+                                                      audit_g, seed):
+    """The guard for any parser pruning: a parse it drops would let a
+    withheld combination through the audit unseen."""
+    grammar_ids = (["in_dist"] + [p.id for p in patterns]
+                   + [f"boost:{c}" for c in CONSTRUCTS])
+    for gid in grammar_ids:
+        tree = bank.grammar_for(gid).sample_with_rng(Random(seed))
+        tokens = yield_tokens(tree)
+        parses = parse(audit_g, tokens, PARSE_LIMIT)
+        assert _shape(tree) in {_shape(t) for t in parses}, (gid, tokens)
+        transduce(tree, bank.rules, bank.dictionary, bank.morph)
 
 
 def test_unit_cycle_terminates():

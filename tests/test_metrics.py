@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -232,6 +233,12 @@ def test_read_hypotheses_plain_text_alignment(tmp_path, small_build):
 
 def test_read_hypotheses_bad_jsonl(tmp_path):
     path = tmp_path / "h.jsonl"
-    path.write_text('{"id": "a"}\n', encoding="utf-8")
-    with pytest.raises(ScoringError):
-        read_hypotheses(str(path))
+    first = '{"id": "a", "hypothesis": "x"}\n'
+    for bad in ('{"id": "b"}', '{"hypothesis": 5}', '{"id": "b", "x"}',
+                '{"id": "b", "hypothesis": 5}',
+                '{"id": "b", "hypothesis": ["x", 1]}',
+                '{"id": ["b"], "hypothesis": "x"}', '[1, 2]'):
+        path.write_text(first + bad + "\n", encoding="utf-8")
+        with pytest.raises(ScoringError,
+                           match=f"^{re.escape(str(path))}:2: bad hypothesis"):
+            read_hypotheses(str(path))

@@ -26,8 +26,8 @@ def _parse_one(bank, sentence):
 def test_duplicate_lexeme_rejection(bank):
     dup = _parse_one(bank, "the teacher found the teacher .")
     ok = _parse_one(bank, "the teacher found the panda .")
-    assert reject_duplicates(dup)
-    assert not reject_duplicates(ok)
+    assert reject_duplicates(analyze(dup))
+    assert not reject_duplicates(analyze(ok))
 
 
 def test_unlicensed_object_repaired_to_top_ranked_noun(bank):
@@ -35,17 +35,20 @@ def test_unlicensed_object_repaired_to_top_ranked_noun(bank):
     highest-ranked licensed object of 'eat' and retranslation reflects it."""
     tree = _parse_one(bank, "the teacher ate the bed .")
     cf = default_case_frames()
-    viols = check_selectional(tree, cf)
+    viols = check_selectional(analyze(tree), cf)
     assert [(v.verb, v.role, v.noun) for v in viols] == \
         [("eat", "direct_object", "bed")]
-    fixed, residual, changed = naturalize(
-        tree, cf, Random(0), bank.grammar_for("in_dist").lexicon)
+    fixed, residual, changed, analysis = naturalize(
+        tree, analyze(tree), cf, Random(0),
+        bank.grammar_for("in_dist").lexicon)
     assert changed and residual == []
     assert _gloss(bank, fixed) == "kyoosi ga ringo o tabe ta"
+    assert analysis == analyze(fixed)
 
 
 def test_repair_analyzes_each_tree_state_once(bank, monkeypatch):
-    """One check of the sampled tree and one of the repaired tree."""
+    """The caller's analysis covers the sampled tree; naturalize analyzes
+    only the repaired one."""
     import compmt.naturalize as nat
     calls = []
 
@@ -55,21 +58,22 @@ def test_repair_analyzes_each_tree_state_once(bank, monkeypatch):
 
     monkeypatch.setattr(nat, "analyze", counted)
     tree = _parse_one(bank, "the teacher ate the bed .")
-    fixed, residual, changed = naturalize(
-        tree, default_case_frames(), Random(0),
+    fixed, residual, changed, _ = naturalize(
+        tree, analyze(tree), default_case_frames(), Random(0),
         bank.grammar_for("in_dist").lexicon)
     assert changed and residual == []
-    assert calls == [tree, fixed]
+    assert calls == [fixed]
 
 
 def test_inanimate_subject_repair(bank):
     tree = _parse_one(bank, "the book bloomed .")
     cf = default_case_frames()
-    viols = check_selectional(tree, cf)
+    viols = check_selectional(analyze(tree), cf)
     assert [(v.verb, v.role, v.noun) for v in viols] == \
         [("bloom", "inanimate_subject", "book")]
-    fixed, residual, changed = naturalize(
-        tree, cf, Random(0), bank.grammar_for("in_dist").lexicon)
+    fixed, residual, changed, _ = naturalize(
+        tree, analyze(tree), cf, Random(0),
+        bank.grammar_for("in_dist").lexicon)
     assert changed and residual == []
     assert _gloss(bank, fixed) == "hana ga sai ta"
 
@@ -77,17 +81,19 @@ def test_inanimate_subject_repair(bank):
 def test_licensed_sentence_unchanged(bank):
     tree = _parse_one(bank, "the flower bloomed .")
     cf = default_case_frames()
-    fixed, residual, changed = naturalize(
-        tree, cf, Random(0), bank.grammar_for("in_dist").lexicon)
+    analysis = analyze(tree)
+    fixed, residual, changed, fixed_analysis = naturalize(
+        tree, analysis, cf, Random(0), bank.grammar_for("in_dist").lexicon)
     assert not changed and residual == [] and fixed is tree
+    assert fixed_analysis is analysis
 
 
 def test_repair_is_deterministic_in_seed(bank):
     tree = _parse_one(bank, "the teacher ate the bed .")
     cf = default_case_frames()
     lex = bank.grammar_for("in_dist").lexicon
-    a = _gloss(bank, naturalize(tree, cf, Random(7), lex)[0])
-    b = _gloss(bank, naturalize(tree, cf, Random(7), lex)[0])
+    a = _gloss(bank, naturalize(tree, analyze(tree), cf, Random(7), lex)[0])
+    b = _gloss(bank, naturalize(tree, analyze(tree), cf, Random(7), lex)[0])
     assert a == b
 
 
@@ -97,12 +103,12 @@ def test_strict_mode_flags_uncovered_pairs(bank):
     and with no replacement pool the record is unrepairable."""
     tree = _parse_one(bank, "the teacher found the panda .")
     cf = default_case_frames()
-    assert check_selectional(tree, cf) == []
-    strict = check_selectional(tree, cf, strict=True)
+    assert check_selectional(analyze(tree), cf) == []
+    strict = check_selectional(analyze(tree), cf, strict=True)
     assert ("find", "direct_object", "panda") in \
         {(v.verb, v.role, v.noun) for v in strict}
     with pytest.raises(UnrepairableRecordError):
-        naturalize(tree, cf, Random(0),
+        naturalize(tree, analyze(tree), cf, Random(0),
                    bank.grammar_for("in_dist").lexicon, strict=True)
 
 
