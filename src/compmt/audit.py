@@ -21,11 +21,11 @@ the violations of its most innocent parse.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .bank import analyze, default_bank
 from .earley import parse
-from .grammar import CONSTRUCTS, Pcfg, Production, Slot
+from .grammar import CONSTRUCTS, Pcfg, Slot
 
 PARSE_LIMIT = 50
 
@@ -140,7 +140,7 @@ class GapViolation:
 
 def _widen(sym):
     if isinstance(sym, Slot):
-        return Slot(sym.pos, sym.bundle, sym.tag, sym.features, None)
+        return replace(sym, lemmas=None)
     return sym
 
 
@@ -177,8 +177,7 @@ def audit_grammar(bank, patterns) -> Pcfg:
                 continue
             pid = prod.id if not variants else f"{prod.id}__{len(variants)}"
             variants.append(sig)
-            merged.append(Production(pid, prod.lhs, rhs, prod.weight,
-                                     prod.construct, prod.annot_target))
+            merged.append(replace(prod, id=pid, rhs=rhs))
     return Pcfg("ROOT", merged, bank.lexicon, 1.0)
 
 

@@ -1,12 +1,14 @@
-"""The bundled grammar bank: lexeme pools, the in-distribution grammar with
-its transduction templates, and derivation-tree analysis.
+"""The bundled grammar bank: lexeme pools, the in-distribution grammar
+(each production with its transduction template), and derivation-tree
+analysis.
 
 Slot tags encode grammatical positions ("n:subj:c", "v:do:past", ...) so that
 lexeme restrictions target exactly one position and corpus analysis can read
 roles, verb frames and construction flags straight off a tree.  Production
-ids are the transduction keys and are shared between the in-distribution
-grammar and the per-pattern generalization grammars wherever the shape (and
-hence the template) is identical.
+ids are shared between the in-distribution grammar and the per-pattern
+generalization grammars wherever the clause shape is identical, because
+analysis flags and the gap audit read them; a shared id always carries the
+same template.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .grammar import (
 from .lexdata import (
     ANIMATE_NOUNS, INANIMATE_NOUNS, PROPER_NOUNS, VERBS, build_lexicon,
 )
-from .transduce import TransductionRule, TransductionRuleSet, _parse_item
+from .transduce import default_dictionary, default_morph, parse_template
 
 # --------------------------------------------------------------------------
 # Target lexeme sets (five per lexical pattern; tense sets are four regular
@@ -133,21 +135,20 @@ L = Lit
 
 
 class GrammarSpec:
-    """Accumulates productions together with their transduction templates."""
+    """Accumulates productions, each with its parsed transduction template."""
 
     def __init__(self):
         self.prods = []
-        self.templates = {}
 
     def add(self, pid, lhs, rhs, weight, template,
             construct=None, annot=False):
+        rhs = tuple(rhs)
         self.prods.append(Production(
-            pid, lhs, tuple(rhs), Fraction(weight), construct, annot))
-        self.templates[pid] = tuple(
-            _parse_item(t) for t in template.split())
+            pid, lhs, rhs, Fraction(weight), construct, annot,
+            parse_template(pid, template, rhs)))
 
-    def grammar(self, lexicon, start="ROOT", zipf_exponent=1.0):
-        return Pcfg(start, self.prods, lexicon, zipf_exponent)
+    def grammar(self, lexicon, zipf_exponent=1.0):
+        return Pcfg("ROOT", self.prods, lexicon, zipf_exponent)
 
 
 def np_pair(g, stem, common, proper):
@@ -533,36 +534,18 @@ def analyze(tree: ProdNode) -> Analysis:
 # --------------------------------------------------------------------------
 
 
-def merge_templates(*template_maps) -> TransductionRuleSet:
-    merged = {}
-    for tmap in template_maps:
-        for pid, items in tmap.items():
-            if pid in merged and merged[pid] != items:
-                raise ValueError(
-                    f"conflicting transduction templates for {pid}")
-            merged[pid] = items
-    return TransductionRuleSet(
-        TransductionRule(pid, items) for pid, items in merged.items())
-
-
 class Bank:
     """Everything the pipeline needs, built once from the bundled tables."""
 
-    def __init__(self, zipf_exponent: float = 1.0):
-        from .transduce import default_dictionary, default_morph
+    def __init__(self):
         from . import patterns as _patterns
         self.lexicon = build_lexicon()
         self.dictionary = default_dictionary()
         self.morph = default_morph()
-        spec = in_distribution_spec()
-        self.grammar = spec.grammar(self.lexicon, zipf_exponent=zipf_exponent)
+        self.grammar = in_distribution_spec().grammar(self.lexicon)
         self.patterns = _patterns.build_patterns(self.lexicon)
-        self.rules = merge_templates(
-            spec.templates,
-            *[p.templates for p in self.patterns])
         self.by_pattern = {p.id: p for p in self.patterns}
         self._boosted = {}
-        self._zipf = zipf_exponent
 
     def grammar_for(self, grammar_id: str) -> Pcfg:
         if grammar_id == "in_dist":
@@ -572,7 +555,7 @@ class Bank:
             if construct not in self._boosted:
                 from .patterns import boosted_spec
                 self._boosted[construct] = boosted_spec(construct).grammar(
-                    self.lexicon, zipf_exponent=self._zipf)
+                    self.lexicon)
             return self._boosted[construct]
         return self.by_pattern[grammar_id].gen_grammar
 

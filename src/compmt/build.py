@@ -172,7 +172,7 @@ def _pair_key(src_tokens, tgt_tokens):
 
 def _render(bank, tree):
     """(target tree, capitalized source tokens, target tokens)."""
-    tt = transduce(tree, bank.rules, bank.dictionary, bank.morph)
+    tt = transduce(tree, bank.dictionary, bank.morph)
     return tt, _capitalize(yield_tokens(tree)), tuple(linearize(tt))
 
 
@@ -601,10 +601,38 @@ def write_corpus(records, manifest, out_dir):
         fh.write("\n")
 
 
+def _record_problem(data):
+    """Why one parsed line of a split file is not a record that ``score``
+    and ``inspect`` can read, or None."""
+    if not isinstance(data, dict):
+        return "expected a JSON object"
+    for key in ("id", "split", "source", "target"):
+        if not isinstance(data.get(key), str):
+            return f"{key!r} is missing or not a string"
+    if not isinstance(data.get("pattern_id", ""), str):
+        return "'pattern_id' is not a string"
+    if not isinstance(data.get("provenance", {}), dict):
+        return "'provenance' is not an object"
+    annotation = data.get("annotation")
+    if annotation is None:
+        return None
+    if not isinstance(annotation, dict):
+        return "'annotation' is not an object"
+    ref = annotation.get("target_constituent_ref_tokens")
+    if not (isinstance(ref, list) and all(isinstance(t, str) for t in ref)):
+        return "'target_constituent_ref_tokens' is not a list of strings"
+    if not ref:
+        return "'target_constituent_ref_tokens' is empty"
+    if not isinstance(annotation.get("expected_role"), (str, type(None))):
+        return "'expected_role' is neither a string nor null"
+    if not isinstance(annotation.get("depth_profile", {}), dict):
+        return "'depth_profile' is not an object"
+    return None
+
+
 def read_jsonl(path):
-    """Records of one split file; a line that is not a JSON object with
-    string ``id``, ``split``, ``source`` and ``target`` raises ValueError
-    naming ``path:line``."""
+    """Records of one split file; a line that is not JSON or not a record
+    (see ``_record_problem``) raises ValueError naming ``path:line``."""
     out = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -615,12 +643,9 @@ def read_jsonl(path):
                 data = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc.msg}") from None
-            if not isinstance(data, dict):
-                raise ValueError(f"{path}:{lineno}: expected a JSON object")
-            for key in ("id", "split", "source", "target"):
-                if not isinstance(data.get(key), str):
-                    raise ValueError(f"{path}:{lineno}: {key!r} is missing "
-                                     "or not a string")
+            problem = _record_problem(data)
+            if problem:
+                raise ValueError(f"{path}:{lineno}: {problem}")
             out.append(SentenceRecord.from_json(data))
     return out
 

@@ -9,7 +9,7 @@ seeded one-draw sampling and ``profile``, the one structural walk of a tree.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from random import Random
 from typing import Iterable, Iterator, Optional
@@ -40,22 +40,6 @@ class LexEntry:
             raise GrammarError(
                 f"entry {self.lemma}/{self.pos} has no {bundle!r} form"
             ) from None
-
-    def matches(self, constraints: dict) -> bool:
-        for key, want in constraints.items():
-            have = self.features.get(key)
-            if isinstance(want, (set, frozenset)):
-                if isinstance(have, (set, frozenset)):
-                    if not (want & have):
-                        return False
-                elif have not in want:
-                    return False
-            elif isinstance(have, (set, frozenset)):
-                if want not in have:
-                    return False
-            elif have != want:
-                return False
-        return True
 
 
 class Lexicon:
@@ -106,20 +90,14 @@ class Slot:
     pos: str
     bundle: str
     tag: str
-    features: tuple = ()  # tuple of (key, value-or-frozenset) pairs
     lemmas: Optional[frozenset] = None
-
-    def feature_dict(self) -> dict:
-        return dict(self.features)
 
     def admits(self, entry: LexEntry) -> bool:
         if entry.pos != self.pos:
             return False
         if self.lemmas is not None and entry.lemma not in self.lemmas:
             return False
-        if self.bundle not in entry.forms:
-            return False
-        return entry.matches(self.feature_dict())
+        return self.bundle in entry.forms
 
 
 @dataclass(frozen=True)
@@ -135,6 +113,7 @@ class Production:
     weight: Fraction = Fraction(1)
     construct: Optional[str] = None  # CP / PP / CenterEmbedRC / Adj
     annot_target: bool = False  # marks a pattern's target constituent
+    template: Optional[tuple] = None  # of transduce.TItem; None: parse-only
 
     def __post_init__(self):
         if not self.rhs:
@@ -284,15 +263,11 @@ class Pcfg:
         """New grammar with slot tags restricted to the given lemma sets."""
         def remap(sym):
             if isinstance(sym, Slot) and sym.tag in overrides:
-                return Slot(sym.pos, sym.bundle, sym.tag, sym.features,
-                            frozenset(overrides[sym.tag]))
+                return replace(sym, lemmas=frozenset(overrides[sym.tag]))
             return sym
 
-        prods = [
-            Production(p.id, p.lhs, tuple(remap(s) for s in p.rhs), p.weight,
-                       p.construct, p.annot_target)
-            for p in self.productions
-        ]
+        prods = [replace(p, rhs=tuple(remap(s) for s in p.rhs))
+                 for p in self.productions]
         return Pcfg(self.start, prods, self.lexicon, self.zipf_exponent)
 
     # -- validation --------------------------------------------------------

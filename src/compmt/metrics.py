@@ -274,11 +274,12 @@ def read_hypotheses(path, records=None):
 
     Two formats: JSONL objects ``{"id": ..., "hypothesis": ...}``, or plain
     text with one sentence per line aligned to ``records`` in order (the
-    record-id manifest).
+    record-id manifest).  The first non-blank line tells them apart.
     """
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
-    if lines and lines[0].lstrip().startswith("{"):
+    first = next((line for line in lines if line.strip()), "")
+    if first.lstrip().startswith("{"):
         out = {}
         for i, line in enumerate(lines, 1):
             if not line.strip():

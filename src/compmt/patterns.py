@@ -1,11 +1,13 @@
 """The 42 generalization patterns.
 
-Each pattern holds its target lexemes, a dedicated generalization grammar
-(sharing production ids — and therefore transduction templates — with the
-training grammar wherever the clause shape is identical), the constraint
-variants cycled during generation (complement-clause embedding on/off,
-exact recursion depths), and the primitive-exposure recipes that seed the
-training set with the pattern's prerequisites.
+Each pattern holds its target lexemes, a dedicated generalization grammar,
+the constraint variants cycled during generation (complement-clause
+embedding on/off, exact recursion depths), and the primitive-exposure
+recipes that seed the training set with the pattern's prerequisites.  Each
+production carries its own transduction template.  A pattern grammar
+shares production ids with the training grammar wherever the clause shape
+is identical, because analysis flags and the gap audit read the ids; a
+shared id always carries the same template.
 
 Embedded copies.  34 patterns test their withheld combination both in a
 matrix clause and in a clause embedded under "X thought that ...".  Each
@@ -74,17 +76,12 @@ class PatternSpec:
     partial_evaluable: bool
     cp_embedding: bool
     target_kind: str  # "np" | "verb" | "wh" | "none"
-    gen_spec: GrammarSpec
     gen_grammar: Pcfg
     variants: tuple  # of (required ids, forbidden ids, depth pairs)
     exposures: tuple  # of exposure recipes, cycled to 100 records
     wh_word: str = ""
     expected_role: str = ""
     embed_marker: str = ""
-
-    @property
-    def templates(self):
-        return self.gen_spec.templates
 
     def constraints_for(self, index: int) -> Constraints:
         required, forbidden, depths = self.variants[index % len(self.variants)]
@@ -810,7 +807,6 @@ def boosted_spec(construct) -> GrammarSpec:
     for p in base.prods:
         by_lhs.setdefault(p.lhs, []).append(p)
     out = GrammarSpec()
-    out.templates = dict(base.templates)
     for lhs, group in by_lhs.items():
         hit = [p for p in group if p.id in overrides]
         if not hit:
@@ -827,9 +823,7 @@ def boosted_spec(construct) -> GrammarSpec:
                 w = p.weight * scale
             else:
                 w = p.weight
-            out.add(p.id, p.lhs, p.rhs, w, "", construct=p.construct,
-                    annot=p.annot_target)
-            out.templates[p.id] = base.templates[p.id]
+            out.prods.append(replace(p, weight=w))
     return out
 
 
@@ -862,7 +856,7 @@ def build_patterns(lexicon) -> list:
             marker = "cp_clause"
         specs.append(PatternSpec(
             pid, category, group, tuple(targets), count, partial, emb, kind,
-            spec, _compile(spec, lexicon, zipf), tuple(variants),
+            _compile(spec, lexicon, zipf), tuple(variants),
             tuple(exposures), wh_word, role, marker))
 
     # -- primitive substitution -------------------------------------------

@@ -1,12 +1,13 @@
 """Tree transduction from English derivation trees to Japanese token output.
 
-Each source production id maps to a target template; templates interleave
-child references, literal morphemes (case particles, complementizer "to",
-the question particle) and morphology directives that inflect a verb leaf.
-Templates are applied bottom-up, yielding a target tree whose linearization
-is the SOV reference translation.  English function words (determiners,
-auxiliaries, relative pronouns) are simply never referenced by a template
-and therefore drop.
+Each production carries its own target template (``Production.template``,
+parsed by ``parse_template`` when the grammar is built); templates
+interleave child references, literal morphemes (case particles,
+complementizer "to", the question particle) and morphology directives that
+inflect a verb leaf.  Templates are applied bottom-up, yielding a target
+tree whose linearization is the SOV reference translation.  English
+function words (determiners, auxiliaries, relative pronouns) are simply
+never referenced by a template and therefore drop.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .grammar import GrammarError, LeafNode, ProdNode
+from .grammar import GrammarError, LeafNode, Lit, ProdNode
 
 
 class TransductionError(GrammarError):
@@ -38,60 +39,6 @@ class TItem:
     tense: Optional[str] = None
     voice: Optional[str] = None
     text: str = ""
-
-
-@dataclass(frozen=True)
-class TransductionRule:
-    source_production_id: str
-    template: tuple  # of TItem
-
-
-class TransductionRuleSet:
-    def __init__(self, rules: Iterable[TransductionRule]):
-        self.by_id = {}
-        for r in rules:
-            if r.source_production_id in self.by_id:
-                raise TransductionError(
-                    f"duplicate transduction rule for {r.source_production_id}")
-            self.by_id[r.source_production_id] = r
-
-    def __len__(self):
-        return len(self.by_id)
-
-    def get(self, production_id: str) -> TransductionRule:
-        try:
-            return self.by_id[production_id]
-        except KeyError:
-            raise TransductionError(
-                f"uncovered production {production_id}: no transduction rule"
-            ) from None
-
-    def validate_against(self, g) -> list:
-        """Template/production mismatches: bad index, double ref, literal ref."""
-        from .grammar import Lit, Violation
-        problems = []
-        for pid, prod in g.by_id.items():
-            if pid not in self.by_id:
-                problems.append(Violation(
-                    "uncovered_production", pid, "no transduction rule"))
-                continue
-            seen = set()
-            for item in self.by_id[pid].template:
-                if item.kind not in ("child", "morph"):
-                    continue
-                if not (0 <= item.index < len(prod.rhs)):
-                    problems.append(Violation(
-                        "bad_child_ref", pid, f"index {item.index} out of range"))
-                    continue
-                if item.index in seen:
-                    problems.append(Violation(
-                        "double_child_ref", pid, f"child {item.index} referenced twice"))
-                seen.add(item.index)
-                if isinstance(prod.rhs[item.index], Lit):
-                    problems.append(Violation(
-                        "literal_child_ref", pid,
-                        f"child {item.index} is a literal terminal"))
-        return problems
 
 
 class BilingualDictionary:
@@ -181,33 +128,32 @@ def render_leaf(leaf: LeafNode, dictionary: BilingualDictionary,
     return TNode(leaf, tuple(TLeaf(t) for t in tokens))
 
 
-def transduce(tree: ProdNode, rules: TransductionRuleSet,
-              dictionary: BilingualDictionary, morph: MorphTable) -> TNode:
-    """Rewrite a source derivation tree into a target tree, bottom-up."""
+def transduce(tree: ProdNode, dictionary: BilingualDictionary,
+              morph: MorphTable) -> TNode:
+    """Rewrite a source derivation tree into a target tree, bottom-up, by
+    each node's production template."""
     def rewrite(node: ProdNode) -> TNode:
-        rule = rules.get(node.production.id)
+        pid = node.production.id
+        template = node.production.template
+        if template is None:
+            raise TransductionError(
+                f"uncovered production {pid}: no transduction rule")
         out = []
-        for item in rule.template:
+        for item in template:
             if item.kind == "lit":
                 out.append(TLeaf(item.text))
             elif item.kind == "q":
                 out.append(TLeaf(morph.question_particle))
             elif item.kind == "child":
                 child = node.children[item.index]
-                if isinstance(child, ProdNode):
-                    out.append(rewrite(child))
-                elif isinstance(child, LeafNode):
-                    out.append(render_leaf(child, dictionary, morph))
-                else:
-                    raise TransductionError(
-                        f"rule {rule.source_production_id}: template references "
-                        f"literal child {item.index}")
+                out.append(rewrite(child) if isinstance(child, ProdNode)
+                           else render_leaf(child, dictionary, morph))
             else:  # morph directive
                 child = node.children[item.index]
                 if not isinstance(child, LeafNode) or child.entry.pos != "Verb":
                     raise TransductionError(
-                        f"rule {rule.source_production_id}: @morph target "
-                        f"{item.index} is not a verb leaf")
+                        f"production {pid}: @morph target {item.index} is "
+                        "not a verb leaf")
                 out.append(render_leaf(child, dictionary, morph,
                                        item.tense, item.voice))
         return TNode(node, tuple(out))
@@ -245,7 +191,7 @@ _MORPH_RE = re.compile(r"^@morph\((\d+)(?:,([a-z]+))?(?:,([a-z]+))?\)$")
 _CHILD_RE = re.compile(r"^\$(\d+)$")
 
 
-def _parse_item(token: str) -> TItem:
+def _parse_item(pid: str, token: str) -> TItem:
     """One template token: ``$k``, ``@morph(k[,tense[,voice]])``, ``@q`` or
     a literal morpheme."""
     m = _CHILD_RE.match(token)
@@ -257,8 +203,31 @@ def _parse_item(token: str) -> TItem:
     if m:
         return TItem("morph", int(m.group(1)), m.group(2), m.group(3))
     if token.startswith("@") or token.startswith("$"):
-        raise TransductionError(f"malformed template token {token!r}")
+        raise TransductionError(
+            f"production {pid}: malformed template token {token!r}")
     return TItem("lit", text=token)
+
+
+def parse_template(pid: str, text: str, rhs: tuple) -> tuple:
+    """The template of production ``pid`` as a tuple of TItem.  Each child
+    reference (``$k`` or ``@morph(k)``) must name a distinct non-literal
+    symbol of ``rhs``."""
+    items = tuple(_parse_item(pid, t) for t in text.split())
+    seen = set()
+    for item in items:
+        if item.kind not in ("child", "morph"):
+            continue
+        if not 0 <= item.index < len(rhs):
+            raise TransductionError(
+                f"production {pid}: child {item.index} out of range")
+        if item.index in seen:
+            raise TransductionError(
+                f"production {pid}: child {item.index} referenced twice")
+        if isinstance(rhs[item.index], Lit):
+            raise TransductionError(
+                f"production {pid}: child {item.index} is a literal terminal")
+        seen.add(item.index)
+    return items
 
 
 def default_dictionary() -> BilingualDictionary:

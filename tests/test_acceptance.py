@@ -115,8 +115,7 @@ def _reproduces(bank, grammar, seg, want):
         trees = parse(grammar, [seg[0][0].lower() + seg[0][1:]] + seg[1:],
                       limit=50)
     for tree in trees:
-        got = tuple(linearize(transduce(tree, bank.rules, bank.dictionary,
-                                        bank.morph)))
+        got = tuple(linearize(transduce(tree, bank.dictionary, bank.morph)))
         if got == want:
             return True
     return False
@@ -321,8 +320,7 @@ def test_implausible_object_repair_golden(bank):
         trees[0], analyze(trees[0]), default_case_frames(), Random(0),
         bank.grammar_for("in_dist").lexicon)
     assert changed and residual == []
-    got = " ".join(linearize(transduce(fixed, bank.rules, bank.dictionary,
-                                       bank.morph)))
+    got = " ".join(linearize(transduce(fixed, bank.dictionary, bank.morph)))
     assert got == "kyoosi ga ringo o tabe ta"
 
 

@@ -4,10 +4,8 @@ import shutil
 import pytest
 from click.testing import CliRunner
 
-from compmt.bank import default_bank
 from compmt.cli import main
 from compmt.grammar import GrammarError
-from compmt.transduce import TransductionRuleSet
 
 
 @pytest.fixture(scope="module")
@@ -40,15 +38,6 @@ def test_validate_ok(runner):
     assert result.exit_code == 0, result.output
     assert "ok: 47 grammars" in result.output
     assert "42 pattern grammars" in result.output
-
-
-def test_validate_reports_uncovered_production(runner, monkeypatch):
-    bank = default_bank()
-    monkeypatch.setattr(bank, "rules", TransductionRuleSet(
-        rule for pid, rule in bank.rules.by_id.items() if pid != "s_pass"))
-    result = runner.invoke(main, ["validate"])
-    assert result.exit_code == 1, result.output
-    assert "in_dist: uncovered_production: s_pass" in result.output
 
 
 def test_audit_existing_corpus(runner, corpus_dir):
@@ -163,21 +152,56 @@ def test_bad_corpus_line_is_io_error_naming_the_line(runner, corpus_dir,
                                                      tmp_path):
     copy = tmp_path / "corpus"
     shutil.copytree(corpus_dir, copy)
-    path = copy / "train.jsonl"
-    lines = path.read_text(encoding="utf-8").splitlines()
-    record = json.loads(lines[2])
+    train, gen = copy / "train.jsonl", copy / "gen.jsonl"
+    record = json.loads(train.read_text(encoding="utf-8").splitlines()[2])
     del record["source"]
-    bad = {
-        "{id: 1}": f"{path}:3: Expecting property name",
-        "[1, 2]": f"{path}:3: expected a JSON object",
-        json.dumps(record): f"{path}:3: 'source' is missing or not a string",
-    }
-    for text, message in bad.items():
-        path.write_text("\n".join(lines[:2] + [text] + lines[3:]) + "\n",
-                        encoding="utf-8")
-        result = runner.invoke(main, ["audit", "--corpus", str(copy)])
-        assert result.exit_code == 2, text
-        assert result.stderr.startswith(f"error: {message}"), result.stderr
+    annotated = json.loads(gen.read_text(encoding="utf-8").splitlines()[0])
+    hyp = tmp_path / "hyp.jsonl"  # scores the annotated record
+    hyp.write_text(json.dumps({"id": annotated["id"],
+                               "hypothesis": annotated["target"]}) + "\n",
+                   encoding="utf-8")
+
+    def with_annotation(annotation=None, **fields):
+        if annotation is None:
+            annotation = dict(annotated["annotation"], **fields)
+        return json.dumps(dict(annotated, annotation=annotation))
+
+    audit = [["audit", "--corpus", str(copy)]]
+    readers = [["score", "--corpus", str(copy), "--hyp", str(hyp)],
+               ["inspect", "--corpus", str(copy)]]
+    not_tokens = "'target_constituent_ref_tokens' is not a list of strings"
+    bad = [
+        (train, 3, "{id: 1}", "Expecting property name", audit),
+        (train, 3, "[1, 2]", "expected a JSON object", audit),
+        (train, 3, json.dumps(record), "'source' is missing or not a string",
+         audit),
+        (train, 3, json.dumps(dict(record, source="x", provenance=5)),
+         "'provenance' is not an object", audit + readers),
+        (gen, 1, json.dumps(dict(annotated, pattern_id=["x"])),
+         "'pattern_id' is not a string", readers),
+        (gen, 1, with_annotation(5), "'annotation' is not an object", readers),
+        (gen, 1, with_annotation(target_constituent_ref_tokens="ookami"),
+         not_tokens, readers),
+        (gen, 1, with_annotation(target_constituent_ref_tokens=["ookami", 1]),
+         not_tokens, readers),
+        (gen, 1, with_annotation(target_constituent_ref_tokens=[]),
+         "'target_constituent_ref_tokens' is empty", readers),
+        (gen, 1, with_annotation(expected_role=3),
+         "'expected_role' is neither a string nor null", readers),
+        (gen, 1, with_annotation(depth_profile=[0]),
+         "'depth_profile' is not an object", readers),
+    ]
+    for path, lineno, text, message, commands in bad:
+        original = path.read_text(encoding="utf-8")
+        lines = original.splitlines()
+        lines[lineno - 1] = text
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        for command in commands:
+            result = runner.invoke(main, command)
+            assert result.exit_code == 2, (text, command)
+            assert result.stderr.startswith(
+                f"error: {path}:{lineno}: {message}"), result.stderr
+        path.write_text(original, encoding="utf-8")
 
 
 def test_inspect_bad_depth_filter(runner, corpus_dir):

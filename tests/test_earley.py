@@ -21,8 +21,7 @@ SMALL_TRAIN_PARSES_SHA256 = \
 
 
 def _translate(bank, tree):
-    return tuple(linearize(transduce(tree, bank.rules, bank.dictionary,
-                                     bank.morph)))
+    return tuple(linearize(transduce(tree, bank.dictionary, bank.morph)))
 
 
 def test_parse_rejects_garbage(bank):
@@ -113,7 +112,7 @@ def test_every_sampled_tree_is_among_its_audit_parses(bank, patterns,
         tokens = yield_tokens(tree)
         parses = parse(audit_g, tokens, PARSE_LIMIT)
         assert _shape(tree) in {_shape(t) for t in parses}, (gid, tokens)
-        transduce(tree, bank.rules, bank.dictionary, bank.morph)
+        transduce(tree, bank.dictionary, bank.morph)
 
 
 def test_unit_cycle_terminates():

@@ -212,9 +212,11 @@ def test_missing_hypotheses_are_skipped(small_build, patterns):
 
 def test_read_hypotheses_jsonl(tmp_path):
     path = tmp_path / "h.jsonl"
-    path.write_text('{"id": "a", "hypothesis": "x y"}\n'
-                    '{"id": "b", "hypothesis": ["z"]}\n', encoding="utf-8")
-    assert read_hypotheses(str(path)) == {"a": ["x", "y"], "b": ["z"]}
+    body = ('{"id": "a", "hypothesis": "x y"}\n'
+            '{"id": "b", "hypothesis": ["z"]}\n')
+    for lead in ("", "\n", "  \n\n"):  # the format is read past blank lines
+        path.write_text(lead + body, encoding="utf-8")
+        assert read_hypotheses(str(path)) == {"a": ["x", "y"], "b": ["z"]}
 
 
 def test_read_hypotheses_plain_text_alignment(tmp_path, small_build):
@@ -225,6 +227,11 @@ def test_read_hypotheses_plain_text_alignment(tmp_path, small_build):
                     encoding="utf-8")
     got = read_hypotheses(str(path), gen)
     assert got == {r.id: list(r.target_tokens) for r in gen}
+    jsonl = tmp_path / "h.jsonl"  # a leading blank line keeps it JSONL
+    jsonl.write_text("\n" + "".join(
+        json.dumps({"id": r.id, "hypothesis": r.target}) + "\n" for r in gen),
+        encoding="utf-8")
+    assert read_hypotheses(str(jsonl), gen) == got
     with pytest.raises(ScoringError):
         read_hypotheses(str(path), gen[:4])
     with pytest.raises(ScoringError):

@@ -13,8 +13,7 @@ from compmt.transduce import linearize, transduce
 
 
 def _gloss(bank, tree):
-    return " ".join(linearize(transduce(tree, bank.rules, bank.dictionary,
-                                        bank.morph)))
+    return " ".join(linearize(transduce(tree, bank.dictionary, bank.morph)))
 
 
 def _parse_one(bank, sentence):

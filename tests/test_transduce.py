@@ -1,7 +1,11 @@
+import re
+
 import pytest
 
+from compmt.bank import GrammarSpec, L, v
 from compmt.earley import parse
-from compmt.grammar import yield_tokens
+from compmt.grammar import (CONSTRUCTS, Lit, LitNode, NT, ProdNode,
+                            Production, yield_tokens)
 from compmt.transduce import TransductionError, linearize, transduce
 
 # English sentence -> expected morpheme-level gloss.  Each pair exercises a
@@ -39,8 +43,7 @@ def test_paper_glosses_token_exact(bank, grammar_id, source, gloss):
                       [tokens[0][0].lower() + tokens[0][1:]] + tokens[1:])
     assert trees, source
     want = gloss.split()
-    produced = [list(linearize(transduce(t, bank.rules, bank.dictionary,
-                                         bank.morph)))
+    produced = [list(linearize(transduce(t, bank.dictionary, bank.morph)))
                 for t in trees]
     assert want in produced, produced
 
@@ -55,8 +58,7 @@ def test_declaratives_are_sov_without_final_punct(bank):
     for _ in range(300):
         tree = g.sample_with_rng(rng)
         source = yield_tokens(tree)
-        target = linearize(transduce(tree, bank.rules, bank.dictionary,
-                                     bank.morph))
+        target = linearize(transduce(tree, bank.dictionary, bank.morph))
         if source[-1] == "?":
             seen_q += 1
             assert target[-2:] == ["ka", "?"]
@@ -67,8 +69,38 @@ def test_declaratives_are_sov_without_final_punct(bank):
 
 
 def test_transduce_unknown_production_raises(bank):
-    from compmt.grammar import Production, ProdNode, Lit, LitNode
     orphan = ProdNode(Production("no_such_rule", "S", (Lit("x"),)),
                       (LitNode("x"),))
-    with pytest.raises(TransductionError):
-        transduce(orphan, bank.rules, bank.dictionary, bank.morph)
+    with pytest.raises(TransductionError,
+                       match="uncovered production no_such_rule"):
+        transduce(orphan, bank.dictionary, bank.morph)
+
+
+@pytest.mark.parametrize("template,problem", [
+    ("$0 @bogus", "malformed template token '@bogus'"),
+    ("$0 $3", "child 3 out of range"),
+    ("$0 ga @morph(0)", "child 0 referenced twice"),
+    ("$1 @morph(2)", "child 1 is a literal terminal"),
+])
+def test_grammar_spec_rejects_bad_template(template, problem):
+    spec = GrammarSpec()
+    rhs = [NT("NP_PSUBJ"), L("was"), v("v:pass", "part", ["see"])]
+    with pytest.raises(TransductionError,
+                       match=f"^production s_bad: {re.escape(problem)}$"):
+        spec.add("s_bad", "S", rhs, 1, template)
+    assert spec.prods == []
+
+
+def test_one_template_per_production_id(bank, patterns):
+    """A production id names one construction: every grammar that holds
+    the id translates it by the same template."""
+    grammar_ids = (["in_dist"] + [p.id for p in patterns]
+                   + [f"boost:{c}" for c in CONSTRUCTS])
+    assert len(grammar_ids) == 47
+    templates = {}
+    for gid in grammar_ids:
+        for prod in bank.grammar_for(gid).productions:
+            assert prod.template is not None, (gid, prod.id)
+            first = templates.setdefault(prod.id, prod.template)
+            assert first == prod.template, (gid, prod.id)
+    assert len(templates) == 135
