@@ -215,7 +215,7 @@ def _draw(grammar, rng, constraints, accept, bank, cf, strict, seen,
 
 def _annotate(tree, analysis, tt, target_tokens, spec):
     """Annotation payload for one generalization record."""
-    in_cp = bool(spec.cp_embedding) and spec.embed_marker in analysis.ids
+    in_cp = spec.embed_marker in analysis.ids
     if spec.target_kind == "none":
         return None, dict(analysis.depths), in_cp
     if spec.target_kind == "wh":
@@ -275,7 +275,7 @@ def _build_pattern(pattern_id, master_seed, scale, strict, cf_rows):
         annotation, depths, in_cp = _annotate(tree, analysis, tt, target, spec)
         provenance = {"seed": seed, "grammar_id": pattern_id,
                       "variant": i % len(spec.variants), "in_cp": in_cp}
-        if not spec.partial_evaluable:
+        if spec.target_kind == "none":
             provenance["depths"] = depths
         records.append(SentenceRecord(
             f"gen-{pattern_id}-{i:05d}", "gen", pattern_id,
@@ -611,8 +611,11 @@ def _record_problem(data):
             return f"{key!r} is missing or not a string"
     if not isinstance(data.get("pattern_id", ""), str):
         return "'pattern_id' is not a string"
-    if not isinstance(data.get("provenance", {}), dict):
+    provenance = data.get("provenance", {})
+    if not isinstance(provenance, dict):
         return "'provenance' is not an object"
+    if not isinstance(provenance.get("depths", {}), dict):
+        return "'provenance.depths' is not an object"
     annotation = data.get("annotation")
     if annotation is None:
         return None

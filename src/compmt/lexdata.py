@@ -269,11 +269,10 @@ def _pres3sg(lemma: str) -> str:
 
 def build_lexicon() -> Lexicon:
     entries = []
-    for rank, (lemma, past, part, frames, reg, _cls, _pa, _pr, _ps) in \
+    for rank, (lemma, past, part, _frames, reg, _cls, _pa, _pr, _ps) in \
             enumerate(VERBS, 1):
         entries.append(LexEntry(
-            lemma, "Verb",
-            {"vclass": frozenset(frames.split()), "regularity": reg},
+            lemma, "Verb", {"regularity": reg},
             {"past": past, "pres": _pres3sg(lemma), "part": part or past,
              "inf": lemma},
             rank))
@@ -282,12 +281,11 @@ def build_lexicon() -> Lexicon:
         rank += 1
         entries.append(LexEntry(
             lemma, "CommonNoun", {"animacy": "animate"}, {"base": lemma}, rank))
-    for lemma, _ja, loc in INANIMATE_NOUNS:
+    for lemma, _ja, _loc in INANIMATE_NOUNS:
         rank += 1
-        feats = {"animacy": "inanimate"}
-        if loc:
-            feats["loc"] = "1"
-        entries.append(LexEntry(lemma, "CommonNoun", feats, {"base": lemma}, rank))
+        entries.append(LexEntry(
+            lemma, "CommonNoun", {"animacy": "inanimate"}, {"base": lemma},
+            rank))
     for rank, (lemma, _ja) in enumerate(PROPER_NOUNS, 1):
         entries.append(LexEntry(
             lemma, "ProperNoun", {"animacy": "animate"}, {"base": lemma}, rank))

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 ROLE_PARTICLES = {
     "ga": "subject",
@@ -48,51 +48,66 @@ def exact_match(hyp_tokens, ref_tokens) -> bool:
 # --------------------------------------------------------------------------
 
 
+MAX_N = 4
+
+
 def _ngrams(tokens, n):
     return [tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1)]
 
 
-def corpus_bleu(hyps, refs) -> float:
-    """4-gram corpus BLEU in [0, 100].
+def _counts(hyp, ref):
+    """One sentence's BLEU statistics: clipped n-gram matches for n = 1..4,
+    hypothesis n-gram totals for n = 1..4, hypothesis and reference length.
+    Corpus BLEU is a function of their element-wise sum."""
+    hyp, ref = list(hyp), list(ref)
+    matched, total = [], []
+    for n in range(1, MAX_N + 1):
+        ref_counts = Counter(_ngrams(ref, n))
+        matched.append(sum(min(count, ref_counts[gram])
+                           for gram, count in Counter(_ngrams(hyp, n)).items()))
+        total.append(max(len(hyp) - n + 1, 0))
+    return matched + total + [len(hyp), len(ref)]
+
+
+def _sum(rows):
+    return [sum(column) for column in zip(*rows)]
+
+
+def _bleu(counts) -> float:
+    """4-gram BLEU in [0, 100] from summed ``_counts``.
 
     Geometric mean of modified n-gram precisions times the brevity
     penalty.  A zero n-gram count falls back to a floor of
     1/(2^k * denominator), halving for each zero order in turn.
     """
+    matched, total = counts[:MAX_N], counts[MAX_N:2 * MAX_N]
+    hyp_len, ref_len = counts[2 * MAX_N:]
+    if hyp_len == 0:
+        return 0.0
+    log_precision = 0.0
+    floor = 1.0
+    for n in range(MAX_N):
+        if total[n] == 0:
+            return 0.0
+        if matched[n] > 0:
+            p = matched[n] / total[n]
+        else:
+            floor /= 2.0
+            p = floor / total[n]
+        log_precision += math.log(p) / MAX_N
+    brevity = 1.0 if hyp_len > ref_len else math.exp(1.0 - ref_len / hyp_len)
+    return 100.0 * brevity * math.exp(log_precision)
+
+
+def corpus_bleu(hyps, refs) -> float:
+    """4-gram corpus BLEU in [0, 100] over aligned token sequences."""
     hyps, refs = list(hyps), list(refs)
     if not hyps:
         raise ScoringError("cannot compute BLEU over an empty corpus")
     if len(hyps) != len(refs):
         raise ScoringError(
             f"hypothesis/reference count mismatch: {len(hyps)} vs {len(refs)}")
-    max_n = 4
-    matched = [0] * max_n
-    total = [0] * max_n
-    hyp_len = ref_len = 0
-    for hyp, ref in zip(hyps, refs):
-        hyp, ref = list(hyp), list(ref)
-        hyp_len += len(hyp)
-        ref_len += len(ref)
-        for n in range(1, max_n + 1):
-            ref_counts = Counter(_ngrams(ref, n))
-            for gram, count in Counter(_ngrams(hyp, n)).items():
-                matched[n - 1] += min(count, ref_counts[gram])
-            total[n - 1] += max(len(hyp) - n + 1, 0)
-    if hyp_len == 0:
-        return 0.0
-    log_precision = 0.0
-    floor = 1.0
-    for n in range(1, max_n + 1):
-        if total[n - 1] == 0:
-            return 0.0
-        if matched[n - 1] > 0:
-            p = matched[n - 1] / total[n - 1]
-        else:
-            floor /= 2.0
-            p = floor / total[n - 1]
-        log_precision += math.log(p) / max_n
-    brevity = 1.0 if hyp_len > ref_len else math.exp(1.0 - ref_len / hyp_len)
-    return 100.0 * brevity * math.exp(log_precision)
+    return _bleu(_sum(_counts(hyp, ref) for hyp, ref in zip(hyps, refs)))
 
 
 # --------------------------------------------------------------------------
@@ -129,25 +144,19 @@ def partial_match(hyp_tokens, annotation) -> bool:
 # --------------------------------------------------------------------------
 
 
-@dataclass
-class PatternScore:
-    pattern_id: str
-    group: str
-    count: int = 0
-    exact: int = 0
-    bleu: float = 0.0
-    partial_count: int = 0  # records carrying an annotation
-    partial: int = 0
+# A report row's totals: records, exact matches, annotated records, partial
+# matches, then the summed ``_counts`` of its sentences.
+_ZERO = (0,) * (4 + 2 * MAX_N + 2)
 
-    @property
-    def exact_pct(self):
-        return 100.0 * self.exact / self.count if self.count else 0.0
 
-    @property
-    def partial_pct(self):
-        if not self.partial_count:
-            return None
-        return 100.0 * self.partial / self.partial_count
+def _row(totals):
+    count, exact, annotated, partial = totals[:4]
+    return {
+        "count": count,
+        "exact_pct": 100.0 * exact / count if count else 0.0,
+        "bleu": _bleu(totals[4:]),
+        "partial_pct": 100.0 * partial / annotated if annotated else None,
+    }
 
 
 @dataclass
@@ -160,107 +169,60 @@ class EvalReport:
     unmatched: int = 0  # hypothesis ids with no record
 
     def to_dict(self):
-        return {
-            "overall": self.overall,
-            "per_group": self.per_group,
-            "per_pattern": [
-                {
-                    "pattern_id": row.pattern_id,
-                    "group": row.group,
-                    "count": row.count,
-                    "exact_pct": row.exact_pct,
-                    "bleu": row.bleu,
-                    "partial_pct": row.partial_pct,
-                }
-                for row in self.per_pattern
-            ],
-            "scored": self.scored,
-            "skipped": self.skipped,
-            "unmatched": self.unmatched,
-        }
+        return asdict(self)
 
     def to_json(self):
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     def table(self):
-        def fmt(value):
-            return "---" if value is None else f"{value:6.2f}"
+        def line(label, row):
+            partial = row["partial_pct"]
+            partial = "---" if partial is None else f"{partial:6.2f}"
+            return (f"{label:51s} {row['count']:6d} {row['exact_pct']:6.2f} "
+                    f"{row['bleu']:6.2f} {partial:>7s}")
 
         lines = [f"{'pattern':28s} {'group':22s} {'n':>6s} "
                  f"{'exact':>6s} {'bleu':>6s} {'partial':>7s}"]
-        for row in self.per_pattern:
-            lines.append(
-                f"{row.pattern_id:28s} {row.group:22s} {row.count:6d} "
-                f"{row.exact_pct:6.2f} {row.bleu:6.2f} "
-                f"{fmt(row.partial_pct):>7s}")
-        for group in GROUPS:
-            agg = self.per_group.get(group)
-            if agg:
-                lines.append(
-                    f"{'['+group+']':51s} {agg['count']:6d} "
-                    f"{agg['exact_pct']:6.2f} {agg['bleu']:6.2f} "
-                    f"{fmt(agg.get('partial_pct')):>7s}")
-        o = self.overall
-        lines.append(
-            f"{'[overall]':51s} {o['count']:6d} {o['exact_pct']:6.2f} "
-            f"{o['bleu']:6.2f} {fmt(o.get('partial_pct')):>7s}")
+        lines.extend(line(f"{row['pattern_id']:28s} {row['group']:22s}", row)
+                     for row in self.per_pattern)
+        lines.extend(line(f"[{group}]", self.per_group[group])
+                     for group in GROUPS if group in self.per_group)
+        lines.append(line("[overall]", self.overall))
         return "\n".join(lines)
-
-
-def _aggregate(rows, pairs):
-    count = sum(r.count for r in rows)
-    exact = sum(r.exact for r in rows)
-    pcount = sum(r.partial_count for r in rows)
-    partial = sum(r.partial for r in rows)
-    out = {
-        "count": count,
-        "exact_pct": 100.0 * exact / count if count else 0.0,
-        "bleu": corpus_bleu(*zip(*pairs)) if pairs else 0.0,
-        "partial_pct": 100.0 * partial / pcount if pcount else None,
-    }
-    return out
 
 
 def score_records(hyp_by_id, records, patterns) -> EvalReport:
     """Score a {record id: hypothesis tokens} mapping against reference
-    records, grouped per pattern and per pattern group."""
+    records, per pattern, per pattern group and overall.  Every row is
+    formatted from the sum of its sentences' integer counts."""
     group_of = {p.id: p.group for p in patterns}
-    rows = {}
-    pairs = {}  # pattern_id -> [(hyp, ref)] for BLEU
+    totals = {}  # pattern id -> summed row totals
     skipped = 0
     for record in records:
         hyp = hyp_by_id.get(record.id)
         if hyp is None:
             skipped += 1
             continue
-        pid = record.pattern_id
-        row = rows.get(pid)
-        if row is None:
-            row = rows[pid] = PatternScore(pid, group_of.get(pid, ""))
-            pairs[pid] = []
         ref = list(record.target_tokens)
-        row.count += 1
-        row.exact += exact_match(hyp, ref)
-        pairs[pid].append((hyp, ref))
-        if record.annotation:
-            row.partial_count += 1
-            row.partial += partial_match(hyp, record.annotation)
-    ordered = [rows[p.id] for p in patterns if p.id in rows]
-    ordered.extend(row for pid, row in sorted(rows.items())
-                   if pid not in group_of)
-    for row in ordered:
-        row.bleu = corpus_bleu(*zip(*pairs[row.pattern_id]))
+        annotated = bool(record.annotation)
+        sentence = [1, exact_match(hyp, ref), annotated,
+                    annotated and partial_match(hyp, record.annotation),
+                    *_counts(hyp, ref)]
+        pid = record.pattern_id
+        totals[pid] = _sum([totals.get(pid, _ZERO), sentence])
+    order = [p.id for p in patterns if p.id in totals]
+    order.extend(sorted(set(totals) - set(group_of)))
+    per_pattern = [{"pattern_id": pid, "group": group_of.get(pid, ""),
+                    **_row(totals[pid])} for pid in order]
     per_group = {}
     for group in GROUPS:
-        grows = [r for r in ordered if r.group == group]
-        if grows:
-            gpairs = [p for r in grows for p in pairs[r.pattern_id]]
-            per_group[group] = _aggregate(grows, gpairs)
-    allpairs = [p for r in ordered for p in pairs[r.pattern_id]]
-    overall = _aggregate(ordered, allpairs)
+        members = [totals[pid] for pid in order if group_of.get(pid) == group]
+        if members:
+            per_group[group] = _row(_sum(members))
+    overall = _row(_sum([_ZERO, *totals.values()]))
     unmatched = len(set(hyp_by_id) - {r.id for r in records})
-    return EvalReport(overall, per_group, ordered,
-                      scored=sum(r.count for r in ordered), skipped=skipped,
+    return EvalReport(overall, per_group, per_pattern,
+                      scored=overall["count"], skipped=skipped,
                       unmatched=unmatched)
 
 
@@ -301,6 +263,8 @@ def read_hypotheses(path, records=None):
                       and all(isinstance(t, str) for t in hyp)):
                 raise ScoringError(f"{where}: \"hypothesis\" must be a "
                                    "string or a list of strings")
+            if obj["id"] in out:
+                raise ScoringError(f"{where}: repeated id {obj['id']!r}")
             out[obj["id"]] = hyp
         return out
     if records is None:

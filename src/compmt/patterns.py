@@ -73,8 +73,6 @@ class PatternSpec:
     group: str
     target_lexemes: tuple
     gen_count: int
-    partial_evaluable: bool
-    cp_embedding: bool
     target_kind: str  # "np" | "verb" | "wh" | "none"
     gen_grammar: Pcfg
     variants: tuple  # of (required ids, forbidden ids, depth pairs)
@@ -848,14 +846,14 @@ def build_patterns(lexicon) -> list:
     specs = []
 
     def add(pid, category, group, targets, spec, kind, count=2000,
-            partial=True, emb=True, variants=None, exposures=(),
+            emb=True, variants=None, exposures=(),
             wh_word="", role="", marker="", zipf=1.0):
         if variants is None:
             variants = _EMB_VARIANTS if emb else _PLAIN_VARIANT
         if emb and not marker:
             marker = "cp_clause"
         specs.append(PatternSpec(
-            pid, category, group, tuple(targets), count, partial, emb, kind,
+            pid, category, group, tuple(targets), count, kind,
             _compile(spec, lexicon, zipf), tuple(variants),
             tuple(exposures), wh_word, role, marker))
 
@@ -974,14 +972,12 @@ def build_patterns(lexicon) -> list:
         emb = construct != "CP"
         add(f"{stem}_recursion_shallower", RECURSION, STRUCT, (),
             _gen_recursion(construct, F(3, 5)), "none",
-            count=1000 if construct == "CP" else 2000,
-            partial=False, emb=emb,
+            count=1000 if construct == "CP" else 2000, emb=emb,
             variants=_depth_variants(construct, (3,), emb),
             exposures=_depth_exposures(construct), zipf=0.5)
         add(f"{stem}_recursion_deeper", RECURSION, STRUCT, (),
             _gen_recursion(construct, F(7, 10)), "none",
-            count=1000 if construct == "CP" else 2000,
-            partial=False, emb=emb,
+            count=1000 if construct == "CP" else 2000, emb=emb,
             variants=_depth_variants(construct, (5, 6), emb),
             exposures=_depth_exposures(construct), zipf=0.5)
 

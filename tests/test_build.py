@@ -87,7 +87,7 @@ def test_cp_embedding_mixed_half_and_half(mid_build, patterns):
     for r in recs["gen"]:
         by_pattern.setdefault(r.pattern_id, []).append(r)
     for p in patterns:
-        if not p.cp_embedding:
+        if not p.embed_marker:
             continue
         mine = by_pattern[p.id]
         inside = sum(1 for r in mine if r.provenance["in_cp"])

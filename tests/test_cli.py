@@ -166,6 +166,11 @@ def test_bad_corpus_line_is_io_error_naming_the_line(runner, corpus_dir,
             annotation = dict(annotated["annotation"], **fields)
         return json.dumps(dict(annotated, annotation=annotation))
 
+    gen_lines = gen.read_text(encoding="utf-8").splitlines()
+    shallow_line, shallow = next(
+        (i, json.loads(line)) for i, line in enumerate(gen_lines, 1)
+        if json.loads(line)["pattern_id"] == "cp_recursion_shallower")
+
     audit = [["audit", "--corpus", str(copy)]]
     readers = [["score", "--corpus", str(copy), "--hyp", str(hyp)],
                ["inspect", "--corpus", str(copy)]]
@@ -190,6 +195,12 @@ def test_bad_corpus_line_is_io_error_naming_the_line(runner, corpus_dir,
          "'expected_role' is neither a string nor null", readers),
         (gen, 1, with_annotation(depth_profile=[0]),
          "'depth_profile' is not an object", readers),
+        (gen, shallow_line, json.dumps(dict(
+            shallow, provenance=dict(shallow["provenance"], depths=5))),
+         "'provenance.depths' is not an object",
+         readers + [["inspect", "--corpus", str(copy), "--pattern",
+                     "cp_recursion_shallower"],
+                    ["inspect", "--corpus", str(copy), "--depth", "cp=3"]]),
     ]
     for path, lineno, text, message, commands in bad:
         original = path.read_text(encoding="utf-8")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import random
@@ -184,11 +185,12 @@ def test_self_scoring_is_perfect(small_build, patterns):
     for group, agg in report.per_group.items():
         assert agg["exact_pct"] == pytest.approx(100.0), group
     for row in report.per_pattern:
-        assert row.exact_pct == pytest.approx(100.0), row.pattern_id
-        if row.pattern_id.endswith(("shallower", "deeper")):
-            assert row.partial_pct is None, row.pattern_id
+        pid = row["pattern_id"]
+        assert row["exact_pct"] == pytest.approx(100.0), pid
+        if pid.endswith(("shallower", "deeper")):
+            assert row["partial_pct"] is None, pid
         else:
-            assert row.partial_pct == pytest.approx(100.0), row.pattern_id
+            assert row["partial_pct"] == pytest.approx(100.0), pid
 
 
 def test_report_table_marks_unevaluable_partial(small_build, patterns):
@@ -244,8 +246,61 @@ def test_read_hypotheses_bad_jsonl(tmp_path):
     for bad in ('{"id": "b"}', '{"hypothesis": 5}', '{"id": "b", "x"}',
                 '{"id": "b", "hypothesis": 5}',
                 '{"id": "b", "hypothesis": ["x", 1]}',
-                '{"id": ["b"], "hypothesis": "x"}', '[1, 2]'):
+                '{"id": ["b"], "hypothesis": "x"}', '[1, 2]',
+                '{"id": "a", "hypothesis": "y"}'):
         path.write_text(first + bad + "\n", encoding="utf-8")
         with pytest.raises(ScoringError,
                            match=f"^{re.escape(str(path))}:2: bad hypothesis"):
             read_hypotheses(str(path))
+
+
+def _hypothesis_sets(records):
+    """Three seed-derived systems: the oracle, one token deleted from half
+    of the records, and a tenth of the records with no hypothesis."""
+    rng = random.Random("test_metrics:hypotheses")
+    oracle = {r.id: list(r.target_tokens) for r in records}
+    deleted = {}
+    for r in records:
+        hyp = list(r.target_tokens)
+        if hyp and rng.random() < 0.5:
+            del hyp[rng.randrange(len(hyp))]
+        deleted[r.id] = hyp
+    missing = {r.id: list(r.target_tokens) for r in records
+               if rng.random() >= 0.1}
+    return oracle, deleted, missing
+
+
+REPORT_SHA256 = \
+    "04048a0acefb992b5ee0cae773292335ad9e79cec1d604cf4589e68889628d06"
+
+
+def test_report_bytes_are_pinned(small_build, patterns):
+    """The JSON and table of every report over gen and dev are pinned
+    byte for byte."""
+    recs, _ = small_build
+    digest = hashlib.sha256()
+    for split in ("gen", "dev"):
+        for hyps in _hypothesis_sets(recs[split]):
+            report = score_records(hyps, recs[split], patterns)
+            digest.update(report.to_json().encode("utf-8"))
+            digest.update(report.table().encode("utf-8"))
+    assert digest.hexdigest() == REPORT_SHA256
+
+
+def test_aggregate_bleu_is_corpus_bleu_over_its_records(small_build,
+                                                        patterns):
+    """Group and overall BLEU, summed from per-sentence counts, equal
+    ``corpus_bleu`` recomputed over the union of their records."""
+    recs, _ = small_build
+    group_of = {p.id: p.group for p in patterns}
+    for split in ("gen", "dev"):
+        for hyps in _hypothesis_sets(recs[split]):
+            report = score_records(hyps, recs[split], patterns)
+            pairs = [(hyps[r.id], list(r.target_tokens), r.pattern_id)
+                     for r in recs[split] if r.id in hyps]
+            rows = [(report.overall, pairs)] + [
+                (row, [p for p in pairs if group_of.get(p[2]) == group])
+                for group, row in report.per_group.items()]
+            for row, members in rows:
+                hyp_tokens, ref_tokens, _ = zip(*members)
+                assert row["bleu"] == corpus_bleu(hyp_tokens, ref_tokens)

@@ -55,8 +55,10 @@ def test_generalization_counts(patterns):
 
 
 def test_partial_evaluable_excludes_exactly_recursion(patterns):
+    """Partial Match needs a target constituent; only recursion patterns
+    have none."""
     for p in patterns:
-        assert p.partial_evaluable == \
+        assert (p.target_kind != "none") == \
             (p.category != "RecursionDepthAlternation"), p.id
 
 
@@ -96,10 +98,9 @@ def test_tense_targets_are_four_regular_one_irregular(bank, patterns):
 
 
 def test_cp_embedding_flag_and_variants(patterns):
-    emb = [p for p in patterns if p.cp_embedding]
+    emb = [p for p in patterns if p.embed_marker]
     assert len(emb) == 34
     for p in emb:
-        assert p.embed_marker, p.id
         # variants alternate: embedded first, plain second
         required0, _, _ = p.variants[0]
         _, forbidden1, _ = p.variants[1]
@@ -162,7 +163,7 @@ def _grammar_dump(patterns):
                     q.annot_target, repr(q.template)] for q in prods]]
             for lhs, prods in g.by_lhs.items())
         out.append([p.id, p.category, p.group, list(p.target_lexemes),
-                    p.gen_count, p.partial_evaluable, p.cp_embedding,
+                    p.gen_count, p.target_kind != "none", bool(p.embed_marker),
                     p.target_kind, p.wh_word, p.expected_role,
                     p.embed_marker, g.start, g.zipf_exponent, rules,
                     _canon(p.variants), _canon(p.exposures)])
