@@ -22,8 +22,9 @@ the violations of its most innocent parse.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cache
 
-from .bank import analyze, default_bank
+from .bank import analyze, base_name, default_bank
 from .earley import parse
 from .grammar import CONSTRUCTS, Pcfg, Slot
 
@@ -57,26 +58,24 @@ DEPTH_PATTERNS = {
 WITHHELD_DEPTH = 3
 REQUIRED_DEPTHS = (1, 2, 4)
 
-# Verb-slot tag stems normalized to a canonical frame name.  Embedded
-# ("e"-prefixed), free-clause ("f"-prefixed), relative-clause and
-# wh-question variants of a frame count as the frame itself, and frames
-# that are surface-identical (plain intransitive, object omission,
-# unaccusative) collapse together: the gap is about observable usage.
+# Verb-slot base stems normalized to a canonical frame name.  Embedded and
+# free-clause copies of a frame (`bank.base_name`), its relative-clause and
+# wh-question variants count as the frame itself, and frames that are
+# surface-identical (plain intransitive, object omission, unaccusative)
+# collapse together: the gap is about observable usage.
 _CANON_FRAME = {
-    "etrans": "trans", "ftrans": "trans", "rc": "trans", "rcs": "trans",
-    "wht": "trans", "whts": "trans",
-    "eintrans": "intrans", "fintrans": "intrans",
-    "objom": "intrans", "eobjom": "intrans",
-    "unacc": "intrans", "eunacc": "intrans", "funacc": "intrans",
-    "edo": "do", "rcsdo": "do",
-    "eppdat": "ppdat",
-    "einf": "inf",
-    "einfbase": "infbase",
-    "ecp": "cp",
-    "epass": "pass", "fpass": "pass",
-    "epassdat": "passdat",
+    "rc": "trans", "rcs": "trans", "wht": "trans", "whts": "trans",
+    "objom": "intrans", "unacc": "intrans",
+    "rcsdo": "do",
     "rcio": "dit",
 }
+
+
+@cache
+def _canon_frame(frame):
+    frame = base_name(frame)
+    return _CANON_FRAME.get(frame, frame)
+
 
 # Wh-question and iobj-gap ditransitives surface under one slot tag that
 # does not distinguish double-object from prepositional datives; a cell
@@ -275,7 +274,7 @@ class GapAuditor:
                         pid, "leak", f"target {lemma!r} used as {role}",
                         record_id, sentence))
         for lemma, frame, tense, voice in an.verbs:
-            cell = (_CANON_FRAME.get(frame, frame), tense, voice)
+            cell = (_canon_frame(frame), tense, voice)
             for pid in self._target_patterns.get(lemma, ()):
                 allowed = VERB_LICENSES.get(pid)
                 if allowed is None:
@@ -309,7 +308,7 @@ class GapAuditor:
     def _record_evidence(self, an, seg):
         self._noun_roles.update(an.lemma_roles)
         for lemma, frame, tense, voice in an.verbs:
-            canon = _CANON_FRAME.get(frame, frame)
+            canon = _canon_frame(frame)
             self._verb_cells.add((lemma, canon, tense, voice))
             self._frames_seen.add(canon)
         for construct in CONSTRUCTS:
@@ -383,14 +382,8 @@ _STRUCT_PREREQS = {
     "adj_in_subj": [(_has_depth("Adj", 1), "no adjective-modified phrase")],
     "adj_in_iobj": [(_has_depth("Adj", 1), "no adjective-modified phrase"),
                     (_has_frame("do"), "no double-object sentence")],
-    "cp_recursion_shallower": _depth_prereqs("CP"),
-    "cp_recursion_deeper": _depth_prereqs("CP"),
-    "pp_recursion_shallower": _depth_prereqs("PP"),
-    "pp_recursion_deeper": _depth_prereqs("PP"),
-    "ce_recursion_shallower": _depth_prereqs("CenterEmbedRC"),
-    "ce_recursion_deeper": _depth_prereqs("CenterEmbedRC"),
-    "adj_recursion_shallower": _depth_prereqs("Adj"),
-    "adj_recursion_deeper": _depth_prereqs("Adj"),
+    **{pid: _depth_prereqs(construct)
+       for construct, pids in DEPTH_PATTERNS.items() for pid in pids},
     "rc_iobj_gap": [(_has_depth("CenterEmbedRC", 1), "no relative clause"),
                     (_has_frame("do"), "no double-object sentence")],
     "wh_iobj_gap": [(_has_question, "no question sentence")],

@@ -9,12 +9,27 @@ ids are shared between the in-distribution grammar and the per-pattern
 generalization grammars wherever the clause shape is identical, because
 analysis flags and the gap audit read them; a shared id always carries the
 same template.
+
+Embedded copies.  A clause embedded under "X thought that ..." is a copy of
+a matrix clause, and this module is the one home of the rule that names it:
+
+- clause ids lose their tense: `s_trans_past_cf` -> `semb_trans_cf` on SEMB;
+- noun-phrase ids gain an `e`: `np_dobj_c` -> `np_edobj_c`;
+- `NP_X` -> `NP_EX` (other nonterminals are shared);
+- slot-tag stems gain an `e`: `v:trans:past` -> `v:etrans:past`,
+  `n:dobj:cf` -> `n:edobj:cf`; free clauses, written by hand, use `f`.
+
+`_emb` and `_emb_id` name a copy, `_np`, `_pairs` and `_emb_clause` add
+copied productions to the training and pattern grammars, and `base_name`
+reads a copied tag stem or id back, so the analysis tables here and in
+`audit` list base stems and ids only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cache
 
 from .grammar import (
     Lit, NT, Pcfg, Production, Slot, LeafNode, ProdNode, iter_leaves,
@@ -160,6 +175,61 @@ def np_pair(g, stem, common, proper):
           Fraction(3, 10), "$0")
 
 
+# --------------------------------------------------------------------------
+# Embedded copies: the naming rule, written and read back
+# --------------------------------------------------------------------------
+
+
+def _emb(sym):
+    """A symbol's copy inside a complement clause: `NP_X` -> `NP_EX`, a
+    slot's tag stem gains an `e`; other symbols are shared."""
+    if isinstance(sym, NT) and sym.name.startswith("NP_"):
+        return NT("NP_E" + sym.name[3:])
+    if isinstance(sym, Slot):
+        kind, rest = sym.tag.split(":", 1)
+        return replace(sym, tag=f"{kind}:e{rest}")
+    return sym
+
+
+def _emb_id(pid):
+    """Embedded clause id: `s_<clause>` -> `semb_<clause>`, tense dropped."""
+    return "semb_" + pid[2:].replace("_past", "").replace("_pres", "")
+
+
+@cache
+def base_name(name):
+    """The rule read back, on a tag stem or a production id: an embedded
+    (`e`) or free (`f`) copy's stem loses its prefix, `edobj` -> `dobj`,
+    and a noun-phrase copy's id loses its `e`, `np_edobj_c` ->
+    `np_dobj_c`.  No base stem starts with `e` or `f`.  Cached, so a
+    lookup through it stays a dict hit."""
+    if name.startswith("np_e"):
+        return "np_" + name[4:]
+    return name[1:] if name[:1] in ("e", "f") else name
+
+
+def _np(g, pid, nt, rhs, w, template, annot=False):
+    """Noun-phrase production `np_<stem>...` on `nt` and its embedded copy
+    `np_e<stem>...` on `_emb(nt)`."""
+    g.add(pid, nt, rhs, w, template, annot=annot)
+    g.add("np_e" + pid[3:], _emb(NT(nt)).name, [_emb(s) for s in rhs], w,
+          template, annot=annot)
+
+
+def _pairs(g, stem, common, proper):
+    """`np_pair` for `stem` and for its embedded copy `e<stem>`."""
+    np_pair(g, stem, common, proper)
+    np_pair(g, "e" + stem, common, proper)
+
+
+def _emb_clause(g, pid, weight):
+    """The embedded copy of `g`'s clause `pid`, on SEMB with `weight`."""
+    p = next(q for q in g.prods if q.id == pid)
+    g.prods.append(replace(p, id=_emb_id(pid), lhs="SEMB",
+                           rhs=tuple(_emb(s) for s in p.rhs),
+                           weight=Fraction(weight)))
+
+
 def _det(spec):
     spec.add("det_the", "DET", [L("the")], "1/2", "")
     spec.add("det_a", "DET", [L("a")], "1/2", "")
@@ -261,12 +331,13 @@ def in_distribution_spec() -> GrammarSpec:
            v("v:wht:inf", "inf", V_TRANS), L("?")],
           "3/10", "$2 ga dare o @morph(3,past) @q ?")
 
-    # Noun phrases by position.
-    np_pair(g, "subj", SUBJ_ANIM, SUBJ_PROP)
-    g.add("np_isubj", "NP_ISUBJ", [DET, n("n:isubj", INANIM_POOL)], "1", "$1")
-    np_pair(g, "psubj", PSUBJ_POOL, FREE_PROP)
+    # Noun phrases by position, with the embedded copies that complement
+    # clauses use.
+    _pairs(g, "subj", SUBJ_ANIM, SUBJ_PROP)
+    _np(g, "np_isubj", "NP_ISUBJ", [DET, n("n:isubj", INANIM_POOL)], "1", "$1")
+    _pairs(g, "psubj", PSUBJ_POOL, FREE_PROP)
     np_pair(g, "iobj", OBJ_ANIM, OBJ_PROP)
-    np_pair(g, "agent", FREE_ANIM, FREE_PROP)
+    _pairs(g, "agent", FREE_ANIM, FREE_PROP)
 
     g.add("np_dobj_c", "NP_DOBJ", [DET, n("n:dobj:c", DOBJ_POOL)],
           "30/100", "$1")
@@ -312,35 +383,16 @@ def in_distribution_spec() -> GrammarSpec:
     np_pair(g, "rcobj", DOBJ_POOL, OBJ_PROP)
     np_pair(g, "rciobj", OBJ_ANIM, OBJ_PROP)
 
-    # Complement clauses.
+    # Complement clauses: embedded copies of six matrix clauses.  NP_EDOBJ
+    # is not a copy of NP_DOBJ: it takes no modifier.
     g.add("cp_clause", "CP", [L("that"), NT("SEMB")], "1", "$1 to",
           construct="CP")
-    g.add("semb_trans", "SEMB",
-          [NT("NP_ESUBJ"), v("v:etrans:past", "past", V_TRANS),
-           NT("NP_EDOBJ")],
-          "30/100", "$0 ga $2 o @morph(1)")
-    g.add("semb_intrans", "SEMB",
-          [NT("NP_ESUBJ"), v("v:eintrans:past", "past", V_INTRANS)],
-          "15/100", "$0 ga @morph(1)")
-    g.add("semb_unacc", "SEMB",
-          [NT("NP_EISUBJ"), v("v:eunacc:past", "past", V_UNACC)],
-          "10/100", "$0 ga @morph(1)")
-    g.add("semb_pass", "SEMB",
-          [NT("NP_EPSUBJ"), L("was"), v("v:epass", "part", V_PASS)],
-          "10/100", "$0 ga @morph(2)")
-    g.add("semb_pass_by", "SEMB",
-          [NT("NP_EPSUBJ"), L("was"), v("v:epass", "part", V_PASS),
-           L("by"), NT("NP_EAGENT")],
-          "10/100", "$0 ga $4 niyotte @morph(2)")
-    g.add("semb_cp", "SEMB",
-          [NT("NP_ESUBJ"), v("v:ecp:past", "past", V_CP_PAST), NT("CP")],
-          "25/100", "$0 ga $2 @morph(1)")
-    np_pair(g, "esubj", SUBJ_ANIM, SUBJ_PROP)
+    for pid, weight in (("s_trans_past", "30/100"),
+                        ("s_intrans_past", "15/100"),
+                        ("s_unacc_past", "10/100"), ("s_pass", "10/100"),
+                        ("s_pass_by", "10/100"), ("s_cp_past", "25/100")):
+        _emb_clause(g, pid, weight)
     np_pair(g, "edobj", DOBJ_POOL, OBJ_PROP)
-    g.add("np_eisubj", "NP_EISUBJ", [DET, n("n:eisubj", INANIM_POOL)],
-          "1", "$1")
-    np_pair(g, "epsubj", PSUBJ_POOL, FREE_PROP)
-    np_pair(g, "eagent", FREE_ANIM, FREE_PROP)
 
     _det(g)
     return g
@@ -350,18 +402,17 @@ def in_distribution_spec() -> GrammarSpec:
 # Tree analysis: roles, verb frames, selectional pairs, flags, depths.
 # --------------------------------------------------------------------------
 
-# Slot-tag stem (between "n:" and an optional ":c"/":p") -> grammatical role.
+# The tables below list base stems and ids only; lookups read an embedded
+# or free copy through `base_name`.
+
+# Noun-tag stem (between "n:" and an optional ":c"/":p") -> grammatical role.
 ROLE_BY_TAG = {
-    "subj": "subject", "esubj": "subject", "cesubj": "subject",
-    "rcsubj": "subject", "whsubj": "subject", "osubj": "subject",
-    "isubj": "subject", "eisubj": "subject", "fisubj": "subject",
-    "psubj": "subject", "epsubj": "subject",
-    "fsubj": "subject", "fpsubj": "subject",
-    "dobj": "direct_object", "edobj": "direct_object",
-    "rcobj": "direct_object", "fdobj": "direct_object",
-    "iobj": "indirect_object", "eiobj": "indirect_object",
-    "rciobj": "indirect_object",
-    "agent": "agent", "eagent": "agent", "fagent": "agent",
+    "subj": "subject", "cesubj": "subject", "rcsubj": "subject",
+    "whsubj": "subject", "osubj": "subject", "isubj": "subject",
+    "psubj": "subject",
+    "dobj": "direct_object", "rcobj": "direct_object",
+    "iobj": "indirect_object", "rciobj": "indirect_object",
+    "agent": "agent",
     "ppn": "pp_noun",
 }
 
@@ -369,28 +420,21 @@ ROLE_BY_TAG = {
 # role.  Passive subjects are deep direct objects; inanimate-subject checks
 # cover active inanimate subjects only (animate subjects are never checked).
 _SELECTIONAL_ROLE = {
-    "dobj": "direct_object", "edobj": "direct_object",
-    "rcobj": "direct_object", "fdobj": "direct_object",
-    "psubj": "direct_object", "epsubj": "direct_object",
-    "fpsubj": "direct_object",
-    "isubj": "inanimate_subject", "eisubj": "inanimate_subject",
-    "fisubj": "inanimate_subject",
+    "dobj": "direct_object", "rcobj": "direct_object",
+    "psubj": "direct_object",
+    "isubj": "inanimate_subject",
 }
 
-# Production-id prefixes whose presence becomes an analysis flag.
+# Production ids whose presence becomes an analysis flag.
 _FLAG_IDS = {
     "root_topic_past": "topic", "root_topic_pres": "topic",
     "np_subj_pp": "pp_on_subj", "np_isubj_pp": "pp_on_subj",
-    "np_esubj_pp": "pp_on_subj", "np_eisubj_pp": "pp_on_subj",
-    "np_iobj_pp": "pp_on_iobj", "np_eiobj_pp": "pp_on_iobj",
+    "np_iobj_pp": "pp_on_iobj",
     "np_subj_rcs": "rc_on_subj", "np_subj_rco": "rc_on_subj",
-    "np_esubj_rcs": "rc_on_subj", "np_esubj_rco": "rc_on_subj",
     "np_iobj_rcs": "rc_on_iobj", "np_iobj_rco": "rc_on_iobj",
-    "np_eiobj_rcs": "rc_on_iobj", "np_eiobj_rco": "rc_on_iobj",
-    "np_subj_adj": "adj_on_subj", "np_esubj_adj": "adj_on_subj",
-    "np_iobj_adj": "adj_on_iobj", "np_eiobj_adj": "adj_on_iobj",
+    "np_subj_adj": "adj_on_subj",
+    "np_iobj_adj": "adj_on_iobj",
     "rc_iobjgap": "rc_gap_iobj", "np_dobj_rcio": "rc_gap_iobj",
-    "np_edobj_rcio": "rc_gap_iobj",
     "q_whoiobj": "wh_gap_iobj",
     "q_whsubj_intrans": "wh_active_subj", "q_whsubj_inf": "wh_active_subj",
     "q_whsubj_objom": "wh_active_subj", "q_whsubj_cp": "wh_active_subj",
@@ -404,15 +448,14 @@ _FLAG_IDS = {
 CONTENT_POS = ("CommonNoun", "ProperNoun", "Verb", "Adjective")
 
 
-def tag_role(tag: str):
-    if not tag.startswith("n:"):
-        return None
-    stem = tag.split(":")[1]
-    return ROLE_BY_TAG.get(stem)
-
-
+@cache
 def _tag_stem(tag: str) -> str:
-    return tag.split(":")[1] if ":" in tag else tag
+    """A slot tag's base stem: `n:edobj:c` -> `dobj`."""
+    return base_name(tag.split(":")[1] if ":" in tag else tag)
+
+
+def tag_role(tag: str):
+    return ROLE_BY_TAG.get(_tag_stem(tag)) if tag.startswith("n:") else None
 
 
 @dataclass
@@ -525,7 +568,8 @@ def analyze(tree: ProdNode) -> Analysis:
             out.lemma_roles.append((leaf.entry.lemma, role))
         if leaf.entry.pos in CONTENT_POS:
             out.lemmas.append(leaf.entry.lemma)
-    out.flags = {_FLAG_IDS[i] for i in out.ids if i in _FLAG_IDS}
+    out.flags = {_FLAG_IDS[i] for i in map(base_name, out.ids)
+                 if i in _FLAG_IDS}
     return out
 
 

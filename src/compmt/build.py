@@ -25,9 +25,8 @@ from .grammar import (Constraints, GrammarError, LeafNode, LitNode, ProdNode,
                       profile, yield_tokens)
 from .transduce import linearize, render_leaf, span_for_source, transduce
 from .bank import analyze, default_bank, tag_role, _np_head
-from .naturalize import (CaseFrameList, UnrepairableRecordError,
-                         default_case_frames, naturalize, read_case_frames,
-                         reject_duplicates)
+from .naturalize import (UnrepairableRecordError, default_case_frames,
+                         naturalize, read_case_frames, reject_duplicates)
 
 TRAIN_DEPTHS = frozenset({0, 1, 2, 4})
 _MOD_DOBJ_IDS = frozenset(
@@ -255,11 +254,10 @@ def _annotate(tree, analysis, tt, target_tokens, spec):
 # --------------------------------------------------------------------------
 
 
-def _build_pattern(pattern_id, master_seed, scale, strict, cf_rows):
+def _build_pattern(pattern_id, master_seed, scale, strict, cf):
     """All generalization records for one pattern; pure in its arguments."""
     bank = default_bank()
     spec = bank.by_pattern[pattern_id]
-    cf = CaseFrameList(cf_rows)
     seed = child_seed(master_seed, f"gen:{pattern_id}")
     rng = Random(seed)
     count = round(spec.gen_count * scale)
@@ -351,7 +349,7 @@ def topicalize(bank, tree, s_node):
     via the zero-weight topicalization productions."""
     which = "root_topic_past" if s_node.production.id == "s_trans_past" \
         else "root_topic_pres"
-    prod = next(p for p in bank.grammar.productions if p.id == which)
+    prod = bank.grammar.by_id[which]
     subj, verb, dobj = s_node.children
     return ProdNode(prod, (dobj, LitNode(","), subj, verb, LitNode(".")))
 
@@ -417,8 +415,6 @@ def build_splits(config: RunConfig, bank=None):
         cf = read_case_frames(config.case_frame_path)
     else:
         cf = default_case_frames()
-    cf_rows = [(v, r, nn, rank) for (v, r), entries in cf.pool.items()
-               for rank, nn in entries]
     scale = config.scale
     strict = config.strict_selectional
     seed = config.master_seed
@@ -430,11 +426,11 @@ def build_splits(config: RunConfig, bank=None):
     if config.parallel:
         with ProcessPoolExecutor() as pool:
             futures = [pool.submit(_build_pattern, pid, seed, scale, strict,
-                                   cf_rows)
+                                   cf)
                        for pid in pattern_ids]
             results = [f.result() for f in futures]
     else:
-        results = [_build_pattern(pid, seed, scale, strict, cf_rows)
+        results = [_build_pattern(pid, seed, scale, strict, cf)
                    for pid in pattern_ids]
     seen = set()
     dropped = [0]

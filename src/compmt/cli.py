@@ -26,7 +26,6 @@ from .grammar import CONSTRUCTS, GrammarError
 from .metrics import ScoringError, score_file
 from .naturalize import read_case_frames
 
-EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_IO = 2
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import accumulate
 from random import Random
 from typing import Iterable, Iterator, Optional
 
@@ -231,20 +232,17 @@ class Pcfg:
 
     # -- lexical slot machinery -------------------------------------------
 
-    def slot_candidates(self, slot: Slot) -> list:
-        """Entries admitted by the slot, with normalized Zipf probabilities."""
+    def slot_candidates(self, slot: Slot) -> tuple:
+        """Entries admitted by the slot, with the running sums of their
+        normalized Zipf probabilities."""
         cached = self._slot_cache.get(slot)
         if cached is None:
             entries = [e for e in self.lexicon.by_pos.get(slot.pos, ())
                        if slot.admits(e)]
-            if entries:
-                weights = [e.zipf_rank ** (-float(self.zipf_exponent))
-                           for e in entries]
-                total = sum(weights)
-                probs = [w / total for w in weights]
-            else:
-                probs = []
-            cached = (entries, probs)
+            weights = [e.zipf_rank ** (-float(self.zipf_exponent))
+                       for e in entries]
+            total = sum(weights)
+            cached = (entries, list(accumulate(w / total for w in weights)))
             self._slot_cache[slot] = cached
         return cached
 
@@ -362,27 +360,17 @@ class Pcfg:
 
     def _expand(self, lhs: str, rng: Random):
         prods, cum, total = self._prepared(lhs)
-        idx = bisect.bisect_right(cum, rng.random() * total)
-        if idx >= len(prods):
-            idx = len(prods) - 1
-        prod = prods[idx]
+        prod = prods[_pick(cum, rng.random() * total)]
         children = []
         for sym in prod.rhs:
             if isinstance(sym, NT):
                 children.append(self._expand(sym.name, rng))
             elif isinstance(sym, Slot):
-                entries, probs = self.slot_candidates(sym)
+                entries, sums = self.slot_candidates(sym)
                 if not entries:
                     raise GrammarError(f"slot {sym.tag} admits no entries")
-                r = rng.random()
-                acc = 0.0
-                pick = entries[-1]
-                for e, p in zip(entries, probs):
-                    acc += p
-                    if r < acc:
-                        pick = e
-                        break
-                children.append(LeafNode(pick, sym.bundle, sym.tag))
+                children.append(LeafNode(entries[_pick(sums, rng.random())],
+                                         sym.bundle, sym.tag))
             else:
                 children.append(LitNode(sym.text))
         return ProdNode(prod, tuple(children))
@@ -393,6 +381,11 @@ class Pcfg:
         if constraints is None or constraints.satisfied_by(tree):
             return tree
         return None
+
+
+def _pick(cum, x):
+    """Index of the first running sum above ``x``, clamped to the last."""
+    return min(bisect.bisect_right(cum, x), len(cum) - 1)
 
 
 @dataclass

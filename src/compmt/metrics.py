@@ -60,12 +60,14 @@ def _counts(hyp, ref):
     hypothesis n-gram totals for n = 1..4, hypothesis and reference length.
     Corpus BLEU is a function of their element-wise sum."""
     hyp, ref = list(hyp), list(ref)
-    matched, total = [], []
+    total = [max(len(hyp) - n + 1, 0) for n in range(1, MAX_N + 1)]
+    if hyp == ref:  # every n-gram matches itself
+        return total + total + [len(hyp), len(ref)]
+    matched = []
     for n in range(1, MAX_N + 1):
         ref_counts = Counter(_ngrams(ref, n))
         matched.append(sum(min(count, ref_counts[gram])
                            for gram, count in Counter(_ngrams(hyp, n)).items()))
-        total.append(max(len(hyp) - n + 1, 0))
     return matched + total + [len(hyp), len(ref)]
 
 

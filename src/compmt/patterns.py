@@ -11,15 +11,9 @@ shared id always carries the same template.
 
 Embedded copies.  34 patterns test their withheld combination both in a
 matrix clause and in a clause embedded under "X thought that ...".  Each
-matrix clause and noun phrase is written once; `_with_embedded` and `_np`
-derive the copy by one naming rule, the one the audit reads back
-(`bank.ROLE_BY_TAG`, `audit._CANON_FRAME`):
-
-- clause ids lose their tense: `s_trans_past_cf` -> `semb_trans_cf` on SEMB;
-- noun-phrase ids gain an `e`: `np_dobj_c` -> `np_edobj_c`;
-- `NP_X` -> `NP_EX` (other nonterminals are shared);
-- slot-tag stems gain an `e`: `v:trans:past` -> `v:etrans:past`,
-  `n:dobj:cf` -> `n:edobj:cf`.
+matrix clause and noun phrase is written once; `_with_embedded` and
+`bank`'s `_np` and `_pairs` derive the copy by the naming rule that `bank`
+defines, writes and reads back for analysis and the audit.
 
 Written by hand instead: `_gen_pres_cp`, whose target verb itself takes
 the complement, so its embedded clause is a different clause; the CP
@@ -32,9 +26,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .grammar import Constraints, NT, Pcfg, Slot
+from .grammar import Constraints, NT, Pcfg
 from .bank import (
     DET, L, GrammarSpec, adj, n, np_pair, pn, prep, v,
+    _emb, _emb_id, _np, _pairs,
     ACT2PASS, DO2PP, OBJ2SUBJ_C, OBJ2SUBJ_P, OBJOM2TRANS, PASS2ACT, PP2DO,
     PRIM_OBJ_C, PRIM_OBJ_P, PRIM_SUBJ_C, PRIM_SUBJ_P, PRIM_VERBS,
     SUBJ2OBJ_C, SUBJ2OBJ_P, TENSE_CP, TENSE_DIT, TENSE_INF,
@@ -91,38 +86,8 @@ class PatternSpec:
 # --------------------------------------------------------------------------
 
 
-def _pairs(g, stem, common, proper):
-    """`np_pair` for `stem` and for its embedded copy `e<stem>`."""
-    np_pair(g, stem, common, proper)
-    np_pair(g, "e" + stem, common, proper)
-
-
 def _npc(g, pid, nt, tag, pool, w=F(1)):
     g.add(pid, nt, [DET, n(tag, pool)], w, "$1")
-
-
-def _emb(sym):
-    """A symbol's copy inside a complement clause: `NP_X` -> `NP_EX`, a
-    slot's tag stem gains an `e`; other symbols are shared."""
-    if isinstance(sym, NT) and sym.name.startswith("NP_"):
-        return NT("NP_E" + sym.name[3:])
-    if isinstance(sym, Slot):
-        kind, rest = sym.tag.split(":", 1)
-        return replace(sym, tag=f"{kind}:e{rest}")
-    return sym
-
-
-def _emb_id(pid):
-    """Embedded clause id: `s_<clause>` -> `semb_<clause>`, tense dropped."""
-    return "semb_" + pid[2:].replace("_past", "").replace("_pres", "")
-
-
-def _np(g, pid, nt, rhs, w, template, annot=False):
-    """Noun-phrase production `np_<stem>...` on `nt` and its embedded copy
-    `np_e<stem>...` on `_emb(nt)`."""
-    g.add(pid, nt, rhs, w, template, annot=annot)
-    g.add("np_e" + pid[3:], _emb(NT(nt)).name, [_emb(s) for s in rhs], w,
-          template, annot=annot)
 
 
 def _base(g, question=False):

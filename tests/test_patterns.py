@@ -4,7 +4,9 @@ import hashlib
 import json
 from collections import Counter
 
-from compmt.bank import DET, L, n, v
+from compmt.audit import _CANON_FRAME
+from compmt.bank import (DET, L, ROLE_BY_TAG, _FLAG_IDS, _SELECTIONAL_ROLE,
+                         base_name, n, v)
 from compmt.grammar import NT, Slot
 from compmt.patterns import _emb, _emb_id
 
@@ -14,6 +16,14 @@ from compmt.patterns import _emb, _emb_id
 # metadata moves it; so does renaming a nonterminal.
 GRAMMAR_DUMP_SHA256 = (
     "52cf1528cb9602cefb50c028c6d9c57a7758385cf4ec22b6847254bbb8b66bed")
+
+# sha256 of `_bank_grammar_dump` over the training grammar and the four
+# boosted training grammars, in the format of `_grammar_dump`: it pins the
+# embedded copies the training grammar derives by the naming rule.
+BANK_GRAMMAR_IDS = ("in_dist", "boost:CP", "boost:PP", "boost:CenterEmbedRC",
+                    "boost:Adj")
+BANK_GRAMMAR_DUMP_SHA256 = (
+    "3bc3a2faaf48c7f83fcadf66f98bb2ba761f76f28b614e6e89b0f644c2367244")
 
 SMALL_COUNT_IDS = {
     "cp_recursion_shallower", "cp_recursion_deeper",
@@ -151,22 +161,35 @@ def _canon(x):
     return repr(x)
 
 
+def _rules(g):
+    """Each left-hand side's ordered productions (id, rhs, weight,
+    construct, target flag, template)."""
+    return sorted(
+        [lhs, [[q.id, _canon(q.rhs), str(q.weight), q.construct,
+                q.annot_target, repr(q.template)] for q in prods]]
+        for lhs, prods in g.by_lhs.items())
+
+
 def _grammar_dump(patterns):
-    """Every pattern grammar as sampled: each left-hand side's ordered
-    productions (id, rhs, weight, construct, target flag, template), plus
-    the pattern's variants, exposure recipes and metadata."""
+    """Every pattern grammar as sampled, plus the pattern's variants,
+    exposure recipes and metadata."""
     out = []
     for p in patterns:
         g = p.gen_grammar
-        rules = sorted(
-            [lhs, [[q.id, _canon(q.rhs), str(q.weight), q.construct,
-                    q.annot_target, repr(q.template)] for q in prods]]
-            for lhs, prods in g.by_lhs.items())
         out.append([p.id, p.category, p.group, list(p.target_lexemes),
                     p.gen_count, p.target_kind != "none", bool(p.embed_marker),
                     p.target_kind, p.wh_word, p.expected_role,
-                    p.embed_marker, g.start, g.zipf_exponent, rules,
+                    p.embed_marker, g.start, g.zipf_exponent, _rules(g),
                     _canon(p.variants), _canon(p.exposures)])
+    return json.dumps(out, sort_keys=True)
+
+
+def _bank_grammar_dump(bank):
+    """The training grammar and the four boosted training grammars."""
+    out = []
+    for gid in BANK_GRAMMAR_IDS:
+        g = bank.grammar_for(gid)
+        out.append([gid, g.start, g.zipf_exponent, _rules(g)])
     return json.dumps(out, sort_keys=True)
 
 
@@ -175,7 +198,12 @@ def test_pattern_grammars_are_pinned(patterns):
     assert digest == GRAMMAR_DUMP_SHA256
 
 
-def test_embedded_copy_rule():
+def test_bank_grammars_are_pinned(bank):
+    digest = hashlib.sha256(_bank_grammar_dump(bank).encode()).hexdigest()
+    assert digest == BANK_GRAMMAR_DUMP_SHA256
+
+
+def test_embedded_copy_rule(bank):
     assert _emb(NT("NP_TSUBJ")) == NT("NP_ETSUBJ")
     assert _emb(NT("NP_DOBJ")) == NT("NP_EDOBJ")
     for shared in (DET, NT("PP"), NT("RC_OBJ"), NT("ADJSEQ"), L("was")):
@@ -188,3 +216,31 @@ def test_embedded_copy_rule():
     assert [_emb_id(pid) for pid in ("s_trans_past_cf", "s_do_pres",
                                      "s_passdat")] == \
         ["semb_trans_cf", "semb_do", "semb_passdat"]
+    assert [base_name(x) for x in ("edobj", "fdobj", "dobj", "np_edobj_c",
+                                   "np_dobj_c", "semb_trans")] == \
+        ["dobj", "dobj", "dobj", "np_dobj_c", "np_dobj_c", "semb_trans"]
+
+    # Over all 47 grammars: the inverse undoes the rule, and every copied
+    # tag stem or id reads back to a base one that some grammar holds.
+    grammars = [bank.grammar_for(gid) for gid in BANK_GRAMMAR_IDS] + \
+        [p.gen_grammar for p in bank.patterns]
+    prods = [q for g in grammars for q in g.productions]
+    slots = {s for q in prods for s in q.rhs if isinstance(s, Slot)}
+    stems = {(s.pos, s.tag.split(":")[1]) for s in slots}
+    ids = {q.id for q in prods}
+    for s in slots:
+        stem = s.tag.split(":")[1]
+        assert (s.pos, base_name(stem)) in stems, s.tag
+        if base_name(stem) == stem:
+            assert base_name(_emb(s).tag.split(":")[1]) == stem, s.tag
+            assert base_name("f" + stem) == stem, s.tag
+    for pid in ids:
+        assert base_name(pid) in ids, pid
+        if pid.startswith("np_") and base_name(pid) == pid:
+            assert base_name("np_e" + pid[3:]) == pid
+        if pid.startswith("s_"):  # clause copies are never read back
+            assert base_name(_emb_id(pid)) == _emb_id(pid)
+
+    # The analysis and audit tables list base stems and ids only.
+    for table in (ROLE_BY_TAG, _SELECTIONAL_ROLE, _FLAG_IDS, _CANON_FRAME):
+        assert [k for k in table if base_name(k) != k] == []
