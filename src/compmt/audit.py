@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 from functools import cache
 
 from .bank import analyze, base_name, default_bank
-from .earley import parse
+from .earley import parse, span_tables
 from .grammar import CONSTRUCTS, Pcfg, Slot
 
 PARSE_LIMIT = 50
@@ -205,6 +205,7 @@ class GapAuditor:
         self.bank = bank if bank is not None else default_bank()
         self.patterns = list(patterns)
         self.grammar = audit_grammar(self.bank, self.patterns)
+        self._starts = span_tables(self.grammar).first[self.grammar.start]
         self.violations = []
         # Prerequisite evidence gathered along the way.
         self._bare = set()  # lemmas seen as bare citation forms
@@ -241,8 +242,12 @@ class GapAuditor:
         return token
 
     def _consume_segment(self, record, seg):
-        trees = parse(self.grammar, seg, limit=PARSE_LIMIT)
-        if not trees and seg and seg[0][:1].isupper():
+        # A capitalized first token that cannot start a sentence is a
+        # sentence-initial capital: only the lowered form can parse.
+        trees = []
+        if seg[0] in self._starts or not seg[0][:1].isupper():
+            trees = parse(self.grammar, seg, limit=PARSE_LIMIT)
+        if not trees and seg[0][:1].isupper():
             lowered = [seg[0][0].lower() + seg[0][1:]] + seg[1:]
             trees = parse(self.grammar, lowered, limit=PARSE_LIMIT)
         sentence = " ".join(seg)

@@ -11,6 +11,19 @@ its parent unless the production is a unit one (``A -> B``).  The memo of a
 span is set to ``[]`` before it is expanded, so a unit cycle reaching a span
 that is in progress adds nothing instead of recursing again.
 
+Three tables per grammar (``span_tables``) prune the enumeration, as the
+prediction filter of Graham, Harrison & Ruzzo (1980) does: each
+nonterminal's minimum yield length, its FIRST set (the tokens a yield can
+start with) and its LAST set (the tokens it can end with), solved by
+fixpoint; a literal contributes its text and a slot its surfaces.  A
+production is not tried over a span shorter than its minimum length or
+whose first or last token it cannot begin or end with, and ``cover`` gives
+a nonterminal only the splits that fit these bounds and leave room for the
+minimum length of the symbols after it.  Every production or split skipped
+so derives nothing, and outside a unit cycle a span's trees do not depend
+on which spans were expanded before it, so the lists are those of the
+unpruned enumeration.  The audit grammar has no unit cycle.
+
 ``limit`` caps the trees kept for each (nonterminal, span), so the result
 has at most ``limit`` trees.  All productions participate, including
 zero-weight ones (those exist for parse-only constructions such as
@@ -19,7 +32,58 @@ topicalized sentences).
 
 from __future__ import annotations
 
-from .grammar import Lit, LeafNode, LitNode, Pcfg, ProdNode, Slot
+from itertools import accumulate
+from math import inf
+from typing import NamedTuple
+
+from .grammar import Lit, LeafNode, LitNode, NT, Pcfg, ProdNode, Slot
+
+
+class SpanTables(NamedTuple):
+    minlen: dict  # nonterminal -> fewest tokens it derives (inf: none)
+    first: dict  # nonterminal -> frozenset of tokens a yield starts with
+    last: dict  # nonterminal -> frozenset of tokens a yield ends with
+    rules: dict  # nonterminal -> [(production, suffix minlens, first, last)]
+
+
+def span_tables(g: Pcfg) -> SpanTables:
+    """The grammar's pruning tables, solved on first use and cached on it."""
+    if g._span_tables is None:
+        g._span_tables = _solve(g)
+    return g._span_tables
+
+
+def _solve(g: Pcfg) -> SpanTables:
+    minlen = dict.fromkeys(g.by_lhs, inf)
+    first = dict.fromkeys(g.by_lhs, frozenset())
+    last = dict(first)
+
+    def length(sym):
+        return minlen.get(sym.name, inf) if isinstance(sym, NT) else 1
+
+    def edge(sym, table):
+        if isinstance(sym, Lit):
+            return frozenset((sym.text,))
+        if isinstance(sym, Slot):
+            return frozenset(g.slot_surfaces(sym))
+        return table.get(sym.name, frozenset())
+
+    changed = True
+    while changed:
+        changed = False
+        for a, prods in g.by_lhs.items():
+            new = (min(sum(map(length, p.rhs)) for p in prods),
+                   first[a].union(*(edge(p.rhs[0], first) for p in prods)),
+                   last[a].union(*(edge(p.rhs[-1], last) for p in prods)))
+            if new != (minlen[a], first[a], last[a]):
+                minlen[a], first[a], last[a] = new
+                changed = True
+    rules = {a: [(p, tuple(accumulate(map(length, reversed(p.rhs)),
+                                      initial=0))[::-1],
+                  edge(p.rhs[0], first), edge(p.rhs[-1], last))
+                 for p in prods]
+             for a, prods in g.by_lhs.items()}
+    return SpanTables(minlen, first, last, rules)
 
 
 def _leaf_options(g: Pcfg, sym, token):
@@ -32,13 +96,17 @@ def _leaf_options(g: Pcfg, sym, token):
 def parse(g: Pcfg, tokens, limit: int = 200) -> list:
     """All derivations of the token sequence; empty list if unparseable."""
     tokens = list(tokens)
+    minlen, first, last, rules = span_tables(g)
     memo = {}
 
     def build_nt(name, i, j):
         memo[(name, i, j)] = []  # guard against unit cycles
         results = []
-        for p in g.by_lhs.get(name, ()):
-            for children in cover(p.rhs, 0, i, j):
+        for p, suffix, starts, ends in rules.get(name, ()):
+            if (j - i < suffix[0] or tokens[i] not in starts
+                    or tokens[j - 1] not in ends):
+                continue
+            for children in cover(p.rhs, suffix, 0, i, j):
                 results.append(ProdNode(p, children))
                 if len(results) >= limit:
                     break
@@ -47,27 +115,31 @@ def parse(g: Pcfg, tokens, limit: int = 200) -> list:
         memo[(name, i, j)] = results
         return results
 
-    def cover(rhs, k, i, j):
-        """All child tuples deriving tokens[i:j] from rhs[k:]."""
+    def cover(rhs, suffix, k, i, j):
+        """All child tuples deriving tokens[i:j] from rhs[k:], given
+        j - i >= suffix[k]."""
         if k == len(rhs):
             if i == j:
                 yield ()
             return
         sym = rhs[k]
-        rest = len(rhs) - k - 1
         if isinstance(sym, (Lit, Slot)):
-            if j - i > rest:
-                for leaf in _leaf_options(g, sym, tokens[i]):
-                    for tail in cover(rhs, k + 1, i + 1, j):
-                        yield (leaf,) + tail
+            for leaf in _leaf_options(g, sym, tokens[i]):
+                for tail in cover(rhs, suffix, k + 1, i + 1, j):
+                    yield (leaf,) + tail
             return
         name = sym.name
-        for mid in range(i + 1, j - rest + 1):
+        if tokens[i] not in first[name]:
+            return
+        ends = last[name]
+        for mid in range(i + minlen[name], j - suffix[k + 1] + 1):
+            if tokens[mid - 1] not in ends:
+                continue
             subs = memo.get((name, i, mid))
             if subs is None:
                 subs = build_nt(name, i, mid)
             if subs:
-                for tail in cover(rhs, k + 1, mid, j):
+                for tail in cover(rhs, suffix, k + 1, mid, j):
                     for sub in subs:
                         yield (sub,) + tail
 

@@ -229,6 +229,7 @@ class Pcfg:
         self._slot_cache = {}
         self._surface_cache = {}
         self._sampler_cache = {}
+        self._span_tables = None  # earley.span_tables
 
     # -- lexical slot machinery -------------------------------------------
 

@@ -38,9 +38,11 @@ def full(bank):
 @pytest.fixture(scope="module")
 def auditor(bank, patterns, full):
     records, _, _ = full
+    start = time.monotonic()
     a = GapAuditor(patterns, bank=bank)
     for r in records["train"]:
         a.consume(r)
+    a.elapsed = time.monotonic() - start
     # snapshot before the mutation test feeds it held-out sentences
     a.train_depths_seen = {c: set(s) for c, s in a._depths_seen.items()}
     return a
@@ -70,6 +72,12 @@ def test_full_build_runtime(full):
 
 
 # -- 2. leakage audit and mutation sharpness --------------------------------
+
+
+def test_audit_is_no_slower_than_the_build(full, auditor):
+    _, _, elapsed = full
+    assert auditor.elapsed < elapsed, \
+        f"train audit took {auditor.elapsed:.1f}s, the build {elapsed:.1f}s"
 
 
 def test_full_audit_is_clean(auditor):

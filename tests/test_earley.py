@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from compmt.audit import PARSE_LIMIT, audit_grammar, segment
-from compmt.earley import parse
+from compmt.earley import parse, span_tables
 from compmt.grammar import (CONSTRUCTS, LeafNode, LexEntry, Lexicon, Lit,
                             LitNode, NT, Pcfg, ProdNode, Production, Slot,
-                            iter_leaves, yield_tokens)
+                            iter_leaves, iter_nodes, yield_tokens)
 from compmt.transduce import transduce, linearize
 
 # sha256 of the _dump of every parse list of the scale-0.01 train split at
@@ -18,6 +18,12 @@ from compmt.transduce import transduce, linearize
 # enumeration gave the same digest.
 SMALL_TRAIN_PARSES_SHA256 = \
     "72b7884a14fa648768a96474d8511acddc2b1ccbb6a45e3eac6eed1c01b23c9e"
+# The same over the first 10 scale-0.01 gen records of each of the 42
+# patterns, both casings (840 parse lists): train holds no withheld
+# material, so only this digest pins the parses that charge a leak.
+# Computed with the unpruned enumerator.
+SMALL_GEN_PARSES_SHA256 = \
+    "d51f60df3f84208b30267e12d62981f7f49a7fc0e243fcbc4e3f3ac55a857a34"
 
 
 def _translate(bank, tree):
@@ -68,19 +74,38 @@ def _dump(node):
     return node.text
 
 
-def test_audit_parse_lists_are_pinned(bank, patterns, small_build):
-    """The same trees in the same order: the audit charges a segment with
-    the first of its most innocent parses."""
-    recs, _ = small_build
-    g = audit_grammar(bank, patterns)
+def _parses_digest(g, records):
+    """sha256 of the _dump of every segment's parse list, both casings."""
     digest = hashlib.sha256()
-    for record in recs["train"]:
+    for record in records:
         for seg in segment(record.source_tokens):
             lowered = [seg[0][0].lower() + seg[0][1:]] + seg[1:]
             for tokens in (seg, lowered):
                 trees = parse(g, tokens, PARSE_LIMIT)
                 digest.update(json.dumps([_dump(t) for t in trees]).encode())
-    assert digest.hexdigest() == SMALL_TRAIN_PARSES_SHA256
+    return digest.hexdigest()
+
+
+def test_audit_parse_lists_are_pinned(bank, patterns, small_build):
+    """The same trees in the same order: the audit charges a segment with
+    the first of its most innocent parses."""
+    recs, _ = small_build
+    g = audit_grammar(bank, patterns)
+    assert _parses_digest(g, recs["train"]) == SMALL_TRAIN_PARSES_SHA256
+
+
+def test_audit_gen_parse_lists_are_pinned(audit_g, small_build):
+    """The parses that charge a leak: the first 10 gen records of each
+    pattern."""
+    recs, _ = small_build
+    per_pattern = {}
+    for record in recs["gen"]:
+        group = per_pattern.setdefault(record.pattern_id, [])
+        if len(group) < 10:
+            group.append(record)
+    assert len(per_pattern) == 42
+    gen = [r for group in per_pattern.values() for r in group]
+    assert _parses_digest(audit_g, gen) == SMALL_GEN_PARSES_SHA256
 
 
 def _shape(node):
@@ -99,20 +124,73 @@ def audit_g(bank, patterns):
     return audit_grammar(bank, patterns)
 
 
+def _grammar_ids(patterns):
+    """The 47 grammars: in-distribution, 42 patterns, 4 boost."""
+    return (["in_dist"] + [p.id for p in patterns]
+            + [f"boost:{c}" for c in CONSTRUCTS])
+
+
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**64 - 1))
 def test_every_sampled_tree_is_among_its_audit_parses(bank, patterns,
                                                       audit_g, seed):
     """The guard for any parser pruning: a parse it drops would let a
     withheld combination through the audit unseen."""
-    grammar_ids = (["in_dist"] + [p.id for p in patterns]
-                   + [f"boost:{c}" for c in CONSTRUCTS])
-    for gid in grammar_ids:
+    for gid in _grammar_ids(patterns):
         tree = bank.grammar_for(gid).sample_with_rng(Random(seed))
         tokens = yield_tokens(tree)
         parses = parse(audit_g, tokens, PARSE_LIMIT)
         assert _shape(tree) in {_shape(t) for t in parses}, (gid, tokens)
         transduce(tree, bank.dictionary, bank.morph)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**64 - 1))
+def test_span_tables_admit_every_sampled_constituent(bank, patterns,
+                                                     audit_g, seed):
+    """A table too small would make the parser skip a span that derives
+    something, and drop its parses silently."""
+    minlen, first, last, _ = span_tables(audit_g)
+    for gid in _grammar_ids(patterns):
+        tree = bank.grammar_for(gid).sample_with_rng(Random(seed))
+        for node in iter_nodes(tree):
+            tokens, lhs = yield_tokens(node), node.production.lhs
+            assert len(tokens) >= minlen[lhs], (gid, lhs, tokens)
+            assert tokens[0] in first[lhs], (gid, lhs, tokens)
+            assert tokens[-1] in last[lhs], (gid, lhs, tokens)
+
+
+def test_span_tables_solve_through_cycles_and_recursion():
+    noun = Slot("N", "base", "n")
+    lexicon = Lexicon([LexEntry(w, "N", forms={"base": w}, zipf_rank=r)
+                       for r, w in enumerate(("cat", "dog"), 1)])
+    g = Pcfg("S", [Production("s_a", "S", (NT("A"), Lit("."))),
+                   Production("s_d", "S", (NT("D"),)),
+                   Production("a_b", "A", (NT("B"),)),
+                   Production("a_yy", "A", (Lit("y"), Lit("y"))),
+                   Production("b_a", "B", (NT("A"),)),
+                   Production("b_xc", "B", (Lit("x"), NT("C"))),
+                   Production("c_n", "C", (noun,)),
+                   Production("c_cw", "C", (NT("C"), Lit("w"))),
+                   Production("d_dq", "D", (NT("D"), Lit("q")))], lexicon)
+    minlen, first, last, rules = span_tables(g)
+    # A and B reach each other by unit productions, so each gets the
+    # other's tokens; C is left-recursive; D derives nothing, so its length
+    # is infinite, while its LAST set, read off last symbols, is not empty.
+    assert minlen == {"S": 3, "A": 2, "B": 2, "C": 1, "D": float("inf")}
+    assert first == {"S": {"x", "y"}, "A": {"x", "y"}, "B": {"x", "y"},
+                     "C": {"cat", "dog"}, "D": set()}
+    assert last == {"S": {".", "q"}, "A": {"y", "cat", "dog", "w"},
+                    "B": {"y", "cat", "dog", "w"},
+                    "C": {"cat", "dog", "w"}, "D": {"q"}}
+    # per production: suffix minimum lengths, first and last tokens
+    p, suffix, starts, ends = rules["B"][1]
+    assert p.id == "b_xc" and suffix == (2, 1, 0)
+    assert starts == {"x"} and ends == {"cat", "dog", "w"}
+    assert span_tables(g) is span_tables(g)
+    [tree] = parse(g, "x dog w w .".split())
+    assert yield_tokens(tree) == "x dog w w .".split()
+    assert parse(g, "x w .".split()) == []
 
 
 def test_unit_cycle_terminates():
