@@ -476,7 +476,7 @@ def _verb_facts(leaf: LeafNode):
         tense, voice = "past", "passive"
     elif leaf.bundle == "inf":
         # Bare form after "did" (semantically past) or after "to" (tenseless).
-        tense = None if frame == "infbase" else "past"
+        tense = None if _tag_stem(leaf.tag) == "infbase" else "past"
         voice = "active"
     else:
         tense, voice = leaf.bundle, "active"
@@ -589,18 +589,10 @@ class Bank:
         self.grammar = in_distribution_spec().grammar(self.lexicon)
         self.patterns = _patterns.build_patterns(self.lexicon)
         self.by_pattern = {p.id: p for p in self.patterns}
-        self._boosted = {}
 
     def grammar_for(self, grammar_id: str) -> Pcfg:
         if grammar_id == "in_dist":
             return self.grammar
-        if grammar_id.startswith("boost:"):
-            construct = grammar_id.split(":", 1)[1]
-            if construct not in self._boosted:
-                from .patterns import boosted_spec
-                self._boosted[construct] = boosted_spec(construct).grammar(
-                    self.lexicon)
-            return self._boosted[construct]
         return self.by_pattern[grammar_id].gen_grammar
 
 

@@ -99,9 +99,10 @@ class RunConfig:
 
     def to_dict(self):
         out = dict(self.__dict__)
-        # Worker-pool use is an execution detail; it never changes the
-        # corpus, so it has no place in the manifest.
+        # Worker-pool use and the output directory never change the
+        # corpus, so they have no place in the manifest.
         out.pop("parallel", None)
+        out.pop("out_dir", None)
         return out
 
 
@@ -178,18 +179,23 @@ def _render(bank, tree):
 def _draw(grammar, rng, constraints, accept, bank, cf, strict, seen,
           dropped, what):
     """One record of a stream, by the build's only rejection loop: draw a
-    tree meeting ``constraints``, accept, analyze, reject duplicate lexemes,
-    naturalize, translate, capitalize and, unless ``seen`` is None, reject a
-    (source, target) pair already used.
+    tree exactly from the grammar conditioned on ``constraints``, then
+    accept, analyze, reject duplicate lexemes, naturalize, translate,
+    capitalize and, unless ``seen`` is None, reject a (source, target) pair
+    already used.
 
     Returns (tree, analysis, target tree, source, target, residuals,
     samples), where ``analysis`` is ``analyze(tree)`` and ``samples`` counts
     its root draws.  Raises UnsatisfiableConstraintError naming ``what`` and
-    ``constraints`` after DRAW_BUDGET root draws.
+    ``constraints`` before the first draw when no tree meets
+    ``constraints``, and after DRAW_BUDGET root draws otherwise.
     """
+    if constraints is not None and not grammar.satisfiable(constraints):
+        raise UnsatisfiableConstraintError(
+            f"{what}: no tree meets the constraints ({constraints})")
     for samples in range(1, DRAW_BUDGET + 1):
         tree = grammar.sample_with_rng(rng, constraints)
-        if tree is None or (accept is not None and not accept(tree)):
+        if accept is not None and not accept(tree):
             continue
         analysis = analyze(tree)
         if reject_duplicates(analysis):
@@ -255,7 +261,8 @@ def _annotate(tree, analysis, tt, target_tokens, spec):
 
 
 def _build_pattern(pattern_id, master_seed, scale, strict, cf):
-    """All generalization records for one pattern; pure in its arguments."""
+    """(records, selectional residuals, unrepairable drops, root draws) of
+    one pattern's generalization stream; pure in its arguments."""
     bank = default_bank()
     spec = bank.by_pattern[pattern_id]
     seed = child_seed(master_seed, f"gen:{pattern_id}")
@@ -265,10 +272,12 @@ def _build_pattern(pattern_id, master_seed, scale, strict, cf):
     seen = set()
     residual_count = 0
     dropped = [0]
+    draws = 0
     for i in range(count):
-        tree, analysis, tt, source, target, residuals, _ = _draw(
+        tree, analysis, tt, source, target, residuals, samples = _draw(
             spec.gen_grammar, rng, spec.constraints_for(i), None, bank, cf,
             strict, seen, dropped, f"pattern {pattern_id}: gen record {i}")
+        draws += samples
         residual_count += len(residuals)
         annotation, depths, in_cp = _annotate(tree, analysis, tt, target, spec)
         provenance = {"seed": seed, "grammar_id": pattern_id,
@@ -278,7 +287,7 @@ def _build_pattern(pattern_id, master_seed, scale, strict, cf):
         records.append(SentenceRecord(
             f"gen-{pattern_id}-{i:05d}", "gen", pattern_id,
             source, target, annotation, provenance))
-    return records, residual_count, dropped[0]
+    return records, residual_count, dropped[0], draws
 
 
 # --------------------------------------------------------------------------
@@ -288,10 +297,12 @@ def _build_pattern(pattern_id, master_seed, scale, strict, cf):
 
 def primitive_exposures(bank, spec, n, master_seed, cf, strict, seen,
                         grammar_cache, dropped):
-    """n training records supplying the pattern's licensed prerequisites."""
+    """(n training records supplying the pattern's licensed prerequisites,
+    their root draws)."""
     seed = child_seed(master_seed, f"exp:{spec.id}")
     rng = Random(seed)
     records = []
+    draws = 0
     for k in range(n):
         recipe = spec.exposures[k % len(spec.exposures)]
         rid = f"train-exp-{spec.id}-{k:03d}"
@@ -318,14 +329,15 @@ def primitive_exposures(bank, spec, n, master_seed, cf, strict, seen,
                     {tag: frozenset(ls) for tag, ls in overrides.items()})
             grammar_cache[cache_key] = grammar
         cons = Constraints(frozenset(required), frozenset(), tuple(depths))
-        _, _, _, source, target, _, _ = _draw(
+        _, _, _, source, target, _, samples = _draw(
             grammar, rng, cons, _train_depths, bank, cf, strict, seen,
             dropped, f"pattern {spec.id}: exposure recipe {recipe!r}")
+        draws += samples
         records.append(SentenceRecord(
             rid, "train", "", source, target,
             provenance={"seed": seed, "grammar_id": key,
                         "augmentations": ["exposure:" + spec.id]}))
-    return records
+    return records, draws
 
 
 def _topic_eligible(tree):
@@ -360,8 +372,9 @@ def _declarative_train_depths(tree):
 
 def concatenate_for_length(bank, cf, master_seed, n, gen_max_len, strict,
                            seen, dropped):
-    """Training records longer than any generalization sentence, formed by
-    concatenating independent declarative in-distribution sentences.
+    """(Training records longer than any generalization sentence, formed by
+    concatenating independent declarative in-distribution sentences, their
+    root draws).
 
     A record's root draws, over all its parts and retries, count against
     one DRAW_BUDGET.  It is checked after each part, so a record overdraws
@@ -369,6 +382,7 @@ def concatenate_for_length(bank, cf, master_seed, n, gen_max_len, strict,
     seed = child_seed(master_seed, "concat")
     rng = Random(seed)
     records = []
+    total = 0
     for j in range(n):
         draws = 0
         while True:
@@ -390,12 +404,13 @@ def concatenate_for_length(bank, cf, master_seed, n, gen_max_len, strict,
             if key not in seen:
                 break
         seen.add(key)
+        total += draws
         records.append(SentenceRecord(
             f"train-cat-{j:04d}", "train", "", source, target,
             provenance={"seed": seed, "grammar_id": "in_dist",
                         "augmentations": ["concatenated"],
                         "parts": parts}))
-    return records
+    return records, total
 
 
 # --------------------------------------------------------------------------
@@ -434,7 +449,10 @@ def build_splits(config: RunConfig, bank=None):
                    for pid in pattern_ids]
     seen = set()
     dropped = [0]
-    for recs, residuals, pat_dropped in results:
+    gen_draws = {}
+    for pid, (recs, residuals, pat_dropped, draws) in zip(pattern_ids,
+                                                          results):
+        gen_draws[pid] = draws
         for r in recs:
             key = _pair_key(r.source_tokens, r.target_tokens)
             if key in seen:
@@ -452,12 +470,15 @@ def build_splits(config: RunConfig, bank=None):
     n_exp = _scaled(N_EXPOSURE, scale)
     exposure_records = []
     grammar_cache = {}
+    root_draws = sum(gen_draws.values())
     for spec in bank.patterns:
         # Never scale below one exposure per recipe: a pattern's
         # prerequisites are only covered once the recipe cycle completes.
-        exposure_records.extend(primitive_exposures(
+        recs, draws = primitive_exposures(
             bank, spec, max(n_exp, len(spec.exposures)), seed, cf, strict,
-            seen, grammar_cache, dropped))
+            seen, grammar_cache, dropped)
+        exposure_records.extend(recs)
+        root_draws += draws
 
     # 3. One in-distribution pool, hash-partitioned into dev/test/train;
     # every tenth eligible training sentence also yields a topicalized copy.
@@ -514,20 +535,23 @@ def build_splits(config: RunConfig, bank=None):
                         "augmentations": ["topicalized"]}))
         topicalized += 1
 
+    root_draws += index
+
     # 4. Length-covering concatenations.
     n_concat = _scaled(N_CONCAT, scale) if config.with_concat else 0
-    concat_records = concatenate_for_length(
+    concat_records, draws = concatenate_for_length(
         bank, cf, seed, n_concat, gen_max_len, strict, seen, dropped)
+    root_draws += draws
 
     train = exposure_records + train_pool + concat_records
     records = {"train": train, "dev": dev, "test": test, "gen": gen_records}
     manifest = _manifest(config, bank, records, topicalized, eligible,
-                         residual_total, dropped[0])
+                         residual_total, dropped[0], gen_draws, root_draws)
     return records, manifest
 
 
 def _manifest(config, bank, records, topicalized, eligible,
-              residual_total, dropped):
+              residual_total, dropped, gen_draws, root_draws):
     def lengths(recs):
         if not recs:
             return {"max_source_len": 0, "max_target_len": 0}
@@ -547,6 +571,7 @@ def _manifest(config, bank, records, topicalized, eligible,
             "category": spec.category, "group": spec.group,
             "gen_count": gen_count,
             "exposure_count": exposure_counts.get(spec.id, 0),
+            "root_draws": gen_draws[spec.id],
         }
     concatenated = sum(
         1 for r in records["train"]
@@ -562,6 +587,7 @@ def _manifest(config, bank, records, topicalized, eligible,
             "concatenated": concatenated,
             "exposures": sum(exposure_counts.values()),
         },
+        "root_draws": root_draws,
         "selectional_residuals": residual_total,
         "unrepairable_dropped": dropped,
         "lengths": {split: lengths(recs)

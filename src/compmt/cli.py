@@ -22,7 +22,7 @@ from .audit import audit_gap
 from .bank import default_bank
 from .build import (OUT_DIR_ENV, RunConfig, build_splits, read_corpus,
                     write_corpus)
-from .grammar import CONSTRUCTS, GrammarError
+from .grammar import GrammarError
 from .metrics import ScoringError, score_file
 from .naturalize import read_case_frames
 
@@ -102,8 +102,7 @@ def validate(config_path, seed, scale, wo_concat, strict_selectional, out):
     try:
         bank = default_bank()
         patterns = bank.patterns
-        names = (["in_dist"] + [p.id for p in patterns]
-                 + [f"boost:{c}" for c in CONSTRUCTS])
+        names = ["in_dist"] + [p.id for p in patterns]
         grammars = [(name, bank.grammar_for(name)) for name in names]
     except GrammarError as exc:
         _fail_io(exc)
@@ -115,8 +114,8 @@ def validate(config_path, seed, scale, wo_concat, strict_selectional, out):
         click.echo(f"{len(problems)} grammar violations")
         sys.exit(EXIT_INVALID)
     click.echo(f"ok: {len(grammars)} grammars validate and are covered "
-               f"by the transduction rules (in_dist, {len(patterns)} "
-               f"pattern grammars, {len(CONSTRUCTS)} boost grammars)")
+               f"by the transduction rules (in_dist and {len(patterns)} "
+               f"pattern grammars)")
 
 
 @main.command()

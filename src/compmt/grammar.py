@@ -3,7 +3,8 @@
 The grammar side of the pipeline: lexical entries with morphological forms,
 weighted productions whose right-hand sides mix nonterminals, part-of-speech
 slots and literal tokens, plus validation, Zipfian lexical weighting,
-seeded one-draw sampling and ``profile``, the one structural walk of a tree.
+seeded sampling, exact under constraints, and ``profile``, the one
+structural walk of a tree.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, product
 from random import Random
 from typing import Iterable, Iterator, Optional
 
@@ -23,7 +24,8 @@ class GrammarError(Exception):
 
 
 class UnsatisfiableConstraintError(GrammarError):
-    """A record's draw budget ran out before an acceptable tree."""
+    """No tree meets a draw's constraints, or a record's draw budget ran
+    out before an acceptable tree."""
 
 
 @dataclass(frozen=True)
@@ -228,7 +230,7 @@ class Pcfg:
             self.by_lhs.setdefault(p.lhs, []).append(p)
         self._slot_cache = {}
         self._surface_cache = {}
-        self._sampler_cache = {}
+        self._intersections = {}  # constraints -> _Intersection
         self._span_tables = None  # earley.span_tables
 
     # -- lexical slot machinery -------------------------------------------
@@ -343,29 +345,28 @@ class Pcfg:
 
     # -- sampling ----------------------------------------------------------
 
-    def _prepared(self, lhs: str):
-        """Cumulative weights for the positive-weight productions of lhs."""
-        cached = self._sampler_cache.get(lhs)
+    def _intersection(self, constraints) -> "_Intersection":
+        cached = self._intersections.get(constraints)
         if cached is None:
-            prods = [p for p in self.by_lhs.get(lhs, ()) if p.weight > 0]
-            if not prods:
-                raise GrammarError(f"no sampleable productions for {lhs}")
-            cum = []
-            acc = 0.0
-            for p in prods:
-                acc += float(p.weight)
-                cum.append(acc)
-            cached = (prods, cum, acc)
-            self._sampler_cache[lhs] = cached
+            cached = _Intersection(self, constraints)
+            self._intersections[constraints] = cached
         return cached
 
-    def _expand(self, lhs: str, rng: Random):
-        prods, cum, total = self._prepared(lhs)
-        prod = prods[_pick(cum, rng.random() * total)]
+    def satisfiable(self, constraints: "Constraints") -> bool:
+        """Whether some tree of the grammar meets ``constraints``."""
+        table = self._intersection(constraints)
+        return table.options(table.root)[2] > 0
+
+    def _expand(self, key, rng: Random, table: "_Intersection"):
+        options, cum, total = table.options(key)
+        if not options:
+            raise GrammarError(f"no sampleable productions for {key[0]}")
+        prod, child_keys = options[_pick(cum, rng.random() * total)]
+        child_keys = iter(child_keys)
         children = []
         for sym in prod.rhs:
             if isinstance(sym, NT):
-                children.append(self._expand(sym.name, rng))
+                children.append(self._expand(next(child_keys), rng, table))
             elif isinstance(sym, Slot):
                 entries, sums = self.slot_candidates(sym)
                 if not entries:
@@ -377,11 +378,23 @@ class Pcfg:
         return ProdNode(prod, tuple(children))
 
     def sample_with_rng(self, rng: Random, constraints: "Constraints" = None):
-        """One root draw: the tree, or None if it fails ``constraints``."""
-        tree = self._expand(self.start, rng)
-        if constraints is None or constraints.satisfied_by(tree):
-            return tree
-        return None
+        """One tree drawn exactly from P(tree | constraints), never None.
+
+        Without constraints this is the grammar's own draw, one RNG call
+        per production and per slot.  A constrained tree is checked once
+        more by ``constraints.satisfied_by``; a failure there is a bug in
+        the sampler and raises GrammarError.  Raises
+        UnsatisfiableConstraintError, before any RNG call, when no tree
+        meets the constraints."""
+        if not self.satisfiable(constraints):
+            raise UnsatisfiableConstraintError(
+                f"no tree meets the constraints ({constraints})")
+        table = self._intersection(constraints)
+        tree = self._expand(table.root, rng, table)
+        if constraints is not None and not constraints.satisfied_by(tree):
+            raise GrammarError(
+                f"sampled a tree that fails its constraints ({constraints})")
+        return tree
 
 
 def _pick(cum, x):
@@ -389,12 +402,13 @@ def _pick(cum, x):
     return min(bisect.bisect_right(cum, x), len(cum) - 1)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Constraints:
-    """Restrictions for rejection sampling.
-
-    ``required``/``forbidden`` are production ids; ``depths`` maps a construct
-    name to the exact depth the tree must show.
+    """What a sampled tree must show: ``required`` and ``forbidden`` are
+    production ids; ``depths`` gives constructs, each at most once, and the
+    exact depth the tree must show for each.  ``Pcfg.sample_with_rng``
+    draws from the grammar conditioned on them, and ``satisfied_by`` checks
+    a tree independently of the sampler.
     """
 
     required: frozenset = frozenset()
@@ -402,9 +416,13 @@ class Constraints:
     depths: tuple = ()  # ((construct, depth), ...)
 
     def __post_init__(self):
-        for construct, _ in self.depths:
+        named = [construct for construct, _ in self.depths]
+        for construct, depth in self.depths:
             if construct not in CONSTRUCTS:
                 raise GrammarError(f"unknown construct {construct!r}")
+            if depth < 0 or named.count(construct) > 1:
+                raise GrammarError(
+                    f"construct {construct!r} needs one depth of at least 0")
 
     def satisfied_by(self, tree) -> bool:
         ids, depths = profile(tree)
@@ -420,3 +438,164 @@ class Constraints:
         if self.depths:
             bits.append("depths=" + ",".join(f"{c}={d}" for c, d in self.depths))
         return "; ".join(bits) or "none"
+
+
+# Bound on the fixpoint sweeps for one grammar's constrained inside
+# weights.  Depth-bounded recursion is acyclic in the split nonterminals,
+# so only unbounded recursion takes more than a few sweeps; the bank's
+# grammars settle in at most 36.
+FIXPOINT_ROUNDS = 10_000
+
+
+class _Intersection:
+    """A grammar intersected with one set of constraints (Bar-Hillel et al.
+    1961), from which ``Pcfg._expand`` draws exactly P(tree | constraints).
+
+    Each nonterminal is split by a key (lhs, path, negated, pending).
+    ``path`` counts, for each construct with a target depth, that
+    construct's productions on the path from the root down to the node.
+    ``negated`` and ``pending`` are bit sets over the flags: one per
+    required id ("contains X") and one per positive target depth ("reaches
+    depth d").  The subtree must satisfy every pending flag and no negated
+    one, use no forbidden id, and keep every construct within its target.
+
+    A key's inside weight is the probability of that event under the
+    grammar's own weights.  Without pending flags the event holds at every
+    node, and its weights are solved by fixpoint (Nederhof & Satta 2003).
+    A pending flag is the whole minus its negation: "contains X" is all
+    trees minus those that avoid X, and "exact depth d" is "at most d"
+    minus "at most d-1".  A choice at a key is a production together with
+    a sharing of its pending flags among its children: each flag goes to
+    the first child that satisfies it, and the children before that one
+    negate it.
+
+    Without constraints every inside weight is 1 (a validated grammar is
+    normalized and consistent), so the choices are the productions with
+    their own weights and the draw is the plain PCFG's.
+    """
+
+    def __init__(self, grammar: Pcfg, constraints: Optional[Constraints]):
+        c = constraints or Constraints()
+        self.grammar = grammar
+        self.forbidden = c.forbidden
+        self.constructs = tuple(construct for construct, _ in c.depths)
+        self.targets = tuple(depth for _, depth in c.depths)
+        self.id_bits = {pid: 1 << i
+                        for i, pid in enumerate(sorted(c.required))}
+        self.reach_bits = tuple(1 << (len(self.id_bits) + j) if d > 0 else 0
+                                for j, d in enumerate(self.targets))
+        flags = sum(self.id_bits.values()) + sum(self.reach_bits)
+        self.root = (grammar.start, (0,) * len(self.targets), 0, flags)
+        self._options = {}
+        self._weights = {}
+        self._z = self._solve(flags) if c != Constraints() else None
+
+    def _step(self, prod, path, negated):
+        """(path below ``prod``, flags ``prod`` satisfies), or None where
+        ``prod`` may not be used."""
+        if prod.weight <= 0 or prod.id in self.forbidden:
+            return None
+        done = self.id_bits.get(prod.id, 0)
+        if done & negated:
+            return None
+        if prod.construct in self.constructs:
+            j = self.constructs.index(prod.construct)
+            depth, bit = path[j] + 1, self.reach_bits[j]
+            if depth > self.targets[j] - bool(bit & negated):
+                return None
+            if depth == self.targets[j]:
+                done |= bit
+            path = path[:j] + (depth,) + path[j + 1:]
+        return path, done
+
+    def _solve(self, flags):
+        """Inside weights {(negated, lhs, path): probability} of the events
+        without pending flags, for every ``negated`` within ``flags``."""
+        by_lhs = self.grammar.by_lhs
+        paths = list(product(*(range(d + 1) for d in self.targets)))
+        rules = []
+        for negated in range(flags + 1):
+            if negated & ~flags:
+                continue
+            for lhs, prods in by_lhs.items():
+                for path in paths:
+                    terms = []
+                    for prod in prods:
+                        step = self._step(prod, path, negated)
+                        kids = [s.name for s in prod.rhs if isinstance(s, NT)]
+                        if step is not None and all(k in by_lhs for k in kids):
+                            terms.append((float(prod.weight), tuple(
+                                (negated, k, step[0]) for k in kids)))
+                    rules.append(((negated, lhs, path), terms))
+        z = dict.fromkeys((key for key, _ in rules), 0.0)
+        # Gauss-Seidel sweeps from 0: every value rises monotonically, also
+        # in floating point, so the sweeps end when none changes.
+        for _ in range(FIXPOINT_ROUNDS):
+            changed = False
+            for key, terms in rules:
+                total = 0.0
+                for w, kids in terms:
+                    for kid in kids:
+                        w *= z[kid]
+                    total += w
+                if total != z[key]:
+                    z[key] = total
+                    changed = True
+            if not changed:
+                return z
+        raise GrammarError(
+            f"inside weights did not settle in {FIXPOINT_ROUNDS} sweeps")
+
+    def weight(self, key) -> float:
+        """Inside weight of a split nonterminal.  Pending flags are peeled
+        off one at a time, so a flag its subtree cannot satisfy gives
+        exactly 0."""
+        if self._z is None:
+            return 1.0
+        lhs, path, negated, pending = key
+        if not pending:
+            return self._z.get((negated, lhs, path), 0.0)
+        got = self._weights.get(key)
+        if got is None:
+            bit = pending & -pending
+            rest = pending ^ bit
+            got = self.weight((lhs, path, negated, rest)) \
+                - self.weight((lhs, path, negated | bit, rest))
+            self._weights[key] = got
+        return got
+
+    def options(self, key) -> tuple:
+        """(choices, running sums of their weights, total) at a split
+        nonterminal; a choice is (production, keys of its nonterminal
+        children)."""
+        got = self._options.get(key)
+        if got is None:
+            got = self._options[key] = self._choices(key)
+        return got
+
+    def _choices(self, key):
+        lhs, path, negated, pending = key
+        choices, weights = [], []
+        for prod in self.grammar.by_lhs.get(lhs, ()):
+            step = self._step(prod, path, negated)
+            if step is None:
+                continue
+            below, done = step
+            kids = [s.name for s in prod.rhs if isinstance(s, NT)]
+            rest = pending & ~done
+            bits = [1 << i for i in range(rest.bit_length()) if rest >> i & 1]
+            # owners[f]: the first child to satisfy flag bits[f].
+            for owners in product(range(len(kids)), repeat=len(bits)):
+                keys = tuple(
+                    (kid, below,
+                     negated | sum(b for b, o in zip(bits, owners) if o > i),
+                     sum(b for b, o in zip(bits, owners) if o == i))
+                    for i, kid in enumerate(kids))
+                w = float(prod.weight)
+                for k in keys:
+                    w *= max(0.0, self.weight(k))
+                if w > 0:
+                    choices.append((prod, keys))
+                    weights.append(w)
+        cum = list(accumulate(weights))
+        return choices, cum, cum[-1] if cum else 0.0

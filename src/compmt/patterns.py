@@ -23,7 +23,7 @@ wh-question generators, which do not embed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .grammar import Constraints, NT, Pcfg
@@ -37,7 +37,6 @@ from .bank import (
     FREE_ANIM, FREE_PROP, INANIM_POOL, LOC_NOUNS,
     V_CP_PAST, V_CP_PRES, V_DO_PAST, V_INFBASE, V_INF_PAST, V_INTRANS,
     V_OBJOM, V_PASS, V_PASSDAT, V_PPDAT_PAST, V_TRANS, V_TRANS_SAFE, V_UNACC,
-    in_distribution_spec,
 )
 from .lexdata import CASE_FRAMES
 
@@ -157,11 +156,8 @@ def _bare_exposures(pos, targets):
 
 
 def _depth_exposures(construct):
-    return (
-        ("sample", "in_dist", frozenset(), {}, ((construct, 1),)),
-        ("sample", "in_dist", frozenset(), {}, ((construct, 2),)),
-        ("sample", "boost:" + construct, frozenset(), {}, ((construct, 4),)),
-    )
+    return tuple(("sample", "in_dist", frozenset(), {}, ((construct, d),))
+                 for d in (1, 2, 4))
 
 
 # --------------------------------------------------------------------------
@@ -542,8 +538,9 @@ def _gen_mod_iobj(kind):
 
 
 def _gen_recursion(construct, cont):
-    """Grammar producing unbounded nesting of one construct; the exact depth
-    is enforced by per-record constraints, `cont` only tunes acceptance."""
+    """Grammar producing unbounded nesting of one construct, `cont` being
+    the weight of nesting once more; each record's exact depth comes from
+    its constraints, on which the sampler conditions."""
     g = GrammarSpec()
     _base(g)
     rest = F(1) - cont
@@ -746,48 +743,6 @@ def _gen_wh_long_move():
     np_pair(g, "subj", FREE_ANIM, FREE_PROP)
     np_pair(g, "esubj", FREE_ANIM, FREE_PROP)
     return g
-
-
-# --------------------------------------------------------------------------
-# Boosted training grammars for deep-recursion primitive exposures
-# --------------------------------------------------------------------------
-
-_BOOST_OVERRIDES = {
-    "CP": {"s_cp_past": F(2, 5), "s_cp_pres": F(1, 10),
-           "semb_cp": F(3, 5)},
-    "PP": {"np_dobj_pp": F(1, 2), "np_ppn_pp": F(3, 5)},
-    "CenterEmbedRC": {"np_dobj_rco": F(1, 2), "np_cesubj_rc": F(3, 5)},
-    "Adj": {"np_dobj_adj": F(1, 2), "adj_more": F(3, 5)},
-}
-
-
-def boosted_spec(construct) -> GrammarSpec:
-    """Training grammar with reweighted recursion so that depth-4 primitive
-    exposures sample quickly; the language is unchanged."""
-    overrides = _BOOST_OVERRIDES[construct]
-    base = in_distribution_spec()
-    by_lhs = {}
-    for p in base.prods:
-        by_lhs.setdefault(p.lhs, []).append(p)
-    out = GrammarSpec()
-    for lhs, group in by_lhs.items():
-        hit = [p for p in group if p.id in overrides]
-        if not hit:
-            out.prods.extend(group)
-            continue
-        fixed = sum(overrides[p.id] for p in hit)
-        rest = [p for p in group if p.id not in overrides and p.weight > 0]
-        rest_total = sum((p.weight for p in rest), F(0))
-        scale = (F(1) - fixed) / rest_total
-        for p in group:
-            if p.id in overrides:
-                w = overrides[p.id]
-            elif p.weight > 0:
-                w = p.weight * scale
-            else:
-                w = p.weight
-            out.prods.append(replace(p, weight=w))
-    return out
 
 
 # --------------------------------------------------------------------------

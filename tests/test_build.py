@@ -5,16 +5,17 @@ from random import Random
 import pytest
 
 from compmt import build
+from compmt.bank import Bank
 from compmt.build import (SPLITS, RunConfig, SentenceRecord, _draw,
                           build_splits, child_seed, concatenate_for_length,
                           read_corpus, write_corpus)
-from compmt.grammar import Constraints, UnsatisfiableConstraintError
+from compmt.grammar import Constraints, Pcfg, UnsatisfiableConstraintError
 from compmt.naturalize import default_case_frames
 
 # sha256 over train, dev, test and gen.jsonl, in that order, at seed 1 and
 # scale 0.01.  A change that moves it changes the corpus and must say why.
 SMALL_BUILD_SHA256 = \
-    "908b8b0fa5967ce738972b9da2a8310e1e7ff0b00ca4e0f29744aeba7b75f623"
+    "824e9dd46d59bff03027aa2669b970981ac5731590e2539cb34f32de7d1cd980"
 
 
 def _pairs(recs):
@@ -206,22 +207,21 @@ def test_draw_gives_up_after_its_budget(bank, monkeypatch):
                        match="^test stream: no fresh record in 10000"):
         _draw(bank.grammar, Random(0), None, lambda tree: False, bank,
               default_case_frames(), False, set(), [0], "test stream")
-    # A constraint reject spends one root draw of the same budget.
-    monkeypatch.setattr(build, "DRAW_BUDGET", 20)
+    # Constraints that admit no tree raise before the first root draw.
     sample, draws = bank.grammar.sample_with_rng, []
 
     def counted(rng, constraints):
-        draws.append(sample(rng, constraints))
-        return draws[-1]
+        draws.append(1)
+        return sample(rng, constraints)
 
     monkeypatch.setattr(bank.grammar, "sample_with_rng", counted)
     never = Constraints(required=frozenset({"root_decl", "root_q"}))
     with pytest.raises(UnsatisfiableConstraintError,
-                       match=r"^test stream: no fresh record in 20 root draws "
-                             r"\(constraints: required=root_decl,root_q\)$"):
+                       match=r"^test stream: no tree meets the constraints "
+                             r"\(required=root_decl,root_q\)$"):
         _draw(bank.grammar, Random(0), never, None, bank,
               default_case_frames(), False, set(), [0], "test stream")
-    assert draws == [None] * 20
+    assert draws == []
 
 
 def test_concatenation_part_draw_is_bounded(bank, monkeypatch):
@@ -259,11 +259,52 @@ def test_concatenation_record_has_one_draw_budget(bank, monkeypatch):
 def test_in_distribution_pool_draw_is_bounded(bank, monkeypatch):
     def one_gen_record(pid, *_args):
         return [SentenceRecord(f"gen-{pid}", "gen", pid, (pid,), (pid,))], \
-            0, 0
+            0, 0, 1
 
     monkeypatch.setattr(build, "_build_pattern", one_gen_record)
-    monkeypatch.setattr(build, "primitive_exposures", lambda *_args: [])
+    monkeypatch.setattr(build, "primitive_exposures", lambda *_args: ([], 0))
     monkeypatch.setattr(build, "profile", _cp_depth_three)
     with pytest.raises(UnsatisfiableConstraintError,
                        match="^in-distribution pool"):
         build_splits(RunConfig(scale=0.001), bank=bank)
+
+
+def test_manifest_counts_every_root_draw(tmp_path, monkeypatch):
+    """The manifest's root_draws total is the build's sample_with_rng
+    calls, and the serial and parallel builds write the same manifest."""
+    # A bank of its own: tests that patch the shared bank's grammar leave
+    # the method bound on the instance, out of reach of a class patch.
+    bank = Bank()
+    calls = []
+    sample = Pcfg.sample_with_rng
+
+    def counted(self, rng, constraints=None):
+        calls.append(1)
+        return sample(self, rng, constraints)
+
+    monkeypatch.setattr(Pcfg, "sample_with_rng", counted)
+    serial = RunConfig(master_seed=1, scale=0.01, out_dir=str(tmp_path / "s"))
+    recs, manifest = build_splits(serial, bank=bank)
+    monkeypatch.undo()
+    assert manifest["root_draws"] == len(calls)
+    gen_draws = [s["root_draws"] for s in manifest["per_pattern"].values()]
+    assert all(d >= s["gen_count"] for d, s in
+               zip(gen_draws, manifest["per_pattern"].values()))
+    assert sum(gen_draws) < manifest["root_draws"]
+    write_corpus(recs, manifest, serial.out_dir)
+
+    parallel = RunConfig(master_seed=1, scale=0.01, parallel=True,
+                         out_dir=str(tmp_path / "p"))
+    write_corpus(*build_splits(parallel, bank=bank), parallel.out_dir)
+    assert (tmp_path / "s" / "manifest.json").read_bytes() == \
+        (tmp_path / "p" / "manifest.json").read_bytes()
+
+
+def test_manifest_does_not_name_the_output_directory(bank, tmp_path):
+    """One build written to two directories gives one manifest."""
+    for name in ("a", "b"):
+        config = RunConfig(master_seed=1, scale=0.01,
+                           out_dir=str(tmp_path / name))
+        write_corpus(*build_splits(config, bank=bank), config.out_dir)
+    assert (tmp_path / "a" / "manifest.json").read_bytes() == \
+        (tmp_path / "b" / "manifest.json").read_bytes()

@@ -36,7 +36,7 @@ def test_generate_writes_all_files(corpus_dir):
 def test_validate_ok(runner):
     result = runner.invoke(main, ["validate"])
     assert result.exit_code == 0, result.output
-    assert "ok: 47 grammars" in result.output
+    assert "ok: 43 grammars" in result.output
     assert "42 pattern grammars" in result.output
 
 

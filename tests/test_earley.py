@@ -8,22 +8,21 @@ from hypothesis import given, settings, strategies as st
 
 from compmt.audit import PARSE_LIMIT, audit_grammar, segment
 from compmt.earley import parse, span_tables
-from compmt.grammar import (CONSTRUCTS, LeafNode, LexEntry, Lexicon, Lit,
-                            LitNode, NT, Pcfg, ProdNode, Production, Slot,
-                            iter_leaves, iter_nodes, yield_tokens)
+from compmt.grammar import (LeafNode, LexEntry, Lexicon, Lit, LitNode, NT,
+                            Pcfg, ProdNode, Production, Slot, iter_leaves,
+                            iter_nodes, yield_tokens)
 from compmt.transduce import transduce, linearize
 
 # sha256 of the _dump of every parse list of the scale-0.01 train split at
-# seed 1, in list order; the Earley recognizer that filtered spans before
-# enumeration gave the same digest.
+# seed 1, in list order.  Both digests here were checked against the
+# enumerator without FIRST/LAST/length pruning, which gives the same.
 SMALL_TRAIN_PARSES_SHA256 = \
-    "72b7884a14fa648768a96474d8511acddc2b1ccbb6a45e3eac6eed1c01b23c9e"
+    "3acdf94e65988848aeb6da169ef738a58964bd8cc9490a48e6e40060d4019573"
 # The same over the first 10 scale-0.01 gen records of each of the 42
 # patterns, both casings (840 parse lists): train holds no withheld
 # material, so only this digest pins the parses that charge a leak.
-# Computed with the unpruned enumerator.
 SMALL_GEN_PARSES_SHA256 = \
-    "d51f60df3f84208b30267e12d62981f7f49a7fc0e243fcbc4e3f3ac55a857a34"
+    "cf0f12148e80013032a97233adac6a00e17deb14c9998fb2182a6f51c04e5703"
 
 
 def _translate(bank, tree):
@@ -125,9 +124,8 @@ def audit_g(bank, patterns):
 
 
 def _grammar_ids(patterns):
-    """The 47 grammars: in-distribution, 42 patterns, 4 boost."""
-    return (["in_dist"] + [p.id for p in patterns]
-            + [f"boost:{c}" for c in CONSTRUCTS])
+    """The 43 grammars: in-distribution and 42 patterns."""
+    return ["in_dist"] + [p.id for p in patterns]
 
 
 @settings(max_examples=25, deadline=None)

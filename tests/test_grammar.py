@@ -85,48 +85,59 @@ def test_sampling_is_deterministic_in_seed():
     assert a == b
 
 
-def _first_accepted(g, rng, constraints, budget=200):
-    """The first tree meeting ``constraints`` within ``budget`` root draws."""
-    for _ in range(budget):
-        tree = g.sample_with_rng(rng, constraints)
-        if tree is not None:
-            return tree
-    raise UnsatisfiableConstraintError(f"{budget} draws: {constraints}")
-
-
 def test_constraints_required_and_forbidden():
     g = _toy_grammar()
-    tree = _first_accepted(g, Random(3),
-                           Constraints(required=frozenset({"a_one"})))
+    tree = g.sample_with_rng(Random(3),
+                             Constraints(required=frozenset({"a_one"})))
     assert "a_one" in profile(tree)[0]
-    tree = _first_accepted(g, Random(3),
-                           Constraints(forbidden=frozenset({"a_one"})))
+    tree = g.sample_with_rng(Random(3),
+                             Constraints(forbidden=frozenset({"a_one"})))
     assert "a_one" not in profile(tree)[0]
 
 
-def test_constrained_sample_is_one_root_draw():
+def test_every_constrained_draw_meets_its_constraints(patterns):
+    """One draw per record: a tree, never None, that meets the record's
+    constraints, for every variant of every pattern."""
+    for p in patterns:
+        rng = Random(p.id)
+        for i in range(4 * len(p.variants)):
+            constraints = p.constraints_for(i)
+            tree = p.gen_grammar.sample_with_rng(rng, constraints)
+            assert tree is not None and constraints.satisfied_by(tree), \
+                (p.id, str(constraints))
+
+
+def test_unconstrained_draw_is_unchanged_by_empty_constraints():
     g = _toy_grammar()
-    required = Constraints(required=frozenset({"a_one"}))
     rng, twin = Random(3), Random(3)
     for _ in range(40):
-        tree = g.sample_with_rng(rng, required)
-        plain = g.sample_with_rng(twin)
-        assert tree == (plain if "a_one" in profile(plain)[0] else None)
+        assert g.sample_with_rng(rng, Constraints()) == \
+            g.sample_with_rng(twin)
+    assert rng.getstate() == twin.getstate()
 
 
 def test_constraints_unsatisfiable_raises():
+    """Constraints that admit no tree fail at once, before any RNG call."""
     g = _toy_grammar()
     never = Constraints(required=frozenset({"a_one", "a_two"}))
     rng = Random(3)
-    assert all(g.sample_with_rng(rng, never) is None for _ in range(50))
+    state = rng.getstate()
+    assert not g.satisfiable(never)
     with pytest.raises(UnsatisfiableConstraintError,
                        match="required=a_one,a_two"):
-        _first_accepted(g, rng, never, budget=50)
+        g.sample_with_rng(rng, never)
+    assert rng.getstate() == state
 
 
 def test_unknown_construct_rejected():
     with pytest.raises(GrammarError, match="unknown construct 'RC'"):
         Constraints(depths=(("RC", 1),))
+
+
+@pytest.mark.parametrize("depths", [(("PP", -1),), (("PP", 1), ("PP", 2))])
+def test_construct_needs_one_depth(depths):
+    with pytest.raises(GrammarError, match="construct 'PP' needs one depth"):
+        Constraints(depths=depths)
 
 
 def _nest(g, pid, *children):
@@ -140,7 +151,7 @@ def test_profile_counts_nested_constructs():
                    Fraction(1, 3), construct="CP"),
         Production("stop", "S", (Lit("x"),), Fraction(2, 3)),
     ], lex)
-    tree = _first_accepted(g, Random(1), Constraints(depths=(("CP", 3),)))
+    tree = g.sample_with_rng(Random(1), Constraints(depths=(("CP", 3),)))
     assert profile(tree) == ({"wrap", "stop"},
                              {"CP": 3, "PP": 0, "CenterEmbedRC": 0, "Adj": 0})
     assert yield_tokens(tree) == ["(", "(", "(", "x", ")", ")", ")"]
@@ -174,5 +185,3 @@ def test_default_bank_grammars_validate(bank, patterns):
     assert bank.grammar_for("in_dist").validate() == []
     for p in patterns:
         assert p.gen_grammar.validate() == [], p.id
-    for construct in ("CP", "PP", "CenterEmbedRC", "Adj"):
-        assert bank.grammar_for(f"boost:{construct}").validate() == []

@@ -271,7 +271,7 @@ def _hypothesis_sets(records):
 
 
 REPORT_SHA256 = \
-    "04048a0acefb992b5ee0cae773292335ad9e79cec1d604cf4589e68889628d06"
+    "f9c3f709f35f8ff317d56ef1d8179256e45981073e0544bd46bc4a5a186de717"
 
 
 def test_report_bytes_are_pinned(small_build, patterns):

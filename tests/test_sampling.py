@@ -1,9 +1,9 @@
 """Statistical properties of the seeded sampler.
 
-The rule-frequency and Zipf-slope checks use fixed seeds: they verify a
-statistical property at a sample size where the expected deviation is
-well inside the tolerance, and the fixed seed keeps the assertion
-reproducible.
+The rule-frequency, Zipf-slope and conditional-frequency checks use fixed
+seeds: they verify a statistical property at a sample size where the
+expected deviation is well inside the tolerance, and the fixed seed keeps
+the assertion reproducible.
 """
 
 import math
@@ -11,8 +11,8 @@ from collections import Counter
 from fractions import Fraction
 from random import Random
 
-from compmt.grammar import (LexEntry, Lexicon, Lit, NT, Pcfg, Production,
-                            Slot, iter_nodes)
+from compmt.grammar import (Constraints, LexEntry, Lexicon, Lit, NT, Pcfg,
+                            Production, Slot, iter_nodes)
 
 F = Fraction
 
@@ -87,3 +87,72 @@ def test_zipf_slope_matches_exponent():
 def test_zipf_slope_matches_half_exponent():
     slope = _zipf_slope(exponent=0.5, n_draws=1_000_000, seed=11)
     assert abs(slope + 0.5) <= 0.1, slope
+
+
+# -- constrained draws against a rejection reference ------------------------
+
+
+def _production_shares(trees):
+    counts = Counter(node.production.id
+                     for tree in trees for node in iter_nodes(tree))
+    total = sum(counts.values())
+    return {pid: c / total for pid, c in counts.items()}
+
+
+def _l1(a, b):
+    return sum(abs(a.get(k, 0.0) - b.get(k, 0.0)) for k in set(a) | set(b))
+
+
+def _exact_against_rejection(g, variants, plain_draws, exact_draws, seed):
+    """L1 distance, per variant, between the production shares of exact
+    constrained draws and of plain draws kept by ``satisfied_by``."""
+    rng = Random(seed)
+    kept = [[] for _ in variants]
+    for _ in range(plain_draws):
+        tree = g.sample_with_rng(rng)
+        for constraints, trees in zip(variants, kept):
+            if constraints.satisfied_by(tree):
+                trees.append(tree)
+    out = []
+    for constraints, trees in zip(variants, kept):
+        assert len(trees) >= 150, (str(constraints), len(trees))
+        exact = [g.sample_with_rng(rng, constraints)
+                 for _ in range(exact_draws)]
+        out.append(_l1(_production_shares(exact), _production_shares(trees)))
+    return out
+
+
+def _pair_grammar():
+    """Two independent nests: a depth or a required id can be met by
+    either child, so the sampler must share its flags between them."""
+    lex = Lexicon([LexEntry("tok", "T", forms={"base": "tok"})])
+    return Pcfg("S", [
+        Production("s", "S", (NT("A"), NT("A"))),
+        Production("wrap", "A", (Lit("("), NT("A"), Lit(")")), F(2, 5),
+                   construct="PP"),
+        Production("x", "A", (Lit("x"),), F(2, 5)),
+        Production("y", "A", (Lit("y"),), F(1, 5)),
+    ], lex)
+
+
+def test_exact_sampler_matches_rejection_on_a_toy_grammar():
+    variants = [
+        Constraints(required=frozenset({"y"}), depths=(("PP", 2),)),
+        Constraints(required=frozenset({"x", "y"}), depths=(("PP", 1),)),
+        Constraints(forbidden=frozenset({"y"}), depths=(("PP", 3),)),
+    ]
+    l1 = _exact_against_rejection(_pair_grammar(), variants, 40_000,
+                                  10_000, seed=7)
+    assert max(l1) <= 0.02, l1
+
+
+def test_exact_sampler_matches_rejection_on_recursion_patterns(patterns):
+    """Every variant (depth 3, 5 or 6, in or out of a complement clause)
+    of the eight recursion patterns."""
+    recursion = [p for p in patterns if "_recursion_" in p.id]
+    assert len(recursion) == 8
+    for p in recursion:
+        variants = [p.constraints_for(i) for i in range(len(p.variants))]
+        l1 = _exact_against_rejection(p.gen_grammar, variants, 10_000, 600,
+                                      seed=p.id)
+        assert max(l1) <= 0.06, (p.id, l1)

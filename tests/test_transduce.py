@@ -4,8 +4,8 @@ import pytest
 
 from compmt.bank import GrammarSpec, L, v
 from compmt.earley import parse
-from compmt.grammar import (CONSTRUCTS, Lit, LitNode, NT, ProdNode,
-                            Production, yield_tokens)
+from compmt.grammar import (Lit, LitNode, NT, ProdNode, Production,
+                            yield_tokens)
 from compmt.transduce import TransductionError, linearize, transduce
 
 # English sentence -> expected morpheme-level gloss.  Each pair exercises a
@@ -94,9 +94,8 @@ def test_grammar_spec_rejects_bad_template(template, problem):
 def test_one_template_per_production_id(bank, patterns):
     """A production id names one construction: every grammar that holds
     the id translates it by the same template."""
-    grammar_ids = (["in_dist"] + [p.id for p in patterns]
-                   + [f"boost:{c}" for c in CONSTRUCTS])
-    assert len(grammar_ids) == 47
+    grammar_ids = ["in_dist"] + [p.id for p in patterns]
+    assert len(grammar_ids) == 43
     templates = {}
     for gid in grammar_ids:
         for prod in bank.grammar_for(gid).productions:
