@@ -19,10 +19,20 @@ fixpoint; a literal contributes its text and a slot its surfaces.  A
 production is not tried over a span shorter than its minimum length or
 whose first or last token it cannot begin or end with, and ``cover`` gives
 a nonterminal only the splits that fit these bounds and leave room for the
-minimum length of the symbols after it.  Every production or split skipped
-so derives nothing, and outside a unit cycle a span's trees do not depend
-on which spans were expanded before it, so the lists are those of the
-unpruned enumeration.  The audit grammar has no unit cycle.
+minimum length of the symbols after it.  The split must also suit the next
+symbol: a nonterminal at ``rhs[k]`` ends at ``mid`` only where
+``tokens[mid]`` can start ``rhs[k+1]`` (its literal, a surface of its slot,
+or its FIRST set), and a final nonterminal ends only at the span's end.
+Every production or split skipped so derives nothing, and outside a unit
+cycle a span's trees do not depend on which spans were expanded before it,
+so the lists are those of the unpruned enumeration, in the same order.  The
+audit grammar has no unit cycle.
+
+A terminal's leaf options at a position are built once per parse, and every
+tree that puts that symbol there shares them: one leaf object per symbol
+and position, as one subtree object per memoized span.  Equal leaves at
+different positions stay distinct objects, which is what edits that find
+a leaf by identity (``naturalize``) rely on.
 
 ``limit`` caps the trees kept for each (nonterminal, span), so the result
 has at most ``limit`` trees.  All productions participate, including
@@ -62,11 +72,7 @@ def _solve(g: Pcfg) -> SpanTables:
         return minlen.get(sym.name, inf) if isinstance(sym, NT) else 1
 
     def edge(sym, table):
-        if isinstance(sym, Lit):
-            return frozenset((sym.text,))
-        if isinstance(sym, Slot):
-            return frozenset(g.slot_surfaces(sym))
-        return table.get(sym.name, frozenset())
+        return frozenset(_edge(g, sym, table))
 
     changed = True
     while changed:
@@ -86,6 +92,16 @@ def _solve(g: Pcfg) -> SpanTables:
     return SpanTables(minlen, first, last, rules)
 
 
+def _edge(g: Pcfg, sym, table):
+    """The tokens ``sym`` can start with (``table`` is FIRST) or end with
+    (``table`` is LAST), as a container."""
+    if isinstance(sym, Lit):
+        return (sym.text,)
+    if isinstance(sym, Slot):
+        return g.slot_surfaces(sym)
+    return table.get(sym.name, ())
+
+
 def _leaf_options(g: Pcfg, sym, token):
     if isinstance(sym, Lit):
         return [LitNode(token)] if token == sym.text else []
@@ -98,6 +114,7 @@ def parse(g: Pcfg, tokens, limit: int = 200) -> list:
     tokens = list(tokens)
     minlen, first, last, rules = span_tables(g)
     memo = {}
+    leaves = {}  # (terminal symbol, position) -> its leaf options there
 
     def build_nt(name, i, j):
         memo[(name, i, j)] = []  # guard against unit cycles
@@ -124,7 +141,10 @@ def parse(g: Pcfg, tokens, limit: int = 200) -> list:
             return
         sym = rhs[k]
         if isinstance(sym, (Lit, Slot)):
-            for leaf in _leaf_options(g, sym, tokens[i]):
+            options = leaves.get((sym, i))
+            if options is None:
+                options = leaves[(sym, i)] = _leaf_options(g, sym, tokens[i])
+            for leaf in options:
                 for tail in cover(rhs, suffix, k + 1, i + 1, j):
                     yield (leaf,) + tail
             return
@@ -132,7 +152,14 @@ def parse(g: Pcfg, tokens, limit: int = 200) -> list:
         if tokens[i] not in first[name]:
             return
         ends = last[name]
-        for mid in range(i + minlen[name], j - suffix[k + 1] + 1):
+        if k + 1 == len(rhs):
+            mids = (j,)
+        else:
+            nexts = _edge(g, rhs[k + 1], first)
+            mids = [mid for mid in range(i + minlen[name],
+                                         j - suffix[k + 1] + 1)
+                    if tokens[mid] in nexts]
+        for mid in mids:
             if tokens[mid - 1] not in ends:
                 continue
             subs = memo.get((name, i, mid))

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import accumulate, product
 from random import Random
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 CONSTRUCTS = ("CP", "PP", "CenterEmbedRC", "Adj")
 
@@ -125,14 +125,18 @@ class Production:
             raise GrammarError(f"production {self.id}: negative weight")
 
 
-@dataclass(frozen=True)
-class ProdNode:
+# Derivation tree nodes.  A run builds hundreds of thousands of them, so
+# they are named tuples: immutable and hashable, and built without the
+# object.__setattr__ per field that a frozen dataclass pays.  Equality is
+# tuple equality; code that must tell two equal nodes apart (a tree's leaf
+# positions) compares them with ``is``.
+
+class ProdNode(NamedTuple):
     production: Production
     children: tuple
 
 
-@dataclass(frozen=True)
-class LeafNode:
+class LeafNode(NamedTuple):
     entry: LexEntry
     bundle: str
     tag: str
@@ -142,8 +146,7 @@ class LeafNode:
         return self.entry.form(self.bundle)
 
 
-@dataclass(frozen=True)
-class LitNode:
+class LitNode(NamedTuple):
     text: str
 
 
@@ -231,6 +234,8 @@ class Pcfg:
         self._slot_cache = {}
         self._surface_cache = {}
         self._intersections = {}  # constraints -> _Intersection
+        # constraints -> solved inside weights; shared by restrict_slots copies
+        self._inside = {}
         self._span_tables = None  # earley.span_tables
 
     # -- lexical slot machinery -------------------------------------------
@@ -261,7 +266,12 @@ class Pcfg:
         return cached
 
     def restrict_slots(self, overrides: dict) -> "Pcfg":
-        """New grammar with slot tags restricted to the given lemma sets."""
+        """New grammar with slot tags restricted to the given lemma sets.
+
+        The copy shares this grammar's solved inside weights (see
+        ``_Intersection``): they depend on the productions' ids, weights,
+        constructs and nonterminals, never on which lemmas a slot admits,
+        so a constraint set solved for one of them is solved for all."""
         def remap(sym):
             if isinstance(sym, Slot) and sym.tag in overrides:
                 return replace(sym, lemmas=frozenset(overrides[sym.tag]))
@@ -269,7 +279,9 @@ class Pcfg:
 
         prods = [replace(p, rhs=tuple(remap(s) for s in p.rhs))
                  for p in self.productions]
-        return Pcfg(self.start, prods, self.lexicon, self.zipf_exponent)
+        copy = Pcfg(self.start, prods, self.lexicon, self.zipf_exponent)
+        copy._inside = self._inside
+        return copy
 
     # -- validation --------------------------------------------------------
 
@@ -488,7 +500,11 @@ class _Intersection:
         self.root = (grammar.start, (0,) * len(self.targets), 0, flags)
         self._options = {}
         self._weights = {}
-        self._z = self._solve(flags) if c != Constraints() else None
+        self._z = None
+        if c != Constraints():
+            self._z = grammar._inside.get(c)
+            if self._z is None:
+                self._z = grammar._inside[c] = self._solve(flags)
 
     def _step(self, prod, path, negated):
         """(path below ``prod``, flags ``prod`` satisfies), or None where

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .grammar import GrammarError, LeafNode, Lit, ProdNode
 
@@ -89,13 +89,13 @@ class MorphTable:
 
 # -- target trees -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class TLeaf:
+# Named tuples for the same reason as the source tree's nodes (grammar.py).
+
+class TLeaf(NamedTuple):
     token: str
 
 
-@dataclass(frozen=True)
-class TNode:
+class TNode(NamedTuple):
     source: object  # the ProdNode / LeafNode this node rewrites
     children: tuple
 

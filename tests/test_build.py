@@ -5,7 +5,6 @@ from random import Random
 import pytest
 
 from compmt import build
-from compmt.bank import Bank
 from compmt.build import (SPLITS, RunConfig, SentenceRecord, _draw,
                           build_splits, child_seed, concatenate_for_length,
                           read_corpus, write_corpus)
@@ -202,19 +201,28 @@ def _cp_depth_three(tree):
     return set(), {"CP": 3}
 
 
+def _count_draws(monkeypatch, grammar):
+    """The list that gets one item per root draw from ``grammar``.  The
+    patch is on the class, so undoing it leaves nothing on the shared
+    bank's grammar that would hide it from later class-level patches."""
+    sample, draws = Pcfg.sample_with_rng, []
+
+    def counted(self, rng, constraints=None):
+        if self is grammar:
+            draws.append(1)
+        return sample(self, rng, constraints)
+
+    monkeypatch.setattr(Pcfg, "sample_with_rng", counted)
+    return draws
+
+
 def test_draw_gives_up_after_its_budget(bank, monkeypatch):
     with pytest.raises(UnsatisfiableConstraintError,
                        match="^test stream: no fresh record in 10000"):
         _draw(bank.grammar, Random(0), None, lambda tree: False, bank,
               default_case_frames(), False, set(), [0], "test stream")
     # Constraints that admit no tree raise before the first root draw.
-    sample, draws = bank.grammar.sample_with_rng, []
-
-    def counted(rng, constraints):
-        draws.append(1)
-        return sample(rng, constraints)
-
-    monkeypatch.setattr(bank.grammar, "sample_with_rng", counted)
+    draws = _count_draws(monkeypatch, bank.grammar)
     never = Constraints(required=frozenset({"root_decl", "root_q"}))
     with pytest.raises(UnsatisfiableConstraintError,
                        match=r"^test stream: no tree meets the constraints "
@@ -222,6 +230,8 @@ def test_draw_gives_up_after_its_budget(bank, monkeypatch):
         _draw(bank.grammar, Random(0), never, None, bank,
               default_case_frames(), False, set(), [0], "test stream")
     assert draws == []
+    monkeypatch.undo()
+    assert "sample_with_rng" not in vars(bank.grammar)
 
 
 def test_concatenation_part_draw_is_bounded(bank, monkeypatch):
@@ -241,19 +251,15 @@ def test_concatenation_record_has_one_draw_budget(bank, monkeypatch):
     """Parts and retries of one record share DRAW_BUDGET root draws, checked
     after each part: a record overdraws by at most one part's budget."""
     monkeypatch.setattr(build, "DRAW_BUDGET", 20)
-    sample, draws = bank.grammar.sample_with_rng, []
-
-    def counted(rng, constraints):
-        draws.append(1)
-        return sample(rng, constraints)
-
-    monkeypatch.setattr(bank.grammar, "sample_with_rng", counted)
+    draws = _count_draws(monkeypatch, bank.grammar)
     with pytest.raises(UnsatisfiableConstraintError,
                        match=r"^concatenation record 0: no fresh joined pair "
                              r"in \d+ root draws$"):
         concatenate_for_length(bank, default_case_frames(), 1, 1, 10, False,
                                _EveryPairUsed(), [0])
     assert 20 <= len(draws) < 2 * 20
+    monkeypatch.undo()
+    assert "sample_with_rng" not in vars(bank.grammar)
 
 
 def test_in_distribution_pool_draw_is_bounded(bank, monkeypatch):
@@ -269,12 +275,9 @@ def test_in_distribution_pool_draw_is_bounded(bank, monkeypatch):
         build_splits(RunConfig(scale=0.001), bank=bank)
 
 
-def test_manifest_counts_every_root_draw(tmp_path, monkeypatch):
+def test_manifest_counts_every_root_draw(bank, tmp_path, monkeypatch):
     """The manifest's root_draws total is the build's sample_with_rng
     calls, and the serial and parallel builds write the same manifest."""
-    # A bank of its own: tests that patch the shared bank's grammar leave
-    # the method bound on the instance, out of reach of a class patch.
-    bank = Bank()
     calls = []
     sample = Pcfg.sample_with_rng
 

@@ -1,10 +1,11 @@
 import hashlib
 import json
 import re
+from itertools import product
 from random import Random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from compmt.audit import PARSE_LIMIT, audit_grammar, segment
 from compmt.earley import parse, span_tables
@@ -221,3 +222,104 @@ def test_repeated_word_gets_a_leaf_per_position(bank):
     [tree] = parse(g, "the woman found the small small panda .".split())
     small = [leaf for leaf in iter_leaves(tree) if leaf.entry.lemma == "small"]
     assert len(small) == 2 and small[0] is not small[1]
+
+
+# -- the pruned parser against plain enumeration -----------------------------
+
+_TOY_LEXICON = Lexicon([LexEntry(lemma, "N", forms={"base": surface},
+                                 zipf_rank=rank)
+                        for rank, (lemma, surface) in
+                        enumerate((("x1", "x"), ("x2", "x"), ("b", "b")), 1)])
+# two literals and two slots over the tokens "a", "b" and "x": "x" is two
+# entries, and "b" is a literal and a slot surface.
+_TOY_TERMINALS = (Lit("a"), Lit("b"), Slot("N", "base", "n"),
+                  Slot("N", "base", "m", frozenset({"x2", "b"})))
+_TOY_TOKENS = ("a", "b", "x")
+
+
+@st.composite
+def _toy_grammars(draw):
+    """Grammars of at most 6 nonterminals, with no empty right-hand side
+    and no unit cycle: N<i> -> N<k> only for k > i."""
+    n = draw(st.integers(min_value=1, max_value=6))
+
+    def symbols(lowest_nt):
+        terminals = st.sampled_from(_TOY_TERMINALS)
+        if lowest_nt >= n:
+            return terminals
+        return terminals | st.integers(min_value=lowest_nt,
+                                       max_value=n - 1).map(
+            lambda k: NT(f"N{k}"))
+
+    prods = []
+    for i in range(n):
+        for r in range(draw(st.integers(min_value=1, max_value=3))):
+            size = draw(st.integers(min_value=1, max_value=3))
+            rhs = tuple(draw(symbols(i + 1 if size == 1 else 0))
+                        for _ in range(size))
+            prods.append(Production(f"n{i}_{r}", f"N{i}", rhs))
+    long = [p.rhs for p in prods if len(p.rhs) > 1]
+    assume(any(isinstance(rhs[-1], NT) for rhs in long))
+    assume(any(isinstance(s, NT) for rhs in long for s in rhs[:-1]))
+    return Pcfg("N0", prods, _TOY_LEXICON)
+
+
+def _parse_every_split(g, tokens, limit):
+    """``parse`` without its pruning: every production over every span and
+    every split that leaves each later symbol a token, in the same order,
+    each span's list cut at ``limit``.  (A split that leaves none could
+    reach a span of a unit chain that is in progress, whose guard would
+    then be memoized as its list.)"""
+    memo = {}
+
+    def build_nt(name, i, j):
+        if (name, i, j) not in memo:
+            memo[(name, i, j)] = []
+            results = []
+            for p in g.by_lhs[name]:
+                for children in cover(p.rhs, 0, i, j):
+                    results.append(ProdNode(p, children))
+                    if len(results) >= limit:
+                        break
+                if len(results) >= limit:
+                    break
+            memo[(name, i, j)] = results
+        return memo[(name, i, j)]
+
+    def cover(rhs, k, i, j):
+        if k == len(rhs):
+            if i == j:
+                yield ()
+            return
+        sym = rhs[k]
+        if i == j:
+            return
+        if isinstance(sym, NT):
+            for mid in range(i + 1, j - (len(rhs) - k - 1) + 1):
+                subs = build_nt(sym.name, i, mid)
+                for tail in cover(rhs, k + 1, mid, j):
+                    for sub in subs:
+                        yield (sub,) + tail
+        elif isinstance(sym, Lit):
+            if tokens[i] == sym.text:
+                for tail in cover(rhs, k + 1, i + 1, j):
+                    yield (LitNode(sym.text),) + tail
+        else:
+            for e in g.slot_surfaces(sym).get(tokens[i], ()):
+                for tail in cover(rhs, k + 1, i + 1, j):
+                    yield (LeafNode(e, sym.bundle, sym.tag),) + tail
+
+    return build_nt(g.start, 0, len(tokens))
+
+
+@settings(max_examples=15, deadline=None)
+@given(g=_toy_grammars())
+def test_pruned_parse_lists_equal_plain_enumeration(g):
+    """The FIRST/LAST/length tables and the next-symbol filter skip only
+    splits that derive nothing: every string of up to 6 tokens gets the
+    same trees in the same order, with and without a small limit."""
+    for n in range(1, 7):
+        for tokens in product(_TOY_TOKENS, repeat=n):
+            for limit in (200, 2):
+                assert parse(g, tokens, limit) == \
+                    _parse_every_split(g, tokens, limit), (tokens, limit)

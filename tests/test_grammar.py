@@ -3,10 +3,17 @@ from random import Random
 
 import pytest
 
-from compmt.grammar import (Constraints, GrammarError, LexEntry, Lexicon,
-                            Lit, LitNode, NT, Pcfg, ProdNode, Production,
-                            Slot, UnsatisfiableConstraintError, profile,
-                            yield_tokens)
+from compmt import grammar
+from compmt.bank import analyze
+from compmt.build import _annotate
+from compmt.earley import parse
+from compmt.grammar import (Constraints, GrammarError, LeafNode, LexEntry,
+                            Lexicon, Lit, LitNode, NT, Pcfg, ProdNode,
+                            Production, Slot, UnsatisfiableConstraintError,
+                            iter_leaves, iter_nodes, profile, yield_tokens)
+from compmt.naturalize import _replace_leaf, default_case_frames, naturalize
+from compmt.transduce import TLeaf, TNode, linearize, span_for_source, \
+    transduce
 
 
 def _toy_lexicon():
@@ -76,6 +83,30 @@ def test_restrict_slots_swaps_lemma_sets():
     lemmas = {yield_tokens(g.sample_with_rng(Random(seed)))[-1]
               for seed in range(40)}
     assert len(lemmas) > 1
+
+
+def test_restricted_copy_reuses_the_solved_inside_weights(monkeypatch):
+    g = _toy_grammar()
+    one = Constraints(required=frozenset({"a_one"}))
+    g.sample_with_rng(Random(0), one)
+    solves = []
+    solve = grammar._Intersection._solve
+
+    def counted(self, flags):
+        solves.append(flags)
+        return solve(self, flags)
+
+    monkeypatch.setattr(grammar._Intersection, "_solve", counted)
+    owl = g.restrict_slots({"n:head": {"owl"}})
+    rng = Random(7)
+    for _ in range(20):
+        assert yield_tokens(owl.sample_with_rng(rng, one)) == ["one", "owl"]
+    assert solves == []
+    # new constraints are solved once, for the copy and its parent alike
+    two = Constraints(forbidden=frozenset({"a_one"}))
+    assert yield_tokens(owl.sample_with_rng(rng, two)) == ["two", "owl"]
+    g.sample_with_rng(rng, two)
+    assert len(solves) == 1
 
 
 def test_sampling_is_deterministic_in_seed():
@@ -185,3 +216,63 @@ def test_default_bank_grammars_validate(bank, patterns):
     assert bank.grammar_for("in_dist").validate() == []
     for p in patterns:
         assert p.gen_grammar.validate() == [], p.id
+
+
+def _value_pairs():
+    """(node, an equal node built separately, a node unequal to it) for
+    every tree node type."""
+    entry = _toy_lexicon().get("cat", "N")
+    prod = _toy_grammar().by_id["a_one"]
+    return [
+        (ProdNode(prod, (LitNode("one"),)), ProdNode(prod, (LitNode("one"),)),
+         ProdNode(prod, (LitNode("two"),))),
+        (LeafNode(entry, "base", "n:head"), LeafNode(entry, "base", "n:head"),
+         LeafNode(entry, "base", "n:dobj")),
+        (LitNode("one"), LitNode("one"), LitNode("two")),
+        (TNode(prod, (TLeaf("a"),)), TNode(prod, (TLeaf("a"),)),
+         TNode(prod, (TLeaf("b"),))),
+        (TLeaf("a"), TLeaf("a"), TLeaf("b")),
+    ]
+
+
+@pytest.mark.parametrize("node, twin, other", _value_pairs())
+def test_tree_nodes_are_immutable_values(node, twin, other):
+    for name in node._fields:
+        with pytest.raises(AttributeError):
+            setattr(node, name, None)
+    assert node == twin and node is not twin and hash(node) == hash(twin)
+    assert node != other
+    assert len({node, twin, other}) == 2
+
+
+def test_tree_edits_find_nodes_by_identity(bank, patterns):
+    """Equal nodes at different places in a tree stay apart: a repair
+    replaces one leaf object, and a span is that of one node object."""
+    g = bank.grammar_for("in_dist")
+    [tree] = parse(g, "the woman found the small small panda .".split())
+    first, second = [lf for lf in iter_leaves(tree)
+                     if lf.entry.lemma == "small"]
+    assert first == second
+    big = LeafNode(g.lexicon.get("big", first.entry.pos), first.bundle,
+                   first.tag)
+    edited = _replace_leaf(tree, second, big)
+    assert [lf.entry.lemma for lf in iter_leaves(edited)] == \
+        ["woman", "find", "small", "big", "panda"]
+
+    [tree] = parse(g, "the teacher ate the bed .".split())
+    fixed, _, changed, _ = naturalize(tree, analyze(tree),
+                                      default_case_frames(), Random(0),
+                                      g.lexicon)
+    kept = [(a, b) for a, b in zip(iter_leaves(tree), iter_leaves(fixed))]
+    assert changed and [a is b for a, b in kept] == [True, True, False]
+
+    spec = next(p for p in patterns if p.target_kind == "np")
+    tree = spec.gen_grammar.sample_with_rng(Random(0),
+                                            spec.constraints_for(0))
+    tt = transduce(tree, bank.dictionary, bank.morph)
+    annotation, _, _ = _annotate(tree, analyze(tree), tt, linearize(tt),
+                                 spec)
+    node = next(nd for nd in iter_nodes(tree) if nd.production.annot_target)
+    assert annotation["target_constituent_ref_tokens"] == \
+        linearize(transduce(node, bank.dictionary, bank.morph))
+    assert span_for_source(tt, ProdNode(*node)) is None
