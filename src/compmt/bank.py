@@ -495,7 +495,7 @@ def _np_head(node):
             continue
         if not isinstance(cur, ProdNode):
             continue
-        if cur is not node and _is_clause(cur.production):
+        if cur is not node and cur.production.is_clause:
             continue
         if cur.production.id.startswith("pp_"):
             continue
@@ -503,65 +503,10 @@ def _np_head(node):
     return None
 
 
-def _is_clause(prod: Production) -> bool:
-    return any(isinstance(s, Slot) and s.pos == "Verb" for s in prod.rhs)
-
-
 def analyze(tree: ProdNode) -> Analysis:
     out = Analysis()
     out.ids, out.depths = profile(tree)
-
-    def clause(node: ProdNode):
-        """Collect facts for the clause headed at node, recursing into
-        nested clauses separately."""
-        verb = None
-        heads = []
-        for child in node.children:
-            if isinstance(child, LeafNode):
-                if child.entry.pos == "Verb":
-                    out.verbs.append(_verb_facts(child))
-                    if verb is None and _tag_stem(child.tag) != "infbase":
-                        verb = child
-            elif isinstance(child, ProdNode):
-                if _is_clause(child.production):
-                    clause(child)
-                else:
-                    walk_np(child, heads)
-        for head in heads:
-            stem = _tag_stem(head.tag)
-            sel = _SELECTIONAL_ROLE.get(stem)
-            if verb is not None and sel is not None:
-                if sel == "inanimate_subject" or \
-                        head.entry.features.get("animacy") == "inanimate" \
-                        or sel == "direct_object":
-                    out.pairs.append(
-                        (verb.entry.lemma, sel, head.entry.lemma, head.tag))
-
-    def walk_np(node: ProdNode, heads):
-        """Record the head of this NP and descend into its modifiers."""
-        head = _np_head(node)
-        if head is not None:
-            heads.append(head)
-        stack = list(node.children)
-        while stack:
-            cur = stack.pop()
-            if not isinstance(cur, ProdNode):
-                continue
-            if _is_clause(cur.production):
-                clause(cur)
-                # Gap link: the head is the object of an object-gap RC.
-                if cur.production.id == "rc_objgap" and head is not None:
-                    rcv = next((ch for ch in cur.children
-                                if isinstance(ch, LeafNode)
-                                and ch.entry.pos == "Verb"), None)
-                    if rcv is not None:
-                        out.pairs.append(
-                            (rcv.entry.lemma, "direct_object",
-                             head.entry.lemma, head.tag))
-            else:
-                stack.extend(cur.children)
-
-    clause(tree)
+    _clause(tree, out)
     for leaf in iter_leaves(tree):
         role = tag_role(leaf.tag)
         if role is not None:
@@ -571,6 +516,59 @@ def analyze(tree: ProdNode) -> Analysis:
     out.flags = {_FLAG_IDS[i] for i in map(base_name, out.ids)
                  if i in _FLAG_IDS}
     return out
+
+
+def _clause(node: ProdNode, out: Analysis):
+    """Collect into ``out`` the facts of the clause headed at node,
+    recursing into nested clauses separately."""
+    verb = None
+    heads = []
+    for child in node.children:
+        if isinstance(child, LeafNode):
+            if child.entry.pos == "Verb":
+                out.verbs.append(_verb_facts(child))
+                if verb is None and _tag_stem(child.tag) != "infbase":
+                    verb = child
+        elif isinstance(child, ProdNode):
+            if child.production.is_clause:
+                _clause(child, out)
+            else:
+                _walk_np(child, heads, out)
+    for head in heads:
+        stem = _tag_stem(head.tag)
+        sel = _SELECTIONAL_ROLE.get(stem)
+        if verb is not None and sel is not None:
+            if sel == "inanimate_subject" or \
+                    head.entry.features.get("animacy") == "inanimate" \
+                    or sel == "direct_object":
+                out.pairs.append(
+                    (verb.entry.lemma, sel, head.entry.lemma, head.tag))
+
+
+def _walk_np(node: ProdNode, heads: list, out: Analysis):
+    """Record the head of this NP in ``heads`` and descend into its
+    modifiers."""
+    head = _np_head(node)
+    if head is not None:
+        heads.append(head)
+    stack = list(node.children)
+    while stack:
+        cur = stack.pop()
+        if not isinstance(cur, ProdNode):
+            continue
+        if cur.production.is_clause:
+            _clause(cur, out)
+            # Gap link: the head is the object of an object-gap RC.
+            if cur.production.id == "rc_objgap" and head is not None:
+                rcv = next((ch for ch in cur.children
+                            if isinstance(ch, LeafNode)
+                            and ch.entry.pos == "Verb"), None)
+                if rcv is not None:
+                    out.pairs.append(
+                        (rcv.entry.lemma, "direct_object",
+                         head.entry.lemma, head.tag))
+        else:
+            stack.extend(cur.children)
 
 
 # --------------------------------------------------------------------------

@@ -34,6 +34,12 @@ and position, as one subtree object per memoized span.  Equal leaves at
 different positions stay distinct objects, which is what edits that find
 a leaf by identity (``naturalize``) rely on.
 
+The memo and the leaf options live on one ``_Parse`` object per call, whose
+methods recurse through ``self``.  No helper refers to itself through a
+closure, so a call leaves no reference cycle: its memo and every tree the
+caller does not keep are freed when it returns, by reference counting
+alone, without waiting for the cyclic garbage collector.
+
 ``limit`` caps the trees kept for each (nonterminal, span), so the result
 has at most ``limit`` trees.  All productions participate, including
 zero-weight ones (those exist for parse-only constructions such as
@@ -112,18 +118,30 @@ def _leaf_options(g: Pcfg, sym, token):
 def parse(g: Pcfg, tokens, limit: int = 200) -> list:
     """All derivations of the token sequence; empty list if unparseable."""
     tokens = list(tokens)
-    minlen, first, last, rules = span_tables(g)
-    memo = {}
-    leaves = {}  # (terminal symbol, position) -> its leaf options there
+    return _Parse(g, tokens, limit).build_nt(g.start, 0, len(tokens))
 
-    def build_nt(name, i, j):
+
+class _Parse:
+    """One call of ``parse``: its tokens, pruning tables, memo and leaf
+    options, freed when ``parse`` returns its list."""
+
+    def __init__(self, g: Pcfg, tokens: list, limit: int):
+        self.g = g
+        self.tokens = tokens
+        self.limit = limit
+        self.minlen, self.first, self.last, self.rules = span_tables(g)
+        self.memo = {}
+        self.leaves = {}  # (terminal symbol, position) -> its leaf options
+
+    def build_nt(self, name, i, j):
+        memo, tokens, limit = self.memo, self.tokens, self.limit
         memo[(name, i, j)] = []  # guard against unit cycles
         results = []
-        for p, suffix, starts, ends in rules.get(name, ()):
+        for p, suffix, starts, ends in self.rules.get(name, ()):
             if (j - i < suffix[0] or tokens[i] not in starts
                     or tokens[j - 1] not in ends):
                 continue
-            for children in cover(p.rhs, suffix, 0, i, j):
+            for children in self.cover(p.rhs, suffix, 0, i, j):
                 results.append(ProdNode(p, children))
                 if len(results) >= limit:
                     break
@@ -132,42 +150,43 @@ def parse(g: Pcfg, tokens, limit: int = 200) -> list:
         memo[(name, i, j)] = results
         return results
 
-    def cover(rhs, suffix, k, i, j):
+    def cover(self, rhs, suffix, k, i, j):
         """All child tuples deriving tokens[i:j] from rhs[k:], given
         j - i >= suffix[k]."""
         if k == len(rhs):
             if i == j:
                 yield ()
             return
+        tokens = self.tokens
         sym = rhs[k]
         if isinstance(sym, (Lit, Slot)):
-            options = leaves.get((sym, i))
+            options = self.leaves.get((sym, i))
             if options is None:
-                options = leaves[(sym, i)] = _leaf_options(g, sym, tokens[i])
+                options = self.leaves[(sym, i)] = \
+                    _leaf_options(self.g, sym, tokens[i])
             for leaf in options:
-                for tail in cover(rhs, suffix, k + 1, i + 1, j):
+                for tail in self.cover(rhs, suffix, k + 1, i + 1, j):
                     yield (leaf,) + tail
             return
         name = sym.name
-        if tokens[i] not in first[name]:
+        if tokens[i] not in self.first[name]:
             return
-        ends = last[name]
+        ends = self.last[name]
         if k + 1 == len(rhs):
             mids = (j,)
         else:
-            nexts = _edge(g, rhs[k + 1], first)
-            mids = [mid for mid in range(i + minlen[name],
+            nexts = _edge(self.g, rhs[k + 1], self.first)
+            mids = [mid for mid in range(i + self.minlen[name],
                                          j - suffix[k + 1] + 1)
                     if tokens[mid] in nexts]
+        memo = self.memo
         for mid in mids:
             if tokens[mid - 1] not in ends:
                 continue
             subs = memo.get((name, i, mid))
             if subs is None:
-                subs = build_nt(name, i, mid)
+                subs = self.build_nt(name, i, mid)
             if subs:
-                for tail in cover(rhs, suffix, k + 1, mid, j):
+                for tail in self.cover(rhs, suffix, k + 1, mid, j):
                     for sub in subs:
                         yield (sub,) + tail
-
-    return build_nt(g.start, 0, len(tokens))

@@ -123,13 +123,21 @@ class Production:
             raise GrammarError(f"production {self.id}: empty rhs")
         if self.weight < 0:
             raise GrammarError(f"production {self.id}: negative weight")
+        # Whether the production heads a clause: it has a verb slot.  A
+        # plain attribute, not a field, so it stays out of equality, hash
+        # and repr; ``replace`` copies compute it afresh.
+        object.__setattr__(self, "is_clause", any(
+            isinstance(s, Slot) and s.pos == "Verb" for s in self.rhs))
 
 
 # Derivation tree nodes.  A run builds hundreds of thousands of them, so
 # they are named tuples: immutable and hashable, and built without the
 # object.__setattr__ per field that a frozen dataclass pays.  Equality is
 # tuple equality; code that must tell two equal nodes apart (a tree's leaf
-# positions) compares them with ``is``.
+# positions) compares them with ``is``.  No walker over them is a closure
+# that refers to itself: each recursive helper is a module-level function
+# or a method, so no call leaves a reference cycle behind, and reference
+# counting frees a tree as soon as its last user lets it go.
 
 class ProdNode(NamedTuple):
     production: Production
@@ -190,19 +198,21 @@ def profile(tree: ProdNode) -> tuple:
     A construct's depth is the most productions tagged with it on any path
     from the root: how deeply it nests within itself."""
     ids, depths = set(), dict.fromkeys(CONSTRUCTS, 0)
-
-    def walk(node, path):  # path: the constructs tagged above node
-        ids.add(node.production.id)
-        construct = node.production.construct
-        if construct:
-            path += (construct,)
-            depths[construct] = max(depths[construct], path.count(construct))
-        for child in node.children:
-            if isinstance(child, ProdNode):
-                walk(child, path)
-
-    walk(tree, ())
+    _profile_walk(tree, (), ids, depths)
     return ids, depths
+
+
+def _profile_walk(node, path, ids, depths):
+    """``profile``'s walk below ``node``; ``path`` holds the constructs
+    tagged above it."""
+    ids.add(node.production.id)
+    construct = node.production.construct
+    if construct:
+        path += (construct,)
+        depths[construct] = max(depths[construct], path.count(construct))
+    for child in node.children:
+        if isinstance(child, ProdNode):
+            _profile_walk(child, path, ids, depths)
 
 
 @dataclass
@@ -233,6 +243,7 @@ class Pcfg:
             self.by_lhs.setdefault(p.lhs, []).append(p)
         self._slot_cache = {}
         self._surface_cache = {}
+        self._plans = {}  # production id -> _plan
         self._intersections = {}  # constraints -> _Intersection
         # constraints -> solved inside weights; shared by restrict_slots copies
         self._inside = {}
@@ -369,24 +380,44 @@ class Pcfg:
         table = self._intersection(constraints)
         return table.options(table.root)[2] > 0
 
+    def _plan(self, prod: Production) -> tuple:
+        """How ``_expand`` fills each symbol of ``prod``'s right-hand side:
+        None for a nonterminal, a literal's text, or a slot's (entries,
+        running sums, bundle, tag).  Built once per production; a
+        ``restrict_slots`` copy builds its own from its own slots."""
+        steps = []
+        for sym in prod.rhs:
+            if isinstance(sym, NT):
+                steps.append(None)
+            elif isinstance(sym, Slot):
+                entries, sums = self.slot_candidates(sym)
+                if not entries:
+                    raise GrammarError(f"slot {sym.tag} admits no entries")
+                steps.append((entries, sums, sym.bundle, sym.tag))
+            else:
+                steps.append(sym.text)
+        plan = self._plans[prod.id] = tuple(steps)
+        return plan
+
     def _expand(self, key, rng: Random, table: "_Intersection"):
         options, cum, total = table.options(key)
         if not options:
             raise GrammarError(f"no sampleable productions for {key[0]}")
         prod, child_keys = options[_pick(cum, rng.random() * total)]
+        plan = self._plans.get(prod.id)
+        if plan is None:
+            plan = self._plan(prod)
         child_keys = iter(child_keys)
         children = []
-        for sym in prod.rhs:
-            if isinstance(sym, NT):
+        for step in plan:
+            if step is None:
                 children.append(self._expand(next(child_keys), rng, table))
-            elif isinstance(sym, Slot):
-                entries, sums = self.slot_candidates(sym)
-                if not entries:
-                    raise GrammarError(f"slot {sym.tag} admits no entries")
-                children.append(LeafNode(entries[_pick(sums, rng.random())],
-                                         sym.bundle, sym.tag))
+            elif isinstance(step, str):
+                children.append(LitNode(step))
             else:
-                children.append(LitNode(sym.text))
+                entries, sums, bundle, tag = step
+                children.append(LeafNode(entries[_pick(sums, rng.random())],
+                                         bundle, tag))
         return ProdNode(prod, tuple(children))
 
     def sample_with_rng(self, rng: Random, constraints: "Constraints" = None):
@@ -488,7 +519,9 @@ class _Intersection:
 
     def __init__(self, grammar: Pcfg, constraints: Optional[Constraints]):
         c = constraints or Constraints()
-        self.grammar = grammar
+        # The productions only, not the grammar: the grammar caches this
+        # table, and a reference back would make the pair a cycle.
+        self.by_lhs = grammar.by_lhs
         self.forbidden = c.forbidden
         self.constructs = tuple(construct for construct, _ in c.depths)
         self.targets = tuple(depth for _, depth in c.depths)
@@ -527,7 +560,7 @@ class _Intersection:
     def _solve(self, flags):
         """Inside weights {(negated, lhs, path): probability} of the events
         without pending flags, for every ``negated`` within ``flags``."""
-        by_lhs = self.grammar.by_lhs
+        by_lhs = self.by_lhs
         paths = list(product(*(range(d + 1) for d in self.targets)))
         rules = []
         for negated in range(flags + 1):
@@ -592,7 +625,7 @@ class _Intersection:
     def _choices(self, key):
         lhs, path, negated, pending = key
         choices, weights = [], []
-        for prod in self.grammar.by_lhs.get(lhs, ()):
+        for prod in self.by_lhs.get(lhs, ()):
             step = self._step(prod, path, negated)
             if step is None:
                 continue

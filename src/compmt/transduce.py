@@ -50,6 +50,9 @@ class BilingualDictionary:
 
     def __init__(self, rows: Iterable[tuple]):
         self.entries = {}
+        # (morph table, lemma, pos, bundle, tense, voice) -> the TLeaf tuple
+        # ``render_leaf`` built from this dictionary and that table.
+        self._rendered = {}
         for lemma, pos, bundle, tokens in rows:
             key = (lemma, pos, bundle)
             if key in self.entries:
@@ -116,66 +119,77 @@ def linearize(tt) -> list:
 def render_leaf(leaf: LeafNode, dictionary: BilingualDictionary,
                 morph: MorphTable, tense=None, voice=None) -> TNode:
     """Target node of one lexical leaf.  A verb is inflected for its
-    bundle's tense and voice unless ``tense`` or ``voice`` overrides them."""
+    bundle's tense and voice unless ``tense`` or ``voice`` overrides them.
+    The target leaves are built once per dictionary, morphology table and
+    (lemma, pos, bundle, tense, voice); every call gets a node of its own."""
     entry = leaf.entry
-    if entry.pos == "Verb":
-        bt, bv = BUNDLE_TV[leaf.bundle]
-        cls = dictionary.verb_class(entry.lemma)
-        stem_key, suffixes = morph.inflect(cls, tense or bt, voice or bv)
-        tokens = dictionary.lookup(entry.lemma, "Verb", stem_key) + suffixes
-    else:
-        tokens = dictionary.lookup(entry.lemma, entry.pos, leaf.bundle)
-    return TNode(leaf, tuple(TLeaf(t) for t in tokens))
+    key = (morph, entry.lemma, entry.pos, leaf.bundle, tense, voice)
+    leaves = dictionary._rendered.get(key)
+    if leaves is None:
+        if entry.pos == "Verb":
+            bt, bv = BUNDLE_TV[leaf.bundle]
+            cls = dictionary.verb_class(entry.lemma)
+            stem_key, suffixes = morph.inflect(cls, tense or bt, voice or bv)
+            tokens = dictionary.lookup(entry.lemma, "Verb", stem_key) \
+                + suffixes
+        else:
+            tokens = dictionary.lookup(entry.lemma, entry.pos, leaf.bundle)
+        leaves = dictionary._rendered[key] = tuple(TLeaf(t) for t in tokens)
+    return TNode(leaf, leaves)
 
 
 def transduce(tree: ProdNode, dictionary: BilingualDictionary,
               morph: MorphTable) -> TNode:
     """Rewrite a source derivation tree into a target tree, bottom-up, by
     each node's production template."""
-    def rewrite(node: ProdNode) -> TNode:
-        pid = node.production.id
-        template = node.production.template
-        if template is None:
-            raise TransductionError(
-                f"uncovered production {pid}: no transduction rule")
-        out = []
-        for item in template:
-            if item.kind == "lit":
-                out.append(TLeaf(item.text))
-            elif item.kind == "q":
-                out.append(TLeaf(morph.question_particle))
-            elif item.kind == "child":
-                child = node.children[item.index]
-                out.append(rewrite(child) if isinstance(child, ProdNode)
-                           else render_leaf(child, dictionary, morph))
-            else:  # morph directive
-                child = node.children[item.index]
-                if not isinstance(child, LeafNode) or child.entry.pos != "Verb":
-                    raise TransductionError(
-                        f"production {pid}: @morph target {item.index} is "
-                        "not a verb leaf")
-                out.append(render_leaf(child, dictionary, morph,
-                                       item.tense, item.voice))
-        return TNode(node, tuple(out))
+    return _rewrite(tree, dictionary, morph)
 
-    return rewrite(tree)
+
+def _rewrite(node: ProdNode, dictionary, morph) -> TNode:
+    pid = node.production.id
+    template = node.production.template
+    if template is None:
+        raise TransductionError(
+            f"uncovered production {pid}: no transduction rule")
+    out = []
+    for item in template:
+        if item.kind == "lit":
+            out.append(TLeaf(item.text))
+        elif item.kind == "q":
+            out.append(TLeaf(morph.question_particle))
+        elif item.kind == "child":
+            child = node.children[item.index]
+            out.append(_rewrite(child, dictionary, morph)
+                       if isinstance(child, ProdNode)
+                       else render_leaf(child, dictionary, morph))
+        else:  # morph directive
+            child = node.children[item.index]
+            if not isinstance(child, LeafNode) or child.entry.pos != "Verb":
+                raise TransductionError(
+                    f"production {pid}: @morph target {item.index} is "
+                    "not a verb leaf")
+            out.append(render_leaf(child, dictionary, morph,
+                                   item.tense, item.voice))
+    return TNode(node, tuple(out))
 
 
 def target_spans(tt: TNode) -> list:
     """(source node, start, end) for every target node, in preorder."""
     out = []
-
-    def walk(node, offset):
-        if isinstance(node, TLeaf):
-            return offset + 1
-        start = offset
-        for child in node.children:
-            offset = walk(child, offset)
-        out.append((node.source, start, offset))
-        return offset
-
-    walk(tt, 0)
+    _span_walk(tt, 0, out)
     return out
+
+
+def _span_walk(node, offset, out) -> int:
+    """Append the spans of ``node`` and its descendants, ``node`` starting
+    at ``offset``, to ``out``; returns the offset after ``node``."""
+    if isinstance(node, TLeaf):
+        return offset + 1
+    start = offset
+    for child in node.children:
+        offset = _span_walk(child, offset, out)
+    out.append((node.source, start, offset))
+    return offset
 
 
 def span_for_source(tt: TNode, src_node) -> Optional[tuple]:

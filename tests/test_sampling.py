@@ -6,13 +6,17 @@ expected deviation is well inside the tolerance, and the fixed seed keeps
 the assertion reproducible.
 """
 
+import hashlib
 import math
 from collections import Counter
+from dataclasses import fields, replace
 from fractions import Fraction
 from random import Random
 
+from compmt.audit import audit_grammar
 from compmt.grammar import (Constraints, LexEntry, Lexicon, Lit, NT, Pcfg,
-                            Production, Slot, iter_nodes)
+                            Production, Slot, iter_leaves, iter_nodes,
+                            yield_tokens)
 
 F = Fraction
 
@@ -156,3 +160,58 @@ def test_exact_sampler_matches_rejection_on_recursion_patterns(patterns):
         l1 = _exact_against_rejection(p.gen_grammar, variants, 10_000, 600,
                                       seed=p.id)
         assert max(l1) <= 0.06, (p.id, l1)
+
+
+# -- expansion plans ----------------------------------------------------------
+
+# sha256 of the source lines of the first 200 plain draws from the training
+# grammar at Random(0).  A change that moves it changes which trees every
+# seed draws.
+PLAIN_DRAWS_SHA256 = \
+    "174b80550ad5962bb2b0759c5245ac92d5ec88b65e25dc63f3a8fdc92b979e72"
+
+
+def test_plain_draws_are_pinned(bank):
+    rng = Random(0)
+    text = "\n".join(" ".join(yield_tokens(bank.grammar.sample_with_rng(rng)))
+                     for _ in range(200))
+    assert hashlib.sha256(text.encode()).hexdigest() == PLAIN_DRAWS_SHA256
+
+
+def _slot_lemmas(trees, tag):
+    return {leaf.entry.lemma for tree in trees for leaf in iter_leaves(tree)
+            if leaf.tag == tag}
+
+
+def test_restricted_copy_has_its_own_expansion_plans(bank):
+    """A ``restrict_slots`` copy shares its parent's inside weights, not the
+    slot entries its draws pick from, in either direction."""
+    g = bank.grammar
+    has_dobj = Constraints(required=frozenset({"np_dobj_c"}))
+    rng = Random(5)
+    before = [g.sample_with_rng(rng, has_dobj) for _ in range(50)]
+    assert len(_slot_lemmas(before, "n:dobj:c")) > 5
+    copy = g.restrict_slots({"n:dobj:c": {"panda"}})
+    assert copy._inside is g._inside and copy._plans is not g._plans
+    drawn = [copy.sample_with_rng(rng, has_dobj) for _ in range(50)]
+    assert _slot_lemmas(drawn, "n:dobj:c") == {"panda"}
+    after = [g.sample_with_rng(rng, has_dobj) for _ in range(50)]
+    assert len(_slot_lemmas(after, "n:dobj:c")) > 5
+
+
+def _has_verb_slot(prod):
+    return any(isinstance(s, Slot) and s.pos == "Verb" for s in prod.rhs)
+
+
+def test_is_clause_marks_the_productions_with_a_verb_slot(bank, patterns):
+    grammars = [bank.grammar] + [p.gen_grammar for p in patterns] + \
+        [audit_grammar(bank, patterns)]
+    assert len(grammars) == 44
+    prods = [prod for g in grammars for prod in g.productions]
+    assert all(prod.is_clause == _has_verb_slot(prod) for prod in prods)
+    assert {prod.is_clause for prod in prods} == {True, False}
+    # A copy computes its own; the flag is no field, so no dump shows it.
+    clause = next(prod for prod in prods if prod.is_clause)
+    assert not replace(clause, rhs=(Lit("x"),)).is_clause
+    assert "is_clause" not in {f.name for f in fields(Production)}
+    assert "is_clause" not in repr(clause)

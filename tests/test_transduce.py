@@ -4,9 +4,12 @@ import pytest
 
 from compmt.bank import GrammarSpec, L, v
 from compmt.earley import parse
-from compmt.grammar import (Lit, LitNode, NT, ProdNode, Production,
-                            yield_tokens)
-from compmt.transduce import TransductionError, linearize, transduce
+from compmt.grammar import (LeafNode, Lit, LitNode, NT, ProdNode, Production,
+                            iter_leaves, yield_tokens)
+from compmt.lexdata import dictionary_rows
+from compmt.transduce import (BilingualDictionary, TransductionError,
+                              default_morph, linearize, render_leaf,
+                              span_for_source, transduce)
 
 # English sentence -> expected morpheme-level gloss.  Each pair exercises a
 # different construction: plain transitive, long passive, PP-on-subject
@@ -103,3 +106,48 @@ def test_one_template_per_production_id(bank, patterns):
             first = templates.setdefault(prod.id, prod.template)
             assert first == prod.template, (gid, prod.id)
     assert len(templates) == 135
+
+
+# -- rendered leaves ----------------------------------------------------------
+
+
+def test_leaf_tokens_are_kept_per_dictionary(bank):
+    rows = list(dictionary_rows())
+    renamed = [(lemma, pos, bundle, ("neko2",) if lemma == "cat" else tokens)
+               for lemma, pos, bundle, tokens in rows]
+    first, second = BilingualDictionary(rows), BilingualDictionary(renamed)
+    leaf = LeafNode(bank.lexicon.get("cat", "CommonNoun"), "base", "n:x")
+    morph = default_morph()
+    plain = linearize(render_leaf(leaf, first, morph))
+    assert plain != ["neko2"]
+    assert linearize(render_leaf(leaf, second, morph)) == ["neko2"]
+    assert linearize(render_leaf(leaf, first, morph)) == plain
+
+
+def test_morph_overrides_render_apart_from_the_bundle(bank):
+    """Each (tense, voice) override renders as it would in a fresh
+    dictionary, whichever was rendered first."""
+    leaf = LeafNode(bank.lexicon.get("see", "Verb"), "inf", "v:x")
+    morph = default_morph()
+    calls = [(None, None), ("past", None), ("past", "passive"),
+             (None, None), ("pres", None)]
+    cached = BilingualDictionary(dictionary_rows())
+    got = [linearize(render_leaf(leaf, cached, morph, *tv)) for tv in calls]
+    fresh = [linearize(render_leaf(leaf, BilingualDictionary(
+        dictionary_rows()), morph, *tv)) for tv in calls]
+    assert got == fresh
+    assert len({tuple(tokens) for tokens in got}) == 3
+
+
+def test_equal_leaves_get_their_own_target_nodes(bank):
+    g = bank.grammar_for("in_dist")
+    [tree] = parse(g, "the woman found the small small panda .".split())
+    first, second = [lf for lf in iter_leaves(tree)
+                     if lf.entry.lemma == "small"]
+    assert first == second and first is not second
+    tt = transduce(tree, bank.dictionary, bank.morph)
+    tokens = linearize(tt)
+    spans = [span_for_source(tt, first), span_for_source(tt, second)]
+    assert spans[0] != spans[1]
+    assert [tokens[a:b] for a, b in spans] == \
+        [linearize(render_leaf(first, bank.dictionary, bank.morph))] * 2
