@@ -11,12 +11,16 @@ directions:
   in their licensed uses and the questioned structures with free lexemes.
 
 Parsing uses a union grammar: the in-distribution productions plus every
-pattern grammar's productions, with slot lexeme restrictions lifted.  The
-restrictions exist to *prevent* held-out material during sampling; the
-audit must instead *recognize* such material wherever it appears.  Lifting
-them makes some frames string-ambiguous (``Harper wrote .`` parses as
-object-omission or plain intransitive), so a sentence is charged only with
-the violations of its most innocent parse.
+pattern grammar's productions, each slot widened to the union of the lemma
+sets that the grammars give its (pos, bundle, tag); a slot that any grammar
+leaves unrestricted stays so.  The restrictions exist to *prevent*
+held-out material during sampling; the audit must instead *recognize* such
+material wherever some grammar puts it.  Lifting them altogether would let
+any verb take any frame and invent innocent readings of a leak; the union
+does not, and a leak that uses a lexeme outside it fails closed, as
+``unparsable``.  The union still makes some frames string-ambiguous
+(``Harper wrote .`` parses as object-omission or plain intransitive), so a
+sentence is charged only with the violations of its most innocent parse.
 """
 
 from __future__ import annotations
@@ -137,10 +141,19 @@ class GapViolation:
         return f"{self.pattern_id}: {self.kind}: {self.detail}{where}"
 
 
-def _widen(sym):
-    if isinstance(sym, Slot):
-        return replace(sym, lemmas=None)
-    return sym
+def _slot_unions(grammars):
+    """{(pos, bundle, tag): the union of that slot's lemma sets over
+    ``grammars``}, None for a slot that some grammar leaves unrestricted."""
+    unions = {}
+    for g in grammars:
+        for prod in g.productions:
+            for s in prod.rhs:
+                if isinstance(s, Slot):
+                    key = (s.pos, s.bundle, s.tag)
+                    known = unions.get(key, frozenset())
+                    unions[key] = None if s.lemmas is None or known is None \
+                        else known | s.lemmas
+    return unions
 
 
 def _signature(lhs, rhs):
@@ -156,8 +169,9 @@ def _signature(lhs, rhs):
 
 
 def audit_grammar(bank, patterns) -> Pcfg:
-    """Union of the in-distribution and all pattern grammars, with slot
-    lexeme restrictions lifted so withheld material still parses.
+    """Union of the in-distribution and all pattern grammars, each slot
+    widened to the union of its (pos, bundle, tag) lemma sets over them, so
+    withheld material parses wherever any grammar puts it.
 
     Productions sharing an id but differing in shape (a pattern grammar
     repurposing an id under another nonterminal) are kept under suffixed
@@ -166,10 +180,12 @@ def audit_grammar(bank, patterns) -> Pcfg:
     """
     grammars = [bank.grammar_for("in_dist")]
     grammars.extend(p.gen_grammar for p in patterns)
+    unions = _slot_unions(grammars)
     merged, seen = [], {}
     for g in grammars:
         for prod in g.productions:
-            rhs = tuple(_widen(s) for s in prod.rhs)
+            rhs = tuple(replace(s, lemmas=unions[s.pos, s.bundle, s.tag])
+                        if isinstance(s, Slot) else s for s in prod.rhs)
             sig = _signature(prod.lhs, rhs)
             variants = seen.setdefault(prod.id, [])
             if sig in variants:

@@ -22,7 +22,7 @@ from random import Random
 
 from .grammar import (Constraints, GrammarError, LeafNode, LitNode, ProdNode,
                       UnsatisfiableConstraintError, iter_leaves, iter_nodes,
-                      profile, yield_tokens)
+                      yield_tokens)
 from .transduce import linearize, render_leaf, span_for_source, transduce
 from .bank import analyze, default_bank, tag_role, _np_head
 from .naturalize import (UnrepairableRecordError, default_case_frames,
@@ -162,8 +162,8 @@ def _capitalize(tokens):
     return (head[0].upper() + head[1:],) + tuple(tokens[1:])
 
 
-def _train_depths(tree):
-    return all(d in TRAIN_DEPTHS for d in profile(tree)[1].values())
+def _train_depths(analysis):
+    return all(d in TRAIN_DEPTHS for d in analysis.depths.values())
 
 
 def _pair_key(src_tokens, tgt_tokens):
@@ -179,25 +179,31 @@ def _render(bank, tree):
 def _draw(grammar, rng, constraints, accept, bank, cf, strict, seen,
           dropped, what):
     """One record of a stream, by the build's only rejection loop: draw a
-    tree exactly from the grammar conditioned on ``constraints``, then
-    accept, analyze, reject duplicate lexemes, naturalize, translate,
-    capitalize and, unless ``seen`` is None, reject a (source, target) pair
-    already used.
+    tree exactly from the grammar conditioned on ``constraints``, analyze
+    it, check the constraints, accept (on the analysis), reject duplicate
+    lexemes, naturalize, translate, capitalize and, unless ``seen`` is
+    None, reject a (source, target) pair already used.
 
     Returns (tree, analysis, target tree, source, target, residuals,
     samples), where ``analysis`` is ``analyze(tree)`` and ``samples`` counts
     its root draws.  Raises UnsatisfiableConstraintError naming ``what`` and
     ``constraints`` before the first draw when no tree meets
-    ``constraints``, and after DRAW_BUDGET root draws otherwise.
+    ``constraints``, and after DRAW_BUDGET root draws otherwise.  A drawn
+    tree that fails its constraints is a sampler bug and raises
+    GrammarError naming both.
     """
     if constraints is not None and not grammar.satisfiable(constraints):
         raise UnsatisfiableConstraintError(
             f"{what}: no tree meets the constraints ({constraints})")
     for samples in range(1, DRAW_BUDGET + 1):
         tree = grammar.sample_with_rng(rng, constraints)
-        if accept is not None and not accept(tree):
-            continue
         analysis = analyze(tree)
+        if constraints is not None and \
+                not constraints.satisfied_by(analysis.ids, analysis.depths):
+            raise GrammarError(f"{what}: sampled a tree that fails its "
+                               f"constraints ({constraints})")
+        if accept is not None and not accept(analysis):
+            continue
         if reject_duplicates(analysis):
             continue
         try:
@@ -366,8 +372,8 @@ def topicalize(bank, tree, s_node):
     return ProdNode(prod, (dobj, LitNode(","), subj, verb, LitNode(".")))
 
 
-def _declarative_train_depths(tree):
-    return tree.production.id == "root_decl" and _train_depths(tree)
+def _declarative_train_depths(analysis):
+    return "root_decl" in analysis.ids and _train_depths(analysis)
 
 
 def concatenate_for_length(bank, cf, master_seed, n, gen_max_len, strict,
@@ -481,7 +487,9 @@ def build_splits(config: RunConfig, bank=None):
         root_draws += draws
 
     # 3. One in-distribution pool, hash-partitioned into dev/test/train;
-    # every tenth eligible training sentence also yields a topicalized copy.
+    # the n-th eligible training sentence also yields a topicalized copy
+    # when floor(n * fraction) rises, so exactly that share of them do
+    # (every tenth at the default 0.10).
     n_dev = _scaled(N_DEV, scale)
     n_test = _scaled(N_TEST, scale)
     n_pool_train = round(N_POOL_TRAIN * scale)
@@ -491,8 +499,7 @@ def build_splits(config: RunConfig, bank=None):
     eligible = 0
     topicalized = 0
     index = 0
-    period = max(2, round(1 / config.topicalization_fraction)) \
-        if config.topicalization_fraction else 0
+    fraction = config.topicalization_fraction
     while len(dev) < n_dev or len(test) < n_test or \
             len(train_pool) < n_pool_train:
         tree, _, _, source, target, _, samples = _draw(
@@ -515,13 +522,14 @@ def build_splits(config: RunConfig, bank=None):
         out.append(SentenceRecord(
             rid, split, "", source, target,
             provenance={"seed": pool_seed, "grammar_id": "in_dist"}))
-        if split != "train" or period == 0:
+        if split != "train":
             continue
         s_node = _topic_eligible(tree)
         if s_node is None:
             continue
         eligible += 1
-        if eligible % period != 0 or len(train_pool) >= n_pool_train:
+        if int(eligible * fraction) == int((eligible - 1) * fraction) or \
+                len(train_pool) >= n_pool_train:
             continue
         fronted = topicalize(bank, tree, s_node)
         _, fsource, ftarget = _render(bank, fronted)

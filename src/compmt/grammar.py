@@ -424,20 +424,15 @@ class Pcfg:
         """One tree drawn exactly from P(tree | constraints), never None.
 
         Without constraints this is the grammar's own draw, one RNG call
-        per production and per slot.  A constrained tree is checked once
-        more by ``constraints.satisfied_by``; a failure there is a bug in
-        the sampler and raises GrammarError.  Raises
-        UnsatisfiableConstraintError, before any RNG call, when no tree
-        meets the constraints."""
-        if not self.satisfiable(constraints):
+        per production and per slot.  The draw is not checked here: the
+        build checks every constrained tree it draws against
+        ``constraints.satisfied_by``.  Raises UnsatisfiableConstraintError,
+        before any RNG call, when no tree meets the constraints."""
+        table = self._intersection(constraints)
+        if table.options(table.root)[2] <= 0:
             raise UnsatisfiableConstraintError(
                 f"no tree meets the constraints ({constraints})")
-        table = self._intersection(constraints)
-        tree = self._expand(table.root, rng, table)
-        if constraints is not None and not constraints.satisfied_by(tree):
-            raise GrammarError(
-                f"sampled a tree that fails its constraints ({constraints})")
-        return tree
+        return self._expand(table.root, rng, table)
 
 
 def _pick(cum, x):
@@ -451,7 +446,7 @@ class Constraints:
     production ids; ``depths`` gives constructs, each at most once, and the
     exact depth the tree must show for each.  ``Pcfg.sample_with_rng``
     draws from the grammar conditioned on them, and ``satisfied_by`` checks
-    a tree independently of the sampler.
+    a tree's ``profile`` independently of the sampler.
     """
 
     required: frozenset = frozenset()
@@ -467,8 +462,7 @@ class Constraints:
                 raise GrammarError(
                     f"construct {construct!r} needs one depth of at least 0")
 
-    def satisfied_by(self, tree) -> bool:
-        ids, depths = profile(tree)
+    def satisfied_by(self, ids, depths) -> bool:
         return self.required <= ids and not self.forbidden & ids and \
             all(depths[c] == d for c, d in self.depths)
 

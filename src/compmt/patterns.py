@@ -537,13 +537,19 @@ def _gen_mod_iobj(kind):
 # --------------------------------------------------------------------------
 
 
-def _gen_recursion(construct, cont):
-    """Grammar producing unbounded nesting of one construct, `cont` being
-    the weight of nesting once more; each record's exact depth comes from
-    its constraints, on which the sampler conditions."""
+# Weight of nesting once more in a recursion grammar.  Every record drawn
+# from one fixes its depth exactly, which forces each nesting choice, so
+# the weight shapes only plain draws, and the build makes none from them.
+NEST_WEIGHT = F(7, 10)
+
+
+def _gen_recursion(construct):
+    """Grammar producing unbounded nesting of one construct; each record's
+    exact depth comes from its constraints, on which the sampler
+    conditions."""
     g = GrammarSpec()
     _base(g)
-    rest = F(1) - cont
+    rest = F(1) - NEST_WEIGHT
     if construct == "CP":
         g.add("s_cp_past", "S",
               [NT("NP_SUBJ"), v("v:cp:past", "past", V_CP_PAST), NT("CP")],
@@ -566,7 +572,7 @@ def _gen_recursion(construct, cont):
         ], rest)
         g.add("semb_cp", "SEMB",
               [NT("NP_ESUBJ"), v("v:ecp:past", "past", V_CP_PAST), NT("CP")],
-              cont, T_CP)
+              NEST_WEIGHT, T_CP)
         _pairs(g, "subj", FREE_ANIM, FREE_PROP)
         np_pair(g, "edobj", FREE_MIXED, FREE_PROP)
         np_pair(g, "epsubj", FREE_MIXED, FREE_PROP)
@@ -585,17 +591,18 @@ def _gen_recursion(construct, cont):
         _add_pp(g, depth_one=False)
         _npc(g, "np_ppn", "NP_PPN", "n:ppn", LOC_NOUNS, rest)
         g.add("np_ppn_pp", "NP_PPN",
-              [DET, n("n:ppn", LOC_NOUNS), NT("PP")], cont, T_MOD)
+              [DET, n("n:ppn", LOC_NOUNS), NT("PP")],
+              NEST_WEIGHT, T_MOD)
     elif construct == "CenterEmbedRC":
         _np(g, "np_dobj_rco", "NP_DOBJ",
             [DET, n("n:dobj:c", FREE_MIXED), NT("RC_OBJ")], F(1), T_MOD)
-        _add_rc(g, nesting=cont)
+        _add_rc(g, nesting=NEST_WEIGHT)
     else:  # stacked adjectives
         _np(g, "np_dobj_adj", "NP_DOBJ",
             [DET, NT("ADJSEQ"), n("n:dobj:c", FREE_MIXED)], F(1), T_ADJ)
         g.add("adj_one", "ADJSEQ", [adj()], rest, "$0", construct="Adj")
-        g.add("adj_more", "ADJSEQ", [adj(), NT("ADJSEQ")], cont, "$0 $1",
-              construct="Adj")
+        g.add("adj_more", "ADJSEQ", [adj(), NT("ADJSEQ")], NEST_WEIGHT,
+              "$0 $1", construct="Adj")
     _pairs(g, "subj", FREE_ANIM, FREE_PROP)
     return g
 
@@ -891,12 +898,12 @@ def build_patterns(lexicon) -> list:
                             ("CenterEmbedRC", "ce"), ("Adj", "adj")):
         emb = construct != "CP"
         add(f"{stem}_recursion_shallower", RECURSION, STRUCT, (),
-            _gen_recursion(construct, F(3, 5)), "none",
+            _gen_recursion(construct), "none",
             count=1000 if construct == "CP" else 2000, emb=emb,
             variants=_depth_variants(construct, (3,), emb),
             exposures=_depth_exposures(construct), zipf=0.5)
         add(f"{stem}_recursion_deeper", RECURSION, STRUCT, (),
-            _gen_recursion(construct, F(7, 10)), "none",
+            _gen_recursion(construct), "none",
             count=1000 if construct == "CP" else 2000, emb=emb,
             variants=_depth_variants(construct, (5, 6), emb),
             exposures=_depth_exposures(construct), zipf=0.5)

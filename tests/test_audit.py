@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 from compmt.audit import GapAuditor, audit_gap, segment
-from compmt.build import SentenceRecord
+from compmt.build import SentenceRecord, _build_pattern
+from compmt.naturalize import default_case_frames
 
 
 def _as_train(record):
@@ -72,6 +73,26 @@ def test_injected_gen_sentence_is_caught(auditor, first_gen, pattern_id):
     del auditor.violations[start:]
     assert any(v.pattern_id == pattern_id and v.kind == "leak"
                for v in new), [str(v) for v in new]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_every_gen_record_leaks_its_own_pattern(bank, patterns, seed):
+    """Audited as train, each of the 760 gen records of a scale-0.01 build
+    is charged with a leak of its own pattern: the audit grammar gives no
+    gen sentence a most innocent parse that hides its withheld material."""
+    cf = default_case_frames()
+    gen = [r for p in patterns
+           for r in _build_pattern(p.id, seed, 0.01, False, cf)[0]]
+    assert len(gen) == 760
+    a = GapAuditor(patterns, bank=bank)
+    missed = []
+    for record in gen:
+        a.consume(_as_train(record))
+        if not any(v.pattern_id == record.pattern_id and v.kind == "leak"
+                   for v in a.violations):
+            missed.append(record.id)
+        a.violations.clear()
+    assert missed == []
 
 
 def test_injected_pp_subject_sentence(bank, patterns):

@@ -10,7 +10,8 @@ from compmt.audit import audit_gap
 from compmt.build import (SPLITS, RunConfig, SentenceRecord, _draw,
                           build_splits, child_seed, concatenate_for_length,
                           read_corpus, write_corpus)
-from compmt.grammar import Constraints, Pcfg, UnsatisfiableConstraintError
+from compmt.grammar import (Constraints, GrammarError, Pcfg,
+                            UnsatisfiableConstraintError)
 from compmt.naturalize import default_case_frames
 
 # sha256 over train, dev, test and gen.jsonl, in that order, at seed 1 and
@@ -81,6 +82,19 @@ def test_topicalization_hits_requested_fraction(mid_build):
     for r in fronted:
         assert "," in r.source_tokens
         assert "wa" in r.target_tokens
+
+
+@pytest.mark.parametrize("fraction", [0.0, 0.4, 1.0])
+def test_topicalization_fraction_is_honoured(bank, fraction):
+    """Each fraction gives its own rate; none is rounded to a period, and
+    eligible sentences are counted at 0 too."""
+    _, manifest = build_splits(
+        RunConfig(master_seed=1, scale=0.01,
+                  topicalization_fraction=fraction), bank=bank)
+    aug = manifest["augmentations"]
+    assert aug["topic_eligible"] > 0
+    ratio = aug["topicalized"] / aug["topic_eligible"]
+    assert abs(ratio - fraction) <= 0.05, ratio
 
 
 def test_cp_embedding_mixed_half_and_half(mid_build, patterns):
@@ -198,11 +212,6 @@ def test_small_build_bytes_are_pinned(tmp_path, small_build):
     assert digest.hexdigest() == SMALL_BUILD_SHA256
 
 
-def _cp_depth_three(tree):
-    # Training never shows CP depth 3, so no tree passes the depth check.
-    return set(), {"CP": 3}
-
-
 def _count_draws(monkeypatch, grammar):
     """The list that gets one item per root draw from ``grammar``.  The
     patch is on the class, so undoing it leaves nothing on the shared
@@ -236,8 +245,25 @@ def test_draw_gives_up_after_its_budget(bank, monkeypatch):
     assert "sample_with_rng" not in vars(bank.grammar)
 
 
+def test_draw_checks_every_constrained_tree(bank, monkeypatch):
+    """The sampler's draws are checked by ``_draw``, not trusted: a sampler
+    that ignores its constraints is a hard error naming the stream and the
+    constraints."""
+    decl = Constraints(required=frozenset({"root_decl"}))
+    tree = bank.grammar.sample_with_rng(Random(0), decl)
+    monkeypatch.setattr(Pcfg, "sample_with_rng",
+                        lambda self, rng, constraints=None: tree)
+    question = Constraints(forbidden=frozenset({"root_decl"}))
+    with pytest.raises(GrammarError,
+                       match=r"^test stream: sampled a tree that fails its "
+                             r"constraints \(forbidden=root_decl\)$"):
+        _draw(bank.grammar, Random(0), question, None, bank,
+              default_case_frames(), False, set(), [0], "test stream")
+
+
 def test_concatenation_part_draw_is_bounded(bank, monkeypatch):
-    monkeypatch.setattr(build, "profile", _cp_depth_three)
+    # With no training depth allowed, no tree passes the depth check.
+    monkeypatch.setattr(build, "TRAIN_DEPTHS", frozenset())
     with pytest.raises(UnsatisfiableConstraintError,
                        match="^concatenation record 0 part 0:"):
         concatenate_for_length(bank, default_case_frames(), 1, 1, 10, False,
@@ -271,7 +297,7 @@ def test_in_distribution_pool_draw_is_bounded(bank, monkeypatch):
 
     monkeypatch.setattr(build, "_build_pattern", one_gen_record)
     monkeypatch.setattr(build, "primitive_exposures", lambda *_args: ([], 0))
-    monkeypatch.setattr(build, "profile", _cp_depth_three)
+    monkeypatch.setattr(build, "TRAIN_DEPTHS", frozenset())
     with pytest.raises(UnsatisfiableConstraintError,
                        match="^in-distribution pool"):
         build_splits(RunConfig(scale=0.001), bank=bank)

@@ -18,12 +18,12 @@ from compmt.transduce import transduce, linearize
 # seed 1, in list order.  Both digests here were checked against the
 # enumerator without FIRST/LAST/length pruning, which gives the same.
 SMALL_TRAIN_PARSES_SHA256 = \
-    "3acdf94e65988848aeb6da169ef738a58964bd8cc9490a48e6e40060d4019573"
+    "ad9da965e7cb9828434833ca4ba2c8e8f89d46fcfc6bb3ca50ad855cccf7e8cd"
 # The same over the first 10 scale-0.01 gen records of each of the 42
 # patterns, both casings (840 parse lists): train holds no withheld
 # material, so only this digest pins the parses that charge a leak.
 SMALL_GEN_PARSES_SHA256 = \
-    "cf0f12148e80013032a97233adac6a00e17deb14c9998fb2182a6f51c04e5703"
+    "9032e8fec2b3bb034d976bf6eb46d50198c6c0c3143786ab2911c24cb5c0d7b4"
 
 
 def _translate(bank, tree):

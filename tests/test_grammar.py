@@ -134,7 +134,8 @@ def test_every_constrained_draw_meets_its_constraints(patterns):
         for i in range(4 * len(p.variants)):
             constraints = p.constraints_for(i)
             tree = p.gen_grammar.sample_with_rng(rng, constraints)
-            assert tree is not None and constraints.satisfied_by(tree), \
+            assert tree is not None and \
+                constraints.satisfied_by(*profile(tree)), \
                 (p.id, str(constraints))
 
 

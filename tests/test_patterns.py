@@ -15,7 +15,7 @@ from compmt.patterns import _emb, _emb_id
 # target flag, template) or to a pattern's variants, exposure recipes or
 # metadata moves it; so does renaming a nonterminal.
 GRAMMAR_DUMP_SHA256 = (
-    "cb63b61c8a49e07933c1ec5cd917adf2785e49d35bc9cb98fa8647cfe0254e7d")
+    "d13cbe5ca71e0a1787be88db8e0969e30428dd223dbc1365b19923ba94f400f9")
 
 # sha256 of `_bank_grammar_dump` over the training grammar, in the format
 # of `_grammar_dump`: it pins the embedded copies the training grammar

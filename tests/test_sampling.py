@@ -16,7 +16,7 @@ from random import Random
 from compmt.audit import audit_grammar
 from compmt.grammar import (Constraints, LexEntry, Lexicon, Lit, NT, Pcfg,
                             Production, Slot, iter_leaves, iter_nodes,
-                            yield_tokens)
+                            profile, yield_tokens)
 
 F = Fraction
 
@@ -115,7 +115,7 @@ def _exact_against_rejection(g, variants, plain_draws, exact_draws, seed):
     for _ in range(plain_draws):
         tree = g.sample_with_rng(rng)
         for constraints, trees in zip(variants, kept):
-            if constraints.satisfied_by(tree):
+            if constraints.satisfied_by(*profile(tree)):
                 trees.append(tree)
     out = []
     for constraints, trees in zip(variants, kept):
