@@ -10,6 +10,11 @@ directions:
 * training does contain each pattern's prerequisites — the target lexemes
   in their licensed uses and the questioned structures with free lexemes.
 
+The gap policy lives here, in the licence tables, ``WITHHELD_STRUCTURES``
+and the recursion depths; ``bank.analyze`` only reports a reading's roles,
+verb cells, production ids and depths.  Each charged reading adds its facts
+to one set, and every prerequisite is a row met by any one of its facts.
+
 Parsing uses a union grammar: the in-distribution productions plus every
 pattern grammar's productions, each slot widened to the union of the lemma
 sets that the grammars give its (pos, bundle, tag); a slot that any grammar
@@ -34,22 +39,25 @@ from .grammar import CONSTRUCTS, Pcfg, Slot
 
 PARSE_LIMIT = 50
 
-# Structural flags raised by analyze() that correspond one-to-one with a
-# withheld structure.  Any flagged training parse is a leak.
-FLAG_PATTERNS = {
-    "pp_on_subj": "pp_in_subj",
-    "pp_on_iobj": "pp_in_iobj",
-    "rc_on_subj": "rc_in_subj",
-    "rc_on_iobj": "rc_in_iobj",
-    "adj_on_subj": "adj_in_subj",
-    "adj_on_iobj": "adj_in_iobj",
-    "rc_gap_iobj": "rc_iobj_gap",
-    "wh_gap_iobj": "wh_iobj_gap",
-    "wh_active_subj": "wh_active_subj",
-    "wh_passive_subj": "wh_passive_subj",
-    "wh_do_dit": "wh_do_dit",
-    "wh_subj_pp": "wh_subj_pp",
-    "wh_long_move": "wh_long_move",
+# The withheld structures: flag name (printed in the violation), the pattern
+# that withholds it and the base production ids that realize it.  A training
+# parse that uses any of these ids, or an embedded copy of one, is a leak.
+WITHHELD_STRUCTURES = {
+    "pp_on_subj": ("pp_in_subj", {"np_subj_pp", "np_isubj_pp"}),
+    "pp_on_iobj": ("pp_in_iobj", {"np_iobj_pp"}),
+    "rc_on_subj": ("rc_in_subj", {"np_subj_rcs", "np_subj_rco"}),
+    "rc_on_iobj": ("rc_in_iobj", {"np_iobj_rcs", "np_iobj_rco"}),
+    "adj_on_subj": ("adj_in_subj", {"np_subj_adj"}),
+    "adj_on_iobj": ("adj_in_iobj", {"np_iobj_adj"}),
+    "rc_gap_iobj": ("rc_iobj_gap", {"rc_iobjgap", "np_dobj_rcio"}),
+    "wh_gap_iobj": ("wh_iobj_gap", {"q_whoiobj"}),
+    "wh_active_subj": ("wh_active_subj", {
+        "q_whsubj_intrans", "q_whsubj_inf", "q_whsubj_objom", "q_whsubj_cp",
+        "q_whsubj_do", "q_whsubj_ppdat"}),
+    "wh_passive_subj": ("wh_passive_subj", {"q_whatpass", "q_whatpass_by"}),
+    "wh_do_dit": ("wh_do_dit", {"q_whatdit"}),
+    "wh_subj_pp": ("wh_subj_pp", {"np_whsubj_pp"}),
+    "wh_long_move": ("wh_long_move", {"q_whlong"}),
 }
 
 # Recursion constructs and their shallower/deeper pattern ids.
@@ -156,18 +164,6 @@ def _slot_unions(grammars):
     return unions
 
 
-def _signature(lhs, rhs):
-    parts = [lhs]
-    for s in rhs:
-        if isinstance(s, Slot):
-            parts.append(("slot", s.pos, s.bundle, s.tag))
-        elif hasattr(s, "name"):
-            parts.append(("nt", s.name))
-        else:
-            parts.append(("lit", s.text))
-    return tuple(parts)
-
-
 def audit_grammar(bank, patterns) -> Pcfg:
     """Union of the in-distribution and all pattern grammars, each slot
     widened to the union of its (pos, bundle, tag) lemma sets over them, so
@@ -175,8 +171,8 @@ def audit_grammar(bank, patterns) -> Pcfg:
 
     Productions sharing an id but differing in shape (a pattern grammar
     repurposing an id under another nonterminal) are kept under suffixed
-    ids; analyses only depend on slot tags, constructs and the flagged
-    ids, none of which are suffixed.
+    ids; analyses only depend on slot tags, constructs and the ids of
+    ``WITHHELD_STRUCTURES`` and ``rc_objgap``, none of which are suffixed.
     """
     grammars = [bank.grammar_for("in_dist")]
     grammars.extend(p.gen_grammar for p in patterns)
@@ -186,7 +182,7 @@ def audit_grammar(bank, patterns) -> Pcfg:
         for prod in g.productions:
             rhs = tuple(replace(s, lemmas=unions[s.pos, s.bundle, s.tag])
                         if isinstance(s, Slot) else s for s in prod.rhs)
-            sig = _signature(prod.lhs, rhs)
+            sig = (prod.lhs, rhs)
             variants = seen.setdefault(prod.id, [])
             if sig in variants:
                 continue
@@ -213,49 +209,35 @@ class GapAuditor:
     """Stateful single pass over training records.
 
     Call :meth:`consume` for every training record, then
-    :meth:`prerequisite_violations` once; leakage violations accumulate in
-    :attr:`violations`.
+    :meth:`prerequisite_violations` once.  Leakage violations accumulate in
+    :attr:`violations`; :attr:`facts` gathers what the charged readings
+    show, as tuples: ``("bare", lemma)``, ``("role", lemma, role)``,
+    ``("cell", lemma, frame, tense, voice)``, ``("frame", frame)``,
+    ``("depth", construct, d)`` and ``("question",)``.
     """
 
     def __init__(self, patterns, bank=None):
-        self.bank = bank if bank is not None else default_bank()
-        self.patterns = list(patterns)
-        self.grammar = audit_grammar(self.bank, self.patterns)
+        bank = bank if bank is not None else default_bank()
+        patterns = list(patterns)
+        self.grammar = audit_grammar(bank, patterns)
         self._starts = span_tables(self.grammar).first[self.grammar.start]
-        self.violations = []
-        # Prerequisite evidence gathered along the way.
-        self._bare = set()  # lemmas seen as bare citation forms
-        self._noun_roles = set()  # (lemma, role)
-        self._verb_cells = set()  # (lemma, frame, tense, voice)
-        self._depths_seen = {c: set() for c in CONSTRUCTS}
-        self._frames_seen = set()
-        self._questions = 0
-        self._target_patterns = self._index_targets()
-
-    def _index_targets(self):
-        idx = {}
-        for p in self.patterns:
+        self._target_patterns = {}
+        for p in patterns:
             for lemma in p.target_lexemes:
-                idx.setdefault(lemma, []).append(p.id)
-        return idx
+                self._target_patterns.setdefault(lemma, []).append(p.id)
+        self._prerequisites = _prerequisites(patterns)
+        self.violations = []
+        self.facts = set()
 
     # -- per-record leak checks -------------------------------------------
 
     def consume(self, record):
         for seg in segment(record.source_tokens):
             if len(seg) == 1 and seg[0] not in (".", "?"):
-                self._bare.add(self._citation_lemma(seg[0]))
+                # A lone token is a citation form: the lemma itself.
+                self.facts.add(("bare", seg[0]))
                 continue
             self._consume_segment(record, seg)
-
-    def _citation_lemma(self, token):
-        for pos in ("CommonNoun", "ProperNoun"):
-            if (token, pos) in self.bank.lexicon.by_key:
-                return token
-        for entry in self.bank.lexicon.by_pos.get("Verb", ()):
-            if entry.forms.get("inf") == token:
-                return entry.lemma
-        return token
 
     def _consume_segment(self, record, seg):
         # A capitalized first token that cannot start a sentence is a
@@ -283,7 +265,7 @@ class GapAuditor:
                 break
         viols, an = best
         self.violations.extend(viols)
-        self._record_evidence(an, seg)
+        self._record_facts(an, seg)
 
     def _analysis_violations(self, an, record_id, sentence):
         out = []
@@ -309,8 +291,9 @@ class GapAuditor:
                         pid, "leak",
                         f"target {lemma!r} in withheld cell {cell}",
                         record_id, sentence))
-        for flag, pid in FLAG_PATTERNS.items():  # not the set's order
-            if flag in an.flags:
+        ids = {base_name(i) for i in an.ids}
+        for flag, (pid, flagged) in WITHHELD_STRUCTURES.items():
+            if not ids.isdisjoint(flagged):
                 out.append(GapViolation(
                     pid, "leak", f"withheld structure {flag}",
                     record_id, sentence))
@@ -326,98 +309,71 @@ class GapAuditor:
                     f"{construct} recursion depth {d}", record_id, sentence))
         return out
 
-    def _record_evidence(self, an, seg):
-        self._noun_roles.update(an.lemma_roles)
+    def _record_facts(self, an, seg):
+        facts = self.facts
+        facts.update(("role", lemma, role) for lemma, role in an.lemma_roles)
         for lemma, frame, tense, voice in an.verbs:
             canon = _canon_frame(frame)
-            self._verb_cells.add((lemma, canon, tense, voice))
-            self._frames_seen.add(canon)
-        for construct in CONSTRUCTS:
-            self._depths_seen[construct].add(an.depths.get(construct, 0))
-        if seg and seg[-1] == "?":
-            self._questions += 1
+            facts.add(("cell", lemma, canon, tense, voice))
+            facts.add(("frame", canon))
+        facts.update(("depth", c, an.depths.get(c, 0)) for c in CONSTRUCTS)
+        if seg[-1] == "?":
+            facts.add(("question",))
 
     # -- corpus-level prerequisite checks ---------------------------------
 
     def prerequisite_violations(self):
-        out = []
-        for p in self.patterns:
-            out.extend(self._pattern_prereqs(p))
-        return out
-
-    def _pattern_prereqs(self, p):
-        missing = []
-
-        def miss(detail):
-            missing.append(GapViolation(p.id, "missing_prerequisite", detail))
-
-        if p.id in NOUN_LICENSES:
-            allowed = NOUN_LICENSES[p.id]
-            for lemma in p.target_lexemes:
-                if allowed:
-                    if not any((lemma, r) in self._noun_roles
-                               for r in allowed):
-                        miss(f"no licensed use of {lemma!r}")
-                elif lemma not in self._bare:
-                    miss(f"no bare exposure of {lemma!r}")
-        elif p.id in VERB_LICENSES:
-            allowed = VERB_LICENSES[p.id]
-            for lemma in p.target_lexemes:
-                if allowed:
-                    if not any((lemma,) + cell in self._verb_cells
-                               for cell in allowed):
-                        miss(f"no licensed use of {lemma!r}")
-                elif lemma not in self._bare:
-                    miss(f"no bare exposure of {lemma!r}")
-        elif p.id in _STRUCT_PREREQS:
-            for check, detail in _STRUCT_PREREQS[p.id]:
-                if not check(self):
-                    miss(detail)
-        return missing
+        return [GapViolation(pid, "missing_prerequisite", detail)
+                for pid, detail, meets in self._prerequisites
+                if self.facts.isdisjoint(meets)]
 
 
-def _has_depth(construct, depth):
-    return lambda a: depth in a._depths_seen[construct]
-
-
-def _has_frame(frame):
-    return lambda a: frame in a._frames_seen
-
-
-def _has_question(a):
-    return a._questions > 0
-
-
-def _depth_prereqs(construct):
-    return [(_has_depth(construct, d), f"no {construct} depth-{d} sentence")
-            for d in REQUIRED_DEPTHS]
-
-
+# Structural prerequisites: (detail, the fact that meets it) per pattern.
+_PP = ("no PP-modified phrase", ("depth", "PP", 1))
+_RC = ("no relative clause", ("depth", "CenterEmbedRC", 1))
+_ADJ = ("no adjective-modified phrase", ("depth", "Adj", 1))
+_DO = ("no double-object sentence", ("frame", "do"))
+_Q = ("no question sentence", ("question",))
 _STRUCT_PREREQS = {
-    "pp_in_subj": [(_has_depth("PP", 1), "no PP-modified phrase")],
-    "pp_in_iobj": [(_has_depth("PP", 1), "no PP-modified phrase"),
-                   (_has_frame("do"), "no double-object sentence")],
-    "rc_in_subj": [(_has_depth("CenterEmbedRC", 1), "no relative clause")],
-    "rc_in_iobj": [(_has_depth("CenterEmbedRC", 1), "no relative clause"),
-                   (_has_frame("do"), "no double-object sentence")],
-    "adj_in_subj": [(_has_depth("Adj", 1), "no adjective-modified phrase")],
-    "adj_in_iobj": [(_has_depth("Adj", 1), "no adjective-modified phrase"),
-                    (_has_frame("do"), "no double-object sentence")],
-    **{pid: _depth_prereqs(construct)
+    "pp_in_subj": [_PP],
+    "pp_in_iobj": [_PP, _DO],
+    "rc_in_subj": [_RC],
+    "rc_in_iobj": [_RC, _DO],
+    "adj_in_subj": [_ADJ],
+    "adj_in_iobj": [_ADJ, _DO],
+    **{pid: [(f"no {construct} depth-{d} sentence", ("depth", construct, d))
+             for d in REQUIRED_DEPTHS]
        for construct, pids in DEPTH_PATTERNS.items() for pid in pids},
-    "rc_iobj_gap": [(_has_depth("CenterEmbedRC", 1), "no relative clause"),
-                    (_has_frame("do"), "no double-object sentence")],
-    "wh_iobj_gap": [(_has_question, "no question sentence")],
-    "wh_active_subj": [(_has_question, "no question sentence")],
-    "wh_passive_subj": [(_has_question, "no question sentence"),
-                        (_has_frame("pass"), "no passive sentence")],
-    "wh_do_dit": [(_has_question, "no question sentence"),
-                  (_has_frame("do"), "no double-object sentence")],
-    "wh_subj_pp": [(_has_question, "no question sentence"),
-                   (_has_depth("PP", 1), "no PP-modified phrase")],
-    "wh_long_move": [(_has_question, "no question sentence"),
-                     (_has_depth("CP", 1), "no complement clause")],
+    "rc_iobj_gap": [_RC, _DO],
+    "wh_iobj_gap": [_Q],
+    "wh_active_subj": [_Q],
+    "wh_passive_subj": [_Q, ("no passive sentence", ("frame", "pass"))],
+    "wh_do_dit": [_Q, _DO],
+    "wh_subj_pp": [_Q, _PP],
+    "wh_long_move": [_Q, ("no complement clause", ("depth", "CP", 1))],
 }
+
+
+def _prerequisites(patterns):
+    """(pattern id, detail, facts any one of which meets it) for every
+    prerequisite, in pattern order.  A target lexeme with licensed uses
+    needs one of them; one with none needs a bare exposure."""
+    rows = []
+    for p in patterns:
+        if p.id in NOUN_LICENSES or p.id in VERB_LICENSES:
+            for lemma in p.target_lexemes:
+                meets = {("role", lemma, role)
+                         for role in NOUN_LICENSES.get(p.id, ())}
+                meets |= {("cell", lemma) + cell
+                          for cell in VERB_LICENSES.get(p.id, ())}
+                if meets:
+                    rows.append((p.id, f"no licensed use of {lemma!r}", meets))
+                else:
+                    rows.append((p.id, f"no bare exposure of {lemma!r}",
+                                 {("bare", lemma)}))
+        for detail, fact in _STRUCT_PREREQS.get(p.id, ()):
+            rows.append((p.id, detail, {fact}))
+    return rows
 
 
 def audit_gap(records, patterns, bank=None):

@@ -4,11 +4,12 @@ analysis.
 
 Slot tags encode grammatical positions ("n:subj:c", "v:do:past", ...) so that
 lexeme restrictions target exactly one position and corpus analysis can read
-roles, verb frames and construction flags straight off a tree.  Production
-ids are shared between the in-distribution grammar and the per-pattern
-generalization grammars wherever the clause shape is identical, because
-analysis flags and the gap audit read them; a shared id always carries the
-same template.
+roles, verb frames, production ids and construct depths straight off a
+tree; analysis judges nothing, and the gap audit decides which of those
+facts are withheld.  Production ids are shared between the in-distribution
+grammar and the per-pattern generalization grammars wherever the clause
+shape is identical, because the gap audit reads them; a shared id always
+carries the same template.
 
 Embedded copies.  A clause embedded under "X thought that ..." is a copy of
 a matrix clause, and this module is the one home of the rule that names it:
@@ -399,7 +400,7 @@ def in_distribution_spec() -> GrammarSpec:
 
 
 # --------------------------------------------------------------------------
-# Tree analysis: roles, verb frames, selectional pairs, flags, depths.
+# Tree analysis: roles, verb frames, selectional pairs, ids, depths.
 # --------------------------------------------------------------------------
 
 # The tables below list base stems and ids only; lookups read an embedded
@@ -425,26 +426,6 @@ _SELECTIONAL_ROLE = {
     "isubj": "inanimate_subject",
 }
 
-# Production ids whose presence becomes an analysis flag.
-_FLAG_IDS = {
-    "root_topic_past": "topic", "root_topic_pres": "topic",
-    "np_subj_pp": "pp_on_subj", "np_isubj_pp": "pp_on_subj",
-    "np_iobj_pp": "pp_on_iobj",
-    "np_subj_rcs": "rc_on_subj", "np_subj_rco": "rc_on_subj",
-    "np_iobj_rcs": "rc_on_iobj", "np_iobj_rco": "rc_on_iobj",
-    "np_subj_adj": "adj_on_subj",
-    "np_iobj_adj": "adj_on_iobj",
-    "rc_iobjgap": "rc_gap_iobj", "np_dobj_rcio": "rc_gap_iobj",
-    "q_whoiobj": "wh_gap_iobj",
-    "q_whsubj_intrans": "wh_active_subj", "q_whsubj_inf": "wh_active_subj",
-    "q_whsubj_objom": "wh_active_subj", "q_whsubj_cp": "wh_active_subj",
-    "q_whsubj_do": "wh_active_subj", "q_whsubj_ppdat": "wh_active_subj",
-    "q_whatpass": "wh_passive_subj", "q_whatpass_by": "wh_passive_subj",
-    "q_whatdit": "wh_do_dit",
-    "np_whsubj_pp": "wh_subj_pp",
-    "q_whlong": "wh_long_move",
-}
-
 CONTENT_POS = ("CommonNoun", "ProperNoun", "Verb", "Adjective")
 
 
@@ -463,7 +444,6 @@ class Analysis:
     lemma_roles: list = field(default_factory=list)  # (lemma, role)
     verbs: list = field(default_factory=list)  # (lemma, frame, tense, voice)
     pairs: list = field(default_factory=list)  # (verb, sel-role, noun, tag)
-    flags: set = field(default_factory=set)
     depths: dict = field(default_factory=dict)  # construct -> depth
     ids: set = field(default_factory=set)  # production ids
     lemmas: list = field(default_factory=list)  # content lemmas, leaf order
@@ -513,8 +493,6 @@ def analyze(tree: ProdNode) -> Analysis:
             out.lemma_roles.append((leaf.entry.lemma, role))
         if leaf.entry.pos in CONTENT_POS:
             out.lemmas.append(leaf.entry.lemma)
-    out.flags = {_FLAG_IDS[i] for i in map(base_name, out.ids)
-                 if i in _FLAG_IDS}
     return out
 
 

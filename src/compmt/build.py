@@ -16,6 +16,7 @@ import hashlib
 import json
 import math
 import os
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from random import Random
@@ -572,12 +573,12 @@ def _manifest(config, bank, records, topicalized, eligible,
             if aug.startswith("exposure:"):
                 pid = aug.split(":", 1)[1]
                 exposure_counts[pid] = exposure_counts.get(pid, 0) + 1
+    gen_counts = Counter(r.pattern_id for r in records["gen"])
     per_pattern = {}
     for spec in bank.patterns:
-        gen_count = sum(1 for r in records["gen"] if r.pattern_id == spec.id)
         per_pattern[spec.id] = {
             "category": spec.category, "group": spec.group,
-            "gen_count": gen_count,
+            "gen_count": gen_counts[spec.id],
             "exposure_count": exposure_counts.get(spec.id, 0),
             "root_draws": gen_draws[spec.id],
         }

@@ -6,8 +6,9 @@ embedding on/off, exact recursion depths), and the primitive-exposure
 recipes that seed the training set with the pattern's prerequisites.  Each
 production carries its own transduction template.  A pattern grammar
 shares production ids with the training grammar wherever the clause shape
-is identical, because analysis flags and the gap audit read the ids; a
-shared id always carries the same template.
+is identical, because the gap audit reads the ids (those of
+`audit.WITHHELD_STRUCTURES`, and `rc_objgap` for the relative-clause gap
+link in analysis); a shared id always carries the same template.
 
 Embedded copies.  34 patterns test their withheld combination both in a
 matrix clause and in a clause embedded under "X thought that ...".  Each

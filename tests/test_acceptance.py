@@ -44,7 +44,8 @@ def auditor(bank, patterns, full):
         a.consume(r)
     a.elapsed = time.monotonic() - start
     # snapshot before the mutation test feeds it held-out sentences
-    a.train_depths_seen = {c: set(s) for c, s in a._depths_seen.items()}
+    a.train_depths_seen = {c: {f[2] for f in a.facts if f[:2] == ("depth", c)}
+                           for c in CONSTRUCTS}
     return a
 
 

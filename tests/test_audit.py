@@ -1,6 +1,7 @@
 """The leakage audit: clean on a real build, and sharp enough to catch a
 single injected generalization sentence per pattern."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -8,7 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from compmt.audit import GapAuditor, audit_gap, segment
+from compmt.audit import (WITHHELD_STRUCTURES, GapAuditor, audit_gap,
+                          audit_grammar, segment)
+from compmt.bank import base_name
 from compmt.build import SentenceRecord, _build_pattern
 from compmt.naturalize import default_case_frames
 
@@ -95,6 +98,46 @@ def test_every_gen_record_leaks_its_own_pattern(bank, patterns, seed):
     assert missed == []
 
 
+# (line count, sha256 of the newline-joined str() lines) of audit_gap on
+# three training sets taken from the scale-0.01 build at seed 1: none, its
+# first 50 train records, and every gen record audited as train.
+AUDIT_OUTPUT = {
+    "empty": (
+        150,
+        "a11f0b406406f2d7f8c545086addcf7555ed7b0863fbdc99d4c1040b8b1da2d7"),
+    "first_50_train": (
+        77,
+        "b31012e746e1c45a3804aa876c02cb23f07465006af6964ffef9d061dc4858a0"),
+    "gen_as_train": (
+        828,
+        "1d7c01071d91fa27fa6203112f3124ac3a43d2686e242153be87864cb4bdf6f8"),
+}
+
+
+def test_audit_output_is_pinned(bank, patterns, small_build):
+    recs, _ = small_build
+    inputs = {"empty": [], "first_50_train": recs["train"][:50],
+              "gen_as_train": [_as_train(r) for r in recs["gen"]]}
+    for name, records in inputs.items():
+        lines = [str(v) for v in audit_gap(records, patterns, bank=bank)]
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert (len(lines), digest) == AUDIT_OUTPUT[name], name
+
+
+def test_no_id_the_audit_reads_is_suffixed(bank, patterns):
+    """The withheld-structure ids and `rc_objgap` are read by exact (base)
+    id, so a `__n`-suffixed copy of one in the audit grammar would parse
+    its leak unseen."""
+    read = {i for _, ids in WITHHELD_STRUCTURES.values() for i in ids}
+    read.add("rc_objgap")
+    prods = audit_grammar(bank, patterns).productions
+    assert read <= {base_name(p.id) for p in prods}
+    suffixed = [p.id for p in prods if "__" in p.id]
+    assert suffixed
+    assert [i for i in suffixed
+            if base_name(i.split("__")[0]) in read] == []
+
+
 def test_injected_pp_subject_sentence(bank, patterns):
     a = GapAuditor(patterns, bank=bank)
     a.consume(SentenceRecord(
@@ -150,8 +193,8 @@ _FLAG_ORDER_SCRIPT = """
 from compmt.audit import GapAuditor
 from compmt.bank import Analysis, default_bank
 auditor = GapAuditor(default_bank().patterns)
-an = Analysis(flags={"wh_long_move", "pp_on_subj", "rc_on_iobj",
-                     "adj_on_subj"})
+an = Analysis(ids={"q_whlong", "np_subj_pp", "np_iobj_rco",
+                   "np_subj_adj"})
 print(" ".join(v.pattern_id for v in
                auditor._analysis_violations(an, "r", "s")))
 """

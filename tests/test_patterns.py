@@ -4,9 +4,9 @@ import hashlib
 import json
 from collections import Counter
 
-from compmt.audit import _CANON_FRAME
-from compmt.bank import (DET, L, ROLE_BY_TAG, _FLAG_IDS, _SELECTIONAL_ROLE,
-                         base_name, n, v)
+from compmt.audit import _CANON_FRAME, WITHHELD_STRUCTURES
+from compmt.bank import (DET, L, ROLE_BY_TAG, _SELECTIONAL_ROLE, base_name,
+                         n, v)
 from compmt.grammar import NT, Slot
 from compmt.patterns import _emb, _emb_id
 
@@ -241,5 +241,6 @@ def test_embedded_copy_rule(bank):
             assert base_name(_emb_id(pid)) == _emb_id(pid)
 
     # The analysis and audit tables list base stems and ids only.
-    for table in (ROLE_BY_TAG, _SELECTIONAL_ROLE, _FLAG_IDS, _CANON_FRAME):
+    withheld_ids = {i for _, ids in WITHHELD_STRUCTURES.values() for i in ids}
+    for table in (ROLE_BY_TAG, _SELECTIONAL_ROLE, withheld_ids, _CANON_FRAME):
         assert [k for k in table if base_name(k) != k] == []
