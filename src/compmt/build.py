@@ -16,6 +16,7 @@ import hashlib
 import json
 import math
 import os
+import sys
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
@@ -107,8 +108,11 @@ class RunConfig:
         return out
 
 
-@dataclass
+@dataclass(slots=True)
 class SentenceRecord:
+    """One sentence pair.  Slotted, and ``from_json`` interns its tokens,
+    split and pattern id: a read corpus has a few thousand token types over
+    hundreds of thousands of tokens, so records share their strings."""
     id: str
     split: str
     pattern_id: str
@@ -138,9 +142,10 @@ class SentenceRecord:
 
     @classmethod
     def from_json(cls, data):
-        return cls(data["id"], data["split"], data.get("pattern_id", ""),
-                   tuple(data["source"].split()),
-                   tuple(data["target"].split()),
+        return cls(data["id"], sys.intern(data["split"]),
+                   sys.intern(data.get("pattern_id", "")),
+                   tuple(map(sys.intern, data["source"].split())),
+                   tuple(map(sys.intern, data["target"].split())),
                    data.get("annotation"), data.get("provenance", {}))
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from collections import Counter
 from dataclasses import asdict, dataclass
 
@@ -51,24 +52,45 @@ def exact_match(hyp_tokens, ref_tokens) -> bool:
 MAX_N = 4
 
 
-def _ngrams(tokens, n):
-    return [tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1)]
+def _ngrams(tokens, n, start, stop):
+    """The n-grams of ``tokens`` that start at ``start`` up to ``stop``."""
+    return [tuple(tokens[i:i + n]) for i in range(start, stop)]
 
 
 def _counts(hyp, ref):
     """One sentence's BLEU statistics: clipped n-gram matches for n = 1..4,
     hypothesis n-gram totals for n = 1..4, hypothesis and reference length.
-    Corpus BLEU is a function of their element-wise sum."""
-    hyp, ref = list(hyp), list(ref)
-    total = [max(len(hyp) - n + 1, 0) for n in range(1, MAX_N + 1)]
+    Corpus BLEU is a function of their element-wise sum.  ``hyp`` and
+    ``ref`` are lists.
+
+    An n-gram that lies inside the shared prefix or the shared suffix of
+    ``hyp`` and ``ref`` occurs on both sides, and min(a + h, a + r) is
+    a + min(h, r).  So those n-grams all match, and only the n-grams that
+    touch the differing middle are clipped against each other."""
+    h, r = len(hyp), len(ref)
+    total = [max(h - n + 1, 0) for n in range(1, MAX_N + 1)]
     if hyp == ref:  # every n-gram matches itself
-        return total + total + [len(hyp), len(ref)]
+        return total + total + [h, r]
+    shorter = min(h, r)
+    prefix = 0
+    while prefix < shorter and hyp[prefix] == ref[prefix]:
+        prefix += 1
+    suffix = 0  # stops short of the prefix, so the two never overlap
+    while suffix < shorter - prefix and hyp[-1 - suffix] == ref[-1 - suffix]:
+        suffix += 1
     matched = []
     for n in range(1, MAX_N + 1):
-        ref_counts = Counter(_ngrams(ref, n))
-        matched.append(sum(min(count, ref_counts[gram])
-                           for gram, count in Counter(_ngrams(hyp, n)).items()))
-    return matched + total + [len(hyp), len(ref)]
+        # the n-grams that start before ``first`` lie inside the prefix
+        first = max(prefix - n + 1, 0)
+        remaining = Counter(_ngrams(ref, n, first,
+                                    min(r - suffix, r - n + 1)))
+        hits = first + max(suffix - n + 1, 0)
+        for gram in _ngrams(hyp, n, first, min(h - suffix, h - n + 1)):
+            if remaining[gram]:
+                remaining[gram] -= 1
+                hits += 1
+        matched.append(hits)
+    return matched + total + [h, r]
 
 
 def _sum(rows):
@@ -109,7 +131,8 @@ def corpus_bleu(hyps, refs) -> float:
     if len(hyps) != len(refs):
         raise ScoringError(
             f"hypothesis/reference count mismatch: {len(hyps)} vs {len(refs)}")
-    return _bleu(_sum(_counts(hyp, ref) for hyp, ref in zip(hyps, refs)))
+    return _bleu(_sum(_counts(list(hyp), list(ref))
+                      for hyp, ref in zip(hyps, refs)))
 
 
 # --------------------------------------------------------------------------
@@ -118,9 +141,19 @@ def corpus_bleu(hyps, refs) -> float:
 
 
 def _occurrences(tokens, needle):
+    """Each start at which the list ``needle`` occurs in the list
+    ``tokens``, in order."""
     n = len(needle)
-    return [i for i in range(len(tokens) - n + 1)
-            if tokens[i:i + n] == needle]
+    stop = max(len(tokens) - n + 1, 0)
+    start = 0
+    while True:
+        try:
+            start = tokens.index(needle[0], start, stop)
+        except ValueError:
+            return
+        if tokens[start:start + n] == needle:
+            yield start
+        start += 1
 
 
 def partial_match(hyp_tokens, annotation) -> bool:
@@ -205,13 +238,14 @@ def score_records(hyp_by_id, records, patterns) -> EvalReport:
         if hyp is None:
             skipped += 1
             continue
-        ref = list(record.target_tokens)
+        hyp, ref = list(hyp), list(record.target_tokens)
         annotated = bool(record.annotation)
-        sentence = [1, exact_match(hyp, ref), annotated,
+        sentence = [1, hyp == ref, annotated,
                     annotated and partial_match(hyp, record.annotation),
                     *_counts(hyp, ref)]
         pid = record.pattern_id
-        totals[pid] = _sum([totals.get(pid, _ZERO), sentence])
+        totals[pid] = list(map(operator.add, totals.get(pid, _ZERO),
+                               sentence))
     order = [p.id for p in patterns if p.id in totals]
     order.extend(sorted(set(totals) - set(group_of)))
     per_pattern = [{"pattern_id": pid, "group": group_of.get(pid, ""),
@@ -241,7 +275,10 @@ def read_hypotheses(path, records=None):
     record-id manifest).  The first non-blank line tells them apart.
     """
     with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+        # Only a newline ends a line: str.splitlines would also break at
+        # U+2028, form feeds and the like, which JSON strings and plain
+        # text may hold.
+        lines = [line.rstrip("\n") for line in fh]
     first = next((line for line in lines if line.strip()), "")
     if first.lstrip().startswith("{"):
         out = {}

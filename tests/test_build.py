@@ -188,6 +188,23 @@ def test_record_json_round_trip():
     assert SentenceRecord.from_json(r.to_json()) == r
 
 
+def test_read_records_are_slotted_and_share_tokens(tmp_path, bank):
+    """A read corpus holds slotted records whose equal tokens, split and
+    pattern id are one shared string each."""
+    config = RunConfig(master_seed=1, scale=0.002)
+    recs, manifest = build_splits(config, bank=bank)
+    write_corpus(recs, manifest, str(tmp_path))
+    back, _ = read_corpus(str(tmp_path))
+    records = [r for split in SPLITS for r in back[split]]
+    assert not hasattr(records[0], "__dict__")
+    first = {}
+    for r in records:
+        for token in (r.split, r.pattern_id, *r.source_tokens,
+                      *r.target_tokens):
+            assert first.setdefault(token, token) is token
+        assert SentenceRecord.from_json(r.to_json()) == r
+
+
 def test_config_round_trip(tmp_path):
     cfg = RunConfig(master_seed=9, scale=0.5, with_concat=False)
     path = tmp_path / "cfg.json"

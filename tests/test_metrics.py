@@ -3,12 +3,13 @@ import json
 import math
 import random
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
 
-from compmt.metrics import (ROLE_PARTICLES, ScoringError, corpus_bleu,
-                            exact_match, partial_match,
+from compmt.metrics import (MAX_N, ROLE_PARTICLES, ScoringError, _counts,
+                            corpus_bleu, exact_match, partial_match,
                             read_hypotheses, score_records)
 
 GOLD = "jyosei ga panda o mituke ta".split()
@@ -149,6 +150,58 @@ def test_bleu_is_order_insensitive():
     assert a == pytest.approx(b)
 
 
+def _reference_counts(hyp, ref):
+    """``_counts`` as first written: one Counter per order and side over
+    every n-gram, clipped against each other."""
+    total = [max(len(hyp) - n + 1, 0) for n in range(1, MAX_N + 1)]
+    matched = []
+    for n in range(1, MAX_N + 1):
+        ref_counts = Counter(tuple(ref[i:i + n])
+                             for i in range(len(ref) - n + 1))
+        hyp_counts = Counter(tuple(hyp[i:i + n])
+                             for i in range(len(hyp) - n + 1))
+        matched.append(sum(min(count, ref_counts[gram])
+                           for gram, count in hyp_counts.items()))
+    return matched + total + [len(hyp), len(ref)]
+
+
+ABC = st.lists(st.sampled_from("a b c".split()), max_size=12)
+
+
+@st.composite
+def _edited(draw):
+    """A reference and a hypothesis one or two edits away from it."""
+    ref = draw(ABC)
+    hyp = list(ref)
+    for _ in range(draw(st.integers(1, 2))):
+        kind = draw(st.sampled_from(
+            ["delete", "insert", "substitute", "transpose"]))
+        if kind == "transpose" and len(hyp) >= 2:
+            i = draw(st.integers(0, len(hyp) - 2))
+            hyp[i], hyp[i + 1] = hyp[i + 1], hyp[i]
+        elif kind in ("delete", "substitute") and hyp:
+            i = draw(st.integers(0, len(hyp) - 1))
+            if kind == "delete":
+                del hyp[i]
+            else:
+                hyp[i] = draw(st.sampled_from("a b c d".split()))
+        else:
+            hyp.insert(draw(st.integers(0, len(hyp))),
+                       draw(st.sampled_from("a b c d".split())))
+    return hyp, ref
+
+
+@given(ABC, ABC)
+def test_counts_equal_the_full_count_on_repeating_tokens(hyp, ref):
+    assert _counts(hyp, ref) == _reference_counts(hyp, ref)
+
+
+@given(_edited())
+def test_counts_equal_the_full_count_after_small_edits(pair):
+    hyp, ref = pair
+    assert _counts(hyp, ref) == _reference_counts(hyp, ref)
+
+
 def test_bleu_degenerate_inputs():
     with pytest.raises(ScoringError):
         corpus_bleu([], [])
@@ -203,6 +256,20 @@ def test_report_table_marks_unevaluable_partial(small_build, patterns):
     json.loads(report.to_json())
 
 
+def test_tuple_hypotheses_score_as_lists(small_build, patterns):
+    """``score_records`` and ``corpus_bleu`` take any token sequences."""
+    recs, _ = small_build
+    gen = recs["gen"]
+    _, deleted, _ = _hypothesis_sets(gen)
+    as_tuples = {rid: tuple(hyp) for rid, hyp in deleted.items()}
+    assert score_records(as_tuples, gen, patterns).to_json() == \
+        score_records(deleted, gen, patterns).to_json()
+    hyps = [deleted[r.id] for r in gen]
+    refs = [list(r.target_tokens) for r in gen]
+    assert corpus_bleu([tuple(h) for h in hyps],
+                       [tuple(r) for r in refs]) == corpus_bleu(hyps, refs)
+
+
 def test_missing_hypotheses_are_skipped(small_build, patterns):
     recs, _ = small_build
     gen = recs["gen"]
@@ -219,6 +286,32 @@ def test_read_hypotheses_jsonl(tmp_path):
     for lead in ("", "\n", "  \n\n"):  # the format is read past blank lines
         path.write_text(lead + body, encoding="utf-8")
         assert read_hypotheses(str(path)) == {"a": ["x", "y"], "b": ["z"]}
+
+
+def test_read_hypotheses_jsonl_keeps_unicode_line_separators(tmp_path):
+    """A JSON string may hold U+2028 raw; it does not end the line."""
+    path = tmp_path / "h.jsonl"
+    body = "".join(json.dumps({"id": i, "hypothesis": hyp},
+                              ensure_ascii=False) + "\n"
+                   for i, hyp in (("a", "x y"), ("b", "z\u2028w"),
+                                  ("c", "v")))
+    path.write_text(body, encoding="utf-8")
+    assert read_hypotheses(str(path)) == {"a": ["x", "y"], "b": ["z", "w"],
+                                          "c": ["v"]}
+
+
+def test_read_hypotheses_plain_text_splits_only_at_newlines(tmp_path,
+                                                            small_build):
+    """A form feed inside a plain-text line is whitespace, not a line
+    end, and the final newline adds no line."""
+    recs, _ = small_build
+    gen = recs["gen"][:3]
+    path = tmp_path / "h.txt"
+    lines = [r.target for r in gen]
+    lines[1] = lines[1].replace(" ", " \f", 1)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    got = read_hypotheses(str(path), gen)
+    assert got == {r.id: list(r.target_tokens) for r in gen}
 
 
 def test_read_hypotheses_plain_text_alignment(tmp_path, small_build):
