@@ -9,7 +9,10 @@ tree; analysis judges nothing, and the gap audit decides which of those
 facts are withheld.  Production ids are shared between the in-distribution
 grammar and the per-pattern generalization grammars wherever the clause
 shape is identical, because the gap audit reads them; a shared id always
-carries the same template.
+carries the same template and construct.  `patterns` copies each shared
+production from the grammar built here, so the rule holds by construction
+for those; `tests/test_patterns.py` checks it over all 43 grammars, the
+hand-written productions included.
 
 Embedded copies.  A clause embedded under "X thought that ..." is a copy of
 a matrix clause, and this module is the one home of the rule that names it:

@@ -20,8 +20,8 @@ import click
 
 from .audit import audit_gap
 from .bank import default_bank
-from .build import (OUT_DIR_ENV, RunConfig, build_splits, read_corpus,
-                    write_corpus)
+from .build import (OUT_DIR_ENV, SPLITS, RunConfig, build_splits,
+                    read_corpus, write_corpus)
 from .grammar import GrammarError
 from .metrics import ScoringError, score_file
 from .naturalize import read_case_frames
@@ -150,9 +150,8 @@ def generate(config_path, seed, scale, wo_concat, strict_selectional, out,
         _fail_io(exc)
     counts = manifest["counts"]
     click.echo("wrote " + ", ".join(
-        f"{split} {counts[split]}" for split in ("train", "dev", "test",
-                                                 "gen")) +
-               f" to {config.out_dir} (audit clean)")
+        f"{split} {counts[split]}" for split in SPLITS) +
+        f" to {config.out_dir} (audit clean)")
 
 
 @main.command()
@@ -178,7 +177,7 @@ def audit(corpus_dir):
 @main.command()
 @click.option("--corpus", "corpus_dir", type=click.Path(), required=True)
 @click.option("--split", default="gen", show_default=True,
-              type=click.Choice(["train", "dev", "test", "gen"]))
+              type=click.Choice(SPLITS))
 @click.option("--hyp", "hyp_path", type=click.Path(), required=True,
               help="Hypotheses: JSONL {id, hypothesis} or aligned text.")
 @click.option("--report", "report_path", type=click.Path(), default=None,
@@ -216,7 +215,7 @@ def _record_depths(record):
 @main.command()
 @click.option("--corpus", "corpus_dir", type=click.Path(), required=True)
 @click.option("--split", default=None,
-              type=click.Choice(["train", "dev", "test", "gen"]))
+              type=click.Choice(SPLITS))
 @click.option("--pattern", "pattern_id", default=None)
 @click.option("--depth", "depth_filter", default=None,
               help="Construct depth filter, e.g. cp=5 or pp=3.")
@@ -244,7 +243,7 @@ def inspect(corpus_dir, split, pattern_id, depth_filter, regex, limit):
     except re.error as exc:
         _fail_io(f"bad regex: {exc}")
     shown = 0
-    splits = [split] if split else ["train", "dev", "test", "gen"]
+    splits = [split] if split else SPLITS
     for name in splits:
         for record in records[name]:
             if pattern_id and record.pattern_id != pattern_id:

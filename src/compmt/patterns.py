@@ -4,40 +4,48 @@ Each pattern holds its target lexemes, a dedicated generalization grammar,
 the constraint variants cycled during generation (complement-clause
 embedding on/off, exact recursion depths), and the primitive-exposure
 recipes that seed the training set with the pattern's prerequisites.  Each
-production carries its own transduction template.  A pattern grammar
-shares production ids with the training grammar wherever the clause shape
-is identical, because the gap audit reads the ids (those of
+production carries its own transduction template.
+
+Shared productions.  A pattern grammar is the training grammar with one
+combination moved out of it, so every production whose id the training
+grammar defines is taken from it by `_copy`: the copy keeps the training
+production's template and construct, and may rename nonterminals, give
+the slots of a tag another lemma pool, take the pattern's weight, or take
+a new id.  The gap audit reads the ids (those of
 `audit.WITHHELD_STRUCTURES`, and `rc_objgap` for the relative-clause gap
-link in analysis); a shared id always carries the same template.
+link in analysis), so a shared id carries one template and one construct
+in all 43 grammars; `tests/test_patterns.py` checks it.
 
 Embedded copies.  34 patterns test their withheld combination both in a
 matrix clause and in a clause embedded under "X thought that ...".  Each
 matrix clause and noun phrase is written once; `_with_embedded` and
-`bank`'s `_np` and `_pairs` derive the copy by the naming rule that `bank`
-defines, writes and reads back for analysis and the audit.
+`bank`'s `_emb_clause`, `_np` and `_pairs` derive the copy by the naming
+rule that `bank` defines, writes and reads back for analysis and the audit.
 
-Written by hand instead: `_gen_pres_cp`, whose target verb itself takes
-the complement, so its embedded clause is a different clause; the CP
-branch of `_gen_recursion`, where the complement nests in itself; and the
-wh-question generators, which do not embed.
+Written by hand instead, because the training grammar does not define
+them: the withheld structures (`np_subj_pp`, ...) and the other
+pattern-specific noun phrases, kept on `bank`'s `np_pair`, `_pairs` and
+`_np`; the wh-questions other than `q_whatobj`; `np_osubj_*` and
+`rc_iobjgap`; and `_gen_pres_cp`'s free (`f`-tag) clauses and its
+present-tense `semb_cp` on SEMB_T.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .grammar import Constraints, NT, Pcfg
+from .grammar import Constraints, NT, Pcfg, Slot
 from .bank import (
-    DET, L, GrammarSpec, adj, n, np_pair, pn, prep, v,
-    _emb, _emb_id, _np, _pairs,
+    DET, L, GrammarSpec, in_distribution_spec, n, np_pair, pn, v,
+    _emb_clause, _np, _pairs,
     ACT2PASS, DO2PP, OBJ2SUBJ_C, OBJ2SUBJ_P, OBJOM2TRANS, PASS2ACT, PP2DO,
     PRIM_OBJ_C, PRIM_OBJ_P, PRIM_SUBJ_C, PRIM_SUBJ_P, PRIM_VERBS,
     SUBJ2OBJ_C, SUBJ2OBJ_P, TENSE_CP, TENSE_DIT, TENSE_INF,
     TRANS2CP, TRANS2DIT, TRANS2INF, UNACC2TRANS,
-    FREE_ANIM, FREE_PROP, INANIM_POOL, LOC_NOUNS,
+    FREE_ANIM, FREE_PROP, INANIM_POOL,
     V_CP_PAST, V_CP_PRES, V_DO_PAST, V_INFBASE, V_INF_PAST, V_INTRANS,
-    V_OBJOM, V_PASS, V_PASSDAT, V_PPDAT_PAST, V_TRANS, V_TRANS_SAFE, V_UNACC,
+    V_OBJOM, V_PASS, V_PPDAT_PAST, V_TRANS_SAFE, V_UNACC,
 )
 from .lexdata import CASE_FRAMES
 
@@ -47,16 +55,12 @@ F = Fraction
 V_UNACC_SAFE = tuple(x for x in V_UNACC if x != "bloom")
 FREE_MIXED = FREE_ANIM + INANIM_POOL
 
-# Clause templates, shared verbatim with the training grammar.
-T_TRANS = "$0 ga $2 o @morph(1)"
-T_INTRANS = "$0 ga @morph(1)"
-T_PASS = "$0 ga @morph(2)"
-T_PASS_BY = "$0 ga $4 niyotte @morph(2)"
-T_PASSDAT = "$0 ga $4 ni @morph(2)"
-T_DO = "$0 ga $2 ni $3 o @morph(1)"
-T_PPDAT = "$0 ga $2 o $4 ni @morph(1)"
-T_CP = "$0 ga $2 @morph(1)"
-T_INF = "$0 ga @morph(3,pres) koto o @morph(1)"
+# Lemma pools, by slot tag, for the shared slots that a pattern keeps away
+# from selectional repairs.
+_SAFE = {"v:trans:past": V_TRANS_SAFE, "v:etrans:past": V_TRANS_SAFE,
+         "v:rc:past": V_TRANS_SAFE, "v:rcs:past": V_TRANS_SAFE,
+         "v:unacc:past": V_UNACC_SAFE}
+
 T_MOD = "$2 $1"   # det noun modifier -> modifier-first in the target
 T_ADJ = "$1 $2"
 
@@ -85,45 +89,63 @@ class PatternSpec:
 # Grammar-building helpers
 # --------------------------------------------------------------------------
 
+# The training grammar's productions, by id: the one source of every
+# production a pattern grammar shares with it.
+_TRAINING = {p.id: p for p in in_distribution_spec().prods}
 
-def _npc(g, pid, nt, tag, pool, w=F(1)):
-    g.add(pid, nt, [DET, n(tag, pool)], w, "$1")
+
+def _copy(g, pid, weight, names=None, pools=None, new_id=None):
+    """Add to `g` the training production `pid` with `weight`, its
+    nonterminals (the left-hand side too) renamed by `names`, the slots of
+    each tag in `pools` drawing from that tag's pool, and `new_id` as its
+    id if given; return it."""
+    names, pools = names or {}, pools or {}
+
+    def copy_sym(s):
+        if isinstance(s, NT):
+            return NT(names.get(s.name, s.name))
+        if isinstance(s, Slot) and s.tag in pools:
+            return replace(s, lemmas=frozenset(pools[s.tag]))
+        return s
+
+    p = _TRAINING[pid]
+    p = replace(p, id=new_id or pid, lhs=names.get(p.lhs, p.lhs),
+                rhs=tuple(map(copy_sym, p.rhs)), weight=F(weight))
+    g.prods.append(p)
+    return p
 
 
 def _base(g, question=False):
-    if question:
-        g.add("root_q", "ROOT", [NT("SQ")], F(1), "$0")
-    else:
-        g.add("root_decl", "ROOT", [NT("S"), L(".")], F(1), "$0")
-    g.add("det_the", "DET", [L("the")], F(1, 2), "")
-    g.add("det_a", "DET", [L("a")], F(1, 2), "")
+    _copy(g, "root_q" if question else "root_decl", 1)
+    _copy(g, "det_the", F(1, 2))
+    _copy(g, "det_a", F(1, 2))
 
 
-def _clauses(g, lhs, clauses, mass=F(1)):
-    """Add weighted clause productions; relative weights scaled to `mass`."""
-    total = sum(rel for *_rest, rel in clauses)
-    for pid, rhs, template, rel in clauses:
-        g.add(pid, lhs, rhs, mass * F(rel, total), template)
+def _clauses(g, clauses, mass=F(1)):
+    """`_copy` each `(pid, rel, names, pools, new_id)`, the last three
+    optional, with its relative weight `rel` scaled to `mass`; return the
+    copies."""
+    total = sum(rel for _pid, rel, *_rest in clauses)
+    return [_copy(g, pid, mass * F(rel, total), *rest)
+            for pid, rel, *rest in clauses]
 
 
 def _embed(g, cp_nt="CP", marker="cp_clause", semb_nt="SEMB"):
     """Outer complement-clause scaffold on half the S mass: free subject +
     free CP verb."""
-    g.add("s_cp_past", "S",
-          [NT("NP_OSUBJ"), v("v:cp:past", "past", V_CP_PRES), NT(cp_nt)],
-          F(1, 2), T_CP)
-    g.add(marker, cp_nt, [L("that"), NT(semb_nt)], F(1), "$1 to",
-          construct="CP")
+    _copy(g, "s_cp_past", F(1, 2), {"NP_SUBJ": "NP_OSUBJ", "CP": cp_nt},
+          {"v:cp:past": V_CP_PRES})
+    _copy(g, "cp_clause", 1, {"CP": cp_nt, "SEMB": semb_nt}, new_id=marker)
     np_pair(g, "osubj", FREE_ANIM, FREE_PROP)
 
 
 def _with_embedded(g, clauses):
-    """Matrix `clauses` on half the S mass, the complement-clause scaffold,
-    and each clause's embedded copy on SEMB with the same relative weight."""
-    _clauses(g, "S", clauses, F(1, 2))
+    """`_clauses` on half the S mass, the complement-clause scaffold, and
+    each clause's embedded copy on SEMB with the same relative weight."""
+    matrix = _clauses(g, clauses, F(1, 2))
     _embed(g)
-    _clauses(g, "SEMB", [(_emb_id(pid), [_emb(s) for s in rhs], template, rel)
-                         for pid, rhs, template, rel in clauses])
+    for p in matrix:  # SEMB holds only the copies: twice the S weights
+        _emb_clause(g, p.id, 2 * p.weight)
 
 
 def _compile(g, lexicon, zipf=1.0):
@@ -132,10 +154,6 @@ def _compile(g, lexicon, zipf=1.0):
     if problems:
         raise ValueError("; ".join(str(p) for p in problems))
     return grammar
-
-
-_EMB_VARIANTS = ((("cp_clause",), (), ()), ((), ("cp_clause",), ()))
-_PLAIN_VARIANT = (((), (), ()),)
 
 
 def _sample_exposures(plans, targets=None):
@@ -170,22 +188,12 @@ def _gen_subject(targets, proper, include_do=True, include_objom=False):
     """Targets in the (animate) subject position of simple clauses."""
     g = GrammarSpec()
     _base(g)
-    clauses = [
-        ("s_trans_past",
-         [NT("NP_TSUBJ"), v("v:trans:past", "past", V_TRANS_SAFE),
-          NT("NP_DOBJ")], T_TRANS, 5),
-        ("s_intrans_past",
-         [NT("NP_TSUBJ"), v("v:intrans:past", "past", V_INTRANS)],
-         T_INTRANS, 2),
-    ]
+    subj = {"NP_SUBJ": "NP_TSUBJ"}
+    clauses = [("s_trans_past", 5, subj, _SAFE), ("s_intrans_past", 2, subj)]
     if include_do:
-        clauses.append(("s_do_past",
-                        [NT("NP_TSUBJ"), v("v:do:past", "past", V_DO_PAST),
-                         NT("NP_IOBJ"), NT("NP_DOBJ")], T_DO, 2))
+        clauses.append(("s_do_past", 2, subj))
     if include_objom:
-        clauses.append(("s_objom_past",
-                        [NT("NP_TSUBJ"), v("v:objom:past", "past", V_OBJOM)],
-                        T_INTRANS, 1))
+        clauses.append(("s_objom_past", 1, subj))
     _with_embedded(g, clauses)
     if proper:
         _np(g, "np_subj_p", "NP_TSUBJ", [pn("n:subj:p", targets)], F(1),
@@ -203,17 +211,9 @@ def _gen_dobj_common(targets):
     """Targets as the direct object of transitive/ditransitive clauses."""
     g = GrammarSpec()
     _base(g)
-    _with_embedded(g, [
-        ("s_trans_past",
-         [NT("NP_SUBJ"), v("v:trans:past", "past", V_TRANS_SAFE),
-          NT("NP_TOBJ")], T_TRANS, 5),
-        ("s_do_past",
-         [NT("NP_SUBJ"), v("v:do:past", "past", V_DO_PAST),
-          NT("NP_IOBJ"), NT("NP_TOBJ")], T_DO, 3),
-        ("s_ppdat_past",
-         [NT("NP_SUBJ"), v("v:ppdat:past", "past", V_PPDAT_PAST),
-          NT("NP_TOBJ"), L("to"), NT("NP_IOBJ")], T_PPDAT, 2),
-    ])
+    tobj = {"NP_DOBJ": "NP_TOBJ"}
+    _with_embedded(g, [("s_trans_past", 5, tobj, _SAFE),
+                       ("s_do_past", 3, tobj), ("s_ppdat_past", 2, tobj)])
     _np(g, "np_dobj_c", "NP_TOBJ", [DET, n("n:dobj:c", targets)], F(1), "$1",
         annot=True)
     _pairs(g, "subj", FREE_ANIM, FREE_PROP)
@@ -225,14 +225,8 @@ def _gen_obj_proper(targets):
     """Proper-noun targets as direct object (trans) or recipient (DO)."""
     g = GrammarSpec()
     _base(g)
-    _with_embedded(g, [
-        ("s_trans_past",
-         [NT("NP_SUBJ"), v("v:trans:past", "past", V_TRANS_SAFE),
-          NT("NP_TOBJ")], T_TRANS, 3),
-        ("s_do_past",
-         [NT("NP_SUBJ"), v("v:do:past", "past", V_DO_PAST),
-          NT("NP_TIOBJ"), NT("NP_DOBJ")], T_DO, 2),
-    ])
+    _with_embedded(g, [("s_trans_past", 3, {"NP_DOBJ": "NP_TOBJ"}, _SAFE),
+                       ("s_do_past", 2, {"NP_IOBJ": "NP_TIOBJ"})])
     _np(g, "np_dobj_p", "NP_TOBJ", [pn("n:dobj:p", targets)], F(1), "$0",
         annot=True)
     _np(g, "np_iobj_p", "NP_TIOBJ", [pn("n:iobj:p", targets)], F(1), "$0",
@@ -247,17 +241,10 @@ def _gen_prim_obj_proper(targets):
     """Proper-noun targets as recipients and objects, incl. passive dative."""
     g = GrammarSpec()
     _base(g)
-    _with_embedded(g, [
-        ("s_passdat",
-         [NT("NP_PSUBJ"), L("was"), v("v:passdat", "part", V_PASSDAT),
-          L("to"), NT("NP_TIOBJ")], T_PASSDAT, 2),
-        ("s_trans_past",
-         [NT("NP_SUBJ"), v("v:trans:past", "past", V_TRANS_SAFE),
-          NT("NP_TOBJ")], T_TRANS, 2),
-        ("s_ppdat_past",
-         [NT("NP_SUBJ"), v("v:ppdat:past", "past", V_PPDAT_PAST),
-          NT("NP_DOBJ"), L("to"), NT("NP_TIOBJ")], T_PPDAT, 1),
-    ])
+    tiobj = {"NP_IOBJ": "NP_TIOBJ"}
+    _with_embedded(g, [("s_passdat", 2, tiobj),
+                       ("s_trans_past", 2, {"NP_DOBJ": "NP_TOBJ"}, _SAFE),
+                       ("s_ppdat_past", 1, tiobj)])
     _np(g, "np_iobj_p", "NP_TIOBJ", [pn("n:iobj:p", targets)], F(1), "$0",
         annot=True)
     _np(g, "np_dobj_p", "NP_TOBJ", [pn("n:dobj:p", targets)], F(1), "$0",
@@ -274,11 +261,7 @@ def _gen_prim_inf():
     """Primitive verbs as the infinitival complement."""
     g = GrammarSpec()
     _base(g)
-    _with_embedded(g, [
-        ("s_inf_past",
-         [NT("NP_SUBJ"), v("v:inf:past", "past", V_INF_PAST), L("to"),
-          v("v:infbase", "inf", PRIM_VERBS)], T_INF, 1),
-    ])
+    _with_embedded(g, [("s_inf_past", 1, None, {"v:infbase": PRIM_VERBS})])
     _pairs(g, "subj", FREE_ANIM, FREE_PROP)
     return g
 
@@ -291,14 +274,8 @@ def _gen_prim_inf():
 def _gen_pres_dit(targets):
     g = GrammarSpec()
     _base(g)
-    _with_embedded(g, [
-        ("s_do_pres",
-         [NT("NP_SUBJ"), v("v:do:pres", "pres", targets),
-          NT("NP_IOBJ"), NT("NP_DOBJ")], T_DO, 1),
-        ("s_ppdat_pres",
-         [NT("NP_SUBJ"), v("v:ppdat:pres", "pres", targets),
-          NT("NP_DOBJ"), L("to"), NT("NP_IOBJ")], T_PPDAT, 1),
-    ])
+    _with_embedded(g, [("s_do_pres", 1, None, {"v:do:pres": targets}),
+                       ("s_ppdat_pres", 1, None, {"v:ppdat:pres": targets})])
     _pairs(g, "subj", FREE_ANIM, FREE_PROP)
     _pairs(g, "iobj", FREE_ANIM, FREE_PROP)
     _pairs(g, "dobj", FREE_MIXED, FREE_PROP)
@@ -308,11 +285,7 @@ def _gen_pres_dit(targets):
 def _gen_pres_inf(targets):
     g = GrammarSpec()
     _base(g)
-    _with_embedded(g, [
-        ("s_inf_pres",
-         [NT("NP_SUBJ"), v("v:inf:pres", "pres", targets), L("to"),
-          v("v:infbase", "inf", V_INFBASE)], T_INF, 1),
-    ])
+    _with_embedded(g, [("s_inf_pres", 1, None, {"v:inf:pres": targets})])
     _pairs(g, "subj", FREE_ANIM, FREE_PROP)
     return g
 
@@ -322,38 +295,34 @@ def _gen_pres_cp(targets):
     target clause inside a further (past) complement clause."""
     g = GrammarSpec()
     _base(g)
-    g.add("s_cp_pres", "S",
-          [NT("NP_SUBJ"), v("v:cp:pres", "pres", targets), NT("CP")],
-          F(1, 2), T_CP)
+    _copy(g, "s_cp_pres", F(1, 2), pools={"v:cp:pres": targets})
     _embed(g, cp_nt="CP_T", marker="cp_clause_t", semb_nt="SEMB_T")
     g.add("semb_cp", "SEMB_T",
           [NT("NP_ESUBJ"), v("v:ecp:pres", "pres", targets), NT("CP")],
-          F(1), T_CP)
-    g.add("cp_clause", "CP", [L("that"), NT("SEMB")], F(1), "$1 to",
-          construct="CP")
-    _clauses(g, "SEMB", [
-        ("semb_trans",
-         [NT("NP_FSUBJ"), v("v:ftrans:past", "past", V_TRANS_SAFE),
-          NT("NP_FDOBJ")], T_TRANS, 3),
-        ("semb_intrans",
-         [NT("NP_FSUBJ"), v("v:fintrans:past", "past", V_INTRANS)],
-         T_INTRANS, 2),
-        ("semb_pass",
-         [NT("NP_FPSUBJ"), L("was"), v("v:fpass", "part", V_PASS)],
-         T_PASS, 2),
-        ("semb_pass_by",
-         [NT("NP_FPSUBJ"), L("was"), v("v:fpass", "part", V_PASS),
-          L("by"), NT("NP_FAGENT")], T_PASS_BY, 2),
-        ("semb_unacc",
-         [NT("NP_FISUBJ"), v("v:funacc:past", "past", V_UNACC_SAFE)],
-         T_INTRANS, 1),
-    ])
+          F(1), "$0 ga $2 @morph(1)")
+    _copy(g, "cp_clause", 1)
+    g.add("semb_trans", "SEMB",
+          [NT("NP_FSUBJ"), v("v:ftrans:past", "past", V_TRANS_SAFE),
+           NT("NP_FDOBJ")], F(3, 10), "$0 ga $2 o @morph(1)")
+    g.add("semb_intrans", "SEMB",
+          [NT("NP_FSUBJ"), v("v:fintrans:past", "past", V_INTRANS)],
+          F(2, 10), "$0 ga @morph(1)")
+    g.add("semb_pass", "SEMB",
+          [NT("NP_FPSUBJ"), L("was"), v("v:fpass", "part", V_PASS)],
+          F(2, 10), "$0 ga @morph(2)")
+    g.add("semb_pass_by", "SEMB",
+          [NT("NP_FPSUBJ"), L("was"), v("v:fpass", "part", V_PASS),
+           L("by"), NT("NP_FAGENT")], F(2, 10), "$0 ga $4 niyotte @morph(2)")
+    g.add("semb_unacc", "SEMB",
+          [NT("NP_FISUBJ"), v("v:funacc:past", "past", V_UNACC_SAFE)],
+          F(1, 10), "$0 ga @morph(1)")
     _pairs(g, "subj", FREE_ANIM, FREE_PROP)
     np_pair(g, "fsubj", FREE_ANIM, FREE_PROP)
     np_pair(g, "fdobj", FREE_MIXED, FREE_PROP)
     np_pair(g, "fpsubj", FREE_MIXED, FREE_PROP)
     np_pair(g, "fagent", FREE_ANIM, FREE_PROP)
-    _npc(g, "np_fisubj", "NP_FISUBJ", "n:fisubj", INANIM_POOL)
+    g.add("np_fisubj", "NP_FISUBJ", [DET, n("n:fisubj", INANIM_POOL)], F(1),
+          "$1")
     return g
 
 
@@ -365,14 +334,8 @@ def _gen_pres_cp(targets):
 def _gen_passive(targets):
     g = GrammarSpec()
     _base(g)
-    _with_embedded(g, [
-        ("s_pass",
-         [NT("NP_PSUBJ"), L("was"), v("v:pass", "part", targets)],
-         T_PASS, 2),
-        ("s_pass_by",
-         [NT("NP_PSUBJ"), L("was"), v("v:pass", "part", targets),
-          L("by"), NT("NP_AGENT")], T_PASS_BY, 3),
-    ])
+    _with_embedded(g, [("s_pass", 2, None, {"v:pass": targets}),
+                       ("s_pass_by", 3, None, {"v:pass": targets})])
     _pairs(g, "psubj", FREE_MIXED, FREE_PROP)
     _pairs(g, "agent", FREE_ANIM, FREE_PROP)
     return g
@@ -386,13 +349,10 @@ def _gen_active_trans(targets, dobj_common, dobj_proper=None):
     safe = tuple(t for t in targets
                  if t not in {verb for verb, _role, _ns in CASE_FRAMES})
     framed = tuple(t for t in targets if t not in safe)
-    clauses = [("s_trans_past",
-                [NT("NP_SUBJ"), v("v:trans:past", "past", safe),
-                 NT("NP_DOBJ")], T_TRANS, len(safe))]
+    clauses = [("s_trans_past", len(safe), None, {"v:trans:past": safe})]
     if framed:
-        clauses.append(("s_trans_past_cf",
-                        [NT("NP_SUBJ"), v("v:trans:past", "past", framed),
-                         NT("NP_CFOBJ")], T_TRANS, len(framed)))
+        clauses.append(("s_trans_past", len(framed), {"NP_DOBJ": "NP_CFOBJ"},
+                        {"v:trans:past": framed}, "s_trans_past_cf"))
     _with_embedded(g, clauses)
     if framed:
         pool = tuple(sorted({x for verb, role, nouns in CASE_FRAMES
@@ -414,13 +374,9 @@ def _gen_dat(targets, double_object):
     g = GrammarSpec()
     _base(g)
     if double_object:
-        clause = ("s_do_past",
-                  [NT("NP_SUBJ"), v("v:do:past", "past", targets),
-                   NT("NP_IOBJ"), NT("NP_DOBJ")], T_DO, 1)
+        clause = ("s_do_past", 1, None, {"v:do:past": targets})
     else:
-        clause = ("s_ppdat_past",
-                  [NT("NP_SUBJ"), v("v:ppdat:past", "past", targets),
-                   NT("NP_DOBJ"), L("to"), NT("NP_IOBJ")], T_PPDAT, 1)
+        clause = ("s_ppdat_past", 1, None, {"v:ppdat:past": targets})
     _with_embedded(g, [clause])
     _pairs(g, "subj", FREE_ANIM, FREE_PROP)
     _pairs(g, "iobj", FREE_ANIM, FREE_PROP)
@@ -433,36 +389,26 @@ def _gen_dat(targets, double_object):
 # --------------------------------------------------------------------------
 
 
-def _add_pp(g, depth_one=True):
-    g.add("pp_mod", "PP", [prep(), NT("NP_PPN")], F(1), "$1 no $0 no",
-          construct="PP")
-    if depth_one:
-        _npc(g, "np_ppn", "NP_PPN", "n:ppn", LOC_NOUNS)
+def _add_pp(g, nesting=F(0)):
+    _copy(g, "pp_mod", 1)
+    _copy(g, "np_ppn", 1 - nesting)
+    if nesting:
+        _copy(g, "np_ppn_pp", nesting)
 
 
 def _add_rc(g, nesting=F(0)):
-    g.add("rc_objgap", "RC_OBJ",
-          [L("that"), NT("NP_CESUBJ"), v("v:rc:past", "past", V_TRANS_SAFE)],
-          F(1), "$1 ga @morph(2)", construct="CenterEmbedRC")
-    rest = F(1) - nesting
-    _npc(g, "np_cesubj_c", "NP_CESUBJ", "n:cesubj:c", FREE_ANIM,
-         rest * F(65, 100))
-    g.add("np_cesubj_p", "NP_CESUBJ", [pn("n:cesubj:p", FREE_PROP)],
-          rest * F(35, 100), "$0")
+    _copy(g, "rc_objgap", 1, pools=_SAFE)
+    free = {"n:cesubj:c": FREE_ANIM, "n:cesubj:p": FREE_PROP}
+    rest = 1 - nesting
+    _copy(g, "np_cesubj_c", rest * F(65, 100), pools=free)
+    _copy(g, "np_cesubj_p", rest * F(35, 100), pools=free)
     if nesting:
-        g.add("np_cesubj_rc", "NP_CESUBJ",
-              [DET, n("n:cesubj:c", FREE_ANIM), NT("RC_OBJ")],
-              nesting, T_MOD)
+        _copy(g, "np_cesubj_rc", nesting, pools=free)
 
 
 def _add_rc_subjgap(g):
-    g.add("rc_subjgap_t", "RC_SUBJ",
-          [L("that"), v("v:rcs:past", "past", V_TRANS_SAFE), NT("NP_RCOBJ")],
-          F(7, 10), "$2 o @morph(1)")
-    g.add("rc_subjgap_do", "RC_SUBJ",
-          [L("that"), v("v:rcsdo:past", "past", V_DO_PAST),
-           NT("NP_RCIOBJ"), NT("NP_RCOBJ")],
-          F(3, 10), "$2 ni $3 o @morph(1)")
+    _copy(g, "rc_subjgap_t", F(7, 10), pools=_SAFE)
+    _copy(g, "rc_subjgap_do", F(3, 10))
     np_pair(g, "rcobj", FREE_MIXED, FREE_PROP)
     np_pair(g, "rciobj", FREE_ANIM, FREE_PROP)
 
@@ -483,7 +429,7 @@ def _add_modifiers(g, kind, nt, stem):
         _np(g, f"np_{stem}_rcs", nt, [DET, noun, NT("RC_SUBJ")], F(1, 2),
             T_MOD, annot=True)
     else:
-        g.add("adj_one", "ADJSEQ", [adj()], F(1), "$0", construct="Adj")
+        _copy(g, "adj_one", 1)
         _np(g, f"np_{stem}_adj", nt, [DET, NT("ADJSEQ"), noun], F(1), T_ADJ,
             annot=True)
 
@@ -492,20 +438,12 @@ def _gen_mod_subj(kind):
     """A PP / RC / adjective modifier on the subject."""
     g = GrammarSpec()
     _base(g)
+    msubj = {"NP_SUBJ": "NP_MSUBJ"}
     if kind == "pp":
-        other = ("s_unacc_past",
-                 [NT("NP_MISUBJ"), v("v:unacc:past", "past", V_UNACC_SAFE)],
-                 T_INTRANS, 2)
+        other = ("s_unacc_past", 2, {"NP_ISUBJ": "NP_MISUBJ"}, _SAFE)
     else:
-        other = ("s_intrans_past",
-                 [NT("NP_MSUBJ"), v("v:intrans:past", "past", V_INTRANS)],
-                 T_INTRANS, 2)
-    _with_embedded(g, [
-        ("s_trans_past",
-         [NT("NP_MSUBJ"), v("v:trans:past", "past", V_TRANS_SAFE),
-          NT("NP_DOBJ")], T_TRANS, 3),
-        other,
-    ])
+        other = ("s_intrans_past", 2, msubj)
+    _with_embedded(g, [("s_trans_past", 3, msubj, _SAFE), other])
     _add_modifiers(g, kind, "NP_MSUBJ", "subj")
     if kind == "pp":
         _np(g, "np_isubj_pp", "NP_MISUBJ",
@@ -519,14 +457,8 @@ def _gen_mod_iobj(kind):
     """A PP / RC / adjective modifier on the indirect object."""
     g = GrammarSpec()
     _base(g)
-    _with_embedded(g, [
-        ("s_ppdat_past",
-         [NT("NP_SUBJ"), v("v:ppdat:past", "past", V_PPDAT_PAST),
-          NT("NP_DOBJ"), L("to"), NT("NP_MIOBJ")], T_PPDAT, 3),
-        ("s_do_past",
-         [NT("NP_SUBJ"), v("v:do:past", "past", V_DO_PAST),
-          NT("NP_MIOBJ"), NT("NP_DOBJ")], T_DO, 2),
-    ])
+    miobj = {"NP_IOBJ": "NP_MIOBJ"}
+    _with_embedded(g, [("s_ppdat_past", 3, miobj), ("s_do_past", 2, miobj)])
     _add_modifiers(g, kind, "NP_MIOBJ", "iobj")
     _pairs(g, "subj", FREE_ANIM, FREE_PROP)
     _pairs(g, "dobj", FREE_MIXED, FREE_PROP)
@@ -552,28 +484,11 @@ def _gen_recursion(construct):
     _base(g)
     rest = F(1) - NEST_WEIGHT
     if construct == "CP":
-        g.add("s_cp_past", "S",
-              [NT("NP_SUBJ"), v("v:cp:past", "past", V_CP_PAST), NT("CP")],
-              F(1), T_CP)
-        g.add("cp_clause", "CP", [L("that"), NT("SEMB")], F(1), "$1 to",
-              construct="CP")
-        _clauses(g, "SEMB", [
-            ("semb_trans",
-             [NT("NP_ESUBJ"), v("v:etrans:past", "past", V_TRANS_SAFE),
-              NT("NP_EDOBJ")], T_TRANS, 4),
-            ("semb_intrans",
-             [NT("NP_ESUBJ"), v("v:eintrans:past", "past", V_INTRANS)],
-             T_INTRANS, 2),
-            ("semb_pass",
-             [NT("NP_EPSUBJ"), L("was"), v("v:epass", "part", V_PASS)],
-             T_PASS, 2),
-            ("semb_pass_by",
-             [NT("NP_EPSUBJ"), L("was"), v("v:epass", "part", V_PASS),
-              L("by"), NT("NP_EAGENT")], T_PASS_BY, 2),
-        ], rest)
-        g.add("semb_cp", "SEMB",
-              [NT("NP_ESUBJ"), v("v:ecp:past", "past", V_CP_PAST), NT("CP")],
-              NEST_WEIGHT, T_CP)
+        _copy(g, "s_cp_past", 1)
+        _copy(g, "cp_clause", 1)
+        _clauses(g, [("semb_trans", 4, None, _SAFE), ("semb_intrans", 2),
+                     ("semb_pass", 2), ("semb_pass_by", 2)], rest)
+        _copy(g, "semb_cp", NEST_WEIGHT)
         _pairs(g, "subj", FREE_ANIM, FREE_PROP)
         np_pair(g, "edobj", FREE_MIXED, FREE_PROP)
         np_pair(g, "epsubj", FREE_MIXED, FREE_PROP)
@@ -581,42 +496,22 @@ def _gen_recursion(construct):
         return g
     # The other three constructs nest inside a (possibly CP-embedded)
     # transitive clause's direct object.
-    _with_embedded(g, [
-        ("s_trans_past",
-         [NT("NP_SUBJ"), v("v:trans:past", "past", V_TRANS_SAFE),
-          NT("NP_DOBJ")], T_TRANS, 1),
-    ])
+    _with_embedded(g, [("s_trans_past", 1, None, _SAFE)])
     if construct == "PP":
         _np(g, "np_dobj_pp", "NP_DOBJ",
             [DET, n("n:dobj:c", INANIM_POOL), NT("PP")], F(1), T_MOD)
-        _add_pp(g, depth_one=False)
-        _npc(g, "np_ppn", "NP_PPN", "n:ppn", LOC_NOUNS, rest)
-        g.add("np_ppn_pp", "NP_PPN",
-              [DET, n("n:ppn", LOC_NOUNS), NT("PP")],
-              NEST_WEIGHT, T_MOD)
+        _add_pp(g, NEST_WEIGHT)
     elif construct == "CenterEmbedRC":
         _np(g, "np_dobj_rco", "NP_DOBJ",
             [DET, n("n:dobj:c", FREE_MIXED), NT("RC_OBJ")], F(1), T_MOD)
-        _add_rc(g, nesting=NEST_WEIGHT)
+        _add_rc(g, NEST_WEIGHT)
     else:  # stacked adjectives
         _np(g, "np_dobj_adj", "NP_DOBJ",
             [DET, NT("ADJSEQ"), n("n:dobj:c", FREE_MIXED)], F(1), T_ADJ)
-        g.add("adj_one", "ADJSEQ", [adj()], rest, "$0", construct="Adj")
-        g.add("adj_more", "ADJSEQ", [adj(), NT("ADJSEQ")], NEST_WEIGHT,
-              "$0 $1", construct="Adj")
+        _copy(g, "adj_one", rest)
+        _copy(g, "adj_more", NEST_WEIGHT)
     _pairs(g, "subj", FREE_ANIM, FREE_PROP)
     return g
-
-
-def _depth_variants(construct, depths, embedded):
-    out = []
-    for d in depths:
-        if embedded:
-            out.append((("cp_clause",), (), ((construct, d),)))
-            out.append(((), ("cp_clause",), ((construct, d),)))
-        else:
-            out.append(((), (), ((construct, d),)))
-    return tuple(out)
 
 
 # --------------------------------------------------------------------------
@@ -627,11 +522,7 @@ def _depth_variants(construct, depths, embedded):
 def _gen_rc_iobj_gap():
     g = GrammarSpec()
     _base(g)
-    _with_embedded(g, [
-        ("s_trans_past",
-         [NT("NP_SUBJ"), v("v:trans:past", "past", V_TRANS_SAFE),
-          NT("NP_GOBJ")], T_TRANS, 1),
-    ])
+    _with_embedded(g, [("s_trans_past", 1, {"NP_DOBJ": "NP_GOBJ"}, _SAFE)])
     _np(g, "np_dobj_rcio", "NP_GOBJ",
         [DET, n("n:dobj:c", FREE_MIXED), NT("RC_IOBJ")], F(1), T_MOD,
         annot=True)
@@ -640,7 +531,7 @@ def _gen_rc_iobj_gap():
            v("v:rcio:past", "past", V_PPDAT_PAST), NT("NP_RCOBJ"), L("to")],
           F(1), "$1 ga $3 o @morph(2)")
     np_pair(g, "rcsubj", FREE_ANIM, FREE_PROP)
-    _npc(g, "np_rcobj_c", "NP_RCOBJ", "n:rcobj:c", INANIM_POOL)
+    _copy(g, "np_rcobj_c", 1, pools={"n:rcobj:c": INANIM_POOL})
     _pairs(g, "subj", FREE_ANIM, FREE_PROP)
     return g
 
@@ -682,16 +573,8 @@ def _gen_wh_active_subj():
           [L("Who"), v("v:ppdat:past", "past", V_PPDAT_PAST),
            NT("NP_DOBJ"), L("to"), NT("NP_IOBJ"), L("?")],
           F(1, 10), "dare ga $2 o $4 ni @morph(1) @q ?")
-    g.add("cp_clause", "CP", [L("that"), NT("SEMB")], F(1), "$1 to",
-          construct="CP")
-    _clauses(g, "SEMB", [
-        ("semb_trans",
-         [NT("NP_ESUBJ"), v("v:etrans:past", "past", V_TRANS_SAFE),
-          NT("NP_EDOBJ")], T_TRANS, 3),
-        ("semb_intrans",
-         [NT("NP_ESUBJ"), v("v:eintrans:past", "past", V_INTRANS)],
-         T_INTRANS, 2),
-    ])
+    _copy(g, "cp_clause", 1)
+    _clauses(g, [("semb_trans", 3, None, _SAFE), ("semb_intrans", 2)])
     np_pair(g, "esubj", FREE_ANIM, FREE_PROP)
     np_pair(g, "edobj", FREE_MIXED, FREE_PROP)
     np_pair(g, "iobj", FREE_ANIM, FREE_PROP)
@@ -729,10 +612,7 @@ def _gen_wh_do_dit():
 def _gen_wh_subj_pp():
     g = GrammarSpec()
     _base(g, question=True)
-    g.add("q_whatobj", "SQ",
-          [L("What"), L("did"), NT("NP_WSUBJ"),
-           v("v:wht:inf", "inf", V_TRANS), L("?")],
-          F(1), "$2 ga nani o @morph(3,past) @q ?")
+    _copy(g, "q_whatobj", 1, {"NP_SUBJ": "NP_WSUBJ"})
     g.add("np_whsubj_pp", "NP_WSUBJ",
           [DET, n("n:whsubj:c", FREE_ANIM), NT("PP")], F(1), T_MOD,
           annot=True)
@@ -774,12 +654,17 @@ def build_patterns(lexicon) -> list:
     specs = []
 
     def add(pid, category, group, targets, spec, kind, count=2000,
-            emb=True, variants=None, exposures=(),
-            wh_word="", role="", marker="", zipf=1.0):
-        if variants is None:
-            variants = _EMB_VARIANTS if emb else _PLAIN_VARIANT
-        if emb and not marker:
-            marker = "cp_clause"
+            marker="cp_clause", depths=(), exposures=(), wh_word="",
+            role="", zipf=1.0):
+        """`marker` is the id of the embedding complement clause, empty for
+        a pattern that does not embed; `depths` lists (construct, depth)
+        pairs, each fixed by its own variants."""
+        variants = []
+        for fixed in [(pair,) for pair in depths] or [()]:
+            if marker:
+                variants += [((marker,), (), fixed), ((), (marker,), fixed)]
+            else:
+                variants.append(((), (), fixed))
         specs.append(PatternSpec(
             pid, category, group, tuple(targets), count, kind,
             _compile(spec, lexicon, zipf), tuple(variants),
@@ -827,8 +712,6 @@ def build_patterns(lexicon) -> list:
                                     TENSE_INF))
     add("tense_cp", TENSE, LEXMOR, TENSE_CP,
         _gen_pres_cp(TENSE_CP), "verb", marker="cp_clause_t",
-        variants=((("cp_clause_t",), (), ()),
-                  ((), ("cp_clause_t",), ())),
         exposures=_sample_exposures([("s_cp_past", "v:cp:past")], TENSE_CP))
     add("trans_to_dit", TENSE, LEXMOR, TRANS2DIT,
         _gen_pres_dit(TRANS2DIT), "verb",
@@ -843,8 +726,6 @@ def build_patterns(lexicon) -> list:
              ("s_trans_pres", "v:trans:pres")], TRANS2INF))
     add("trans_to_cp", TENSE, LEXMOR, TRANS2CP,
         _gen_pres_cp(TRANS2CP), "verb", marker="cp_clause_t",
-        variants=((("cp_clause_t",), (), ()),
-                  ((), ("cp_clause_t",), ())),
         exposures=_sample_exposures(
             [("s_cp_past", "v:cp:past"), ("s_trans_past", "v:trans:past"),
              ("s_trans_pres", "v:trans:pres")], TRANS2CP))
@@ -897,16 +778,16 @@ def build_patterns(lexicon) -> list:
     # -- recursion depth alternation --------------------------------------
     for construct, stem in (("CP", "cp"), ("PP", "pp"),
                             ("CenterEmbedRC", "ce"), ("Adj", "adj")):
-        emb = construct != "CP"
+        marker = "" if construct == "CP" else "cp_clause"
         add(f"{stem}_recursion_shallower", RECURSION, STRUCT, (),
             _gen_recursion(construct), "none",
-            count=1000 if construct == "CP" else 2000, emb=emb,
-            variants=_depth_variants(construct, (3,), emb),
+            count=1000 if construct == "CP" else 2000, marker=marker,
+            depths=[(construct, 3)],
             exposures=_depth_exposures(construct), zipf=0.5)
         add(f"{stem}_recursion_deeper", RECURSION, STRUCT, (),
             _gen_recursion(construct), "none",
-            count=1000 if construct == "CP" else 2000, emb=emb,
-            variants=_depth_variants(construct, (5, 6), emb),
+            count=1000 if construct == "CP" else 2000, marker=marker,
+            depths=[(construct, 5), (construct, 6)],
             exposures=_depth_exposures(construct), zipf=0.5)
 
     # -- gap position recombination ---------------------------------------
@@ -914,23 +795,23 @@ def build_patterns(lexicon) -> list:
         role="direct_object",
         exposures=_sample_exposures(["rc_subjgap_do", "rc_objgap"]))
     add("wh_iobj_gap", GAP, STRUCT, (), _gen_wh_iobj_gap(), "wh",
-        count=1000, emb=False, wh_word="dare", role="indirect_object",
+        count=1000, marker="", wh_word="dare", role="indirect_object",
         exposures=_sample_exposures(["q_whosubj", "q_whoobj"]))
 
     # -- wh-question structural alternation -------------------------------
     add("wh_active_subj", WH, STRUCT, (), _gen_wh_active_subj(), "wh",
-        count=1000, emb=False, wh_word="dare", role="subject",
+        count=1000, marker="", wh_word="dare", role="subject",
         exposures=_sample_exposures(["q_whosubj"]))
     add("wh_passive_subj", WH, STRUCT, (), _gen_wh_passive_subj(), "wh",
-        count=1000, emb=False, wh_word="nani", role="subject",
+        count=1000, marker="", wh_word="nani", role="subject",
         exposures=_sample_exposures(["q_whosubj", "s_pass"]))
     add("wh_do_dit", WH, STRUCT, (), _gen_wh_do_dit(), "wh",
-        count=1000, emb=False, wh_word="nani", role="direct_object",
+        count=1000, marker="", wh_word="nani", role="direct_object",
         exposures=_sample_exposures(["q_whatobj", "s_ppdat_past"]))
     add("wh_subj_pp", WH, STRUCT, (), _gen_wh_subj_pp(), "np",
-        count=1000, emb=False, role="subject",
+        count=1000, marker="", role="subject",
         exposures=_sample_exposures(["q_whatobj", "np_dobj_pp"]))
     add("wh_long_move", WH, STRUCT, (), _gen_wh_long_move(), "wh",
-        count=1000, emb=False, wh_word="nani", role="direct_object",
+        count=1000, marker="", wh_word="nani", role="direct_object",
         exposures=_sample_exposures(["q_whatobj", "s_cp_past"]))
     return specs

@@ -5,10 +5,9 @@ import json
 from collections import Counter
 
 from compmt.audit import _CANON_FRAME, WITHHELD_STRUCTURES
-from compmt.bank import (DET, L, ROLE_BY_TAG, _SELECTIONAL_ROLE, base_name,
-                         n, v)
+from compmt.bank import (DET, L, ROLE_BY_TAG, _SELECTIONAL_ROLE, _emb,
+                         _emb_id, base_name, n, v)
 from compmt.grammar import NT, Slot
-from compmt.patterns import _emb, _emb_id
 
 # sha256 of `_grammar_dump` over the 42 pattern grammars.  Any change to a
 # production (order within its left-hand side, id, rhs, weight, construct,
@@ -244,3 +243,15 @@ def test_embedded_copy_rule(bank):
     withheld_ids = {i for _, ids in WITHHELD_STRUCTURES.values() for i in ids}
     for table in (ROLE_BY_TAG, _SELECTIONAL_ROLE, withheld_ids, _CANON_FRAME):
         assert [k for k in table if base_name(k) != k] == []
+
+
+def test_shared_id_means_one_template_and_construct(bank):
+    """Over all 43 grammars, the productions that share an id share one
+    template and one construct; only the target flag may differ."""
+    grammars = [bank.grammar_for(gid) for gid in BANK_GRAMMAR_IDS] + \
+        [p.gen_grammar for p in bank.patterns]
+    meanings = {}
+    for g in grammars:
+        for q in g.productions:
+            meanings.setdefault(q.id, set()).add((q.template, q.construct))
+    assert {pid: m for pid, m in meanings.items() if len(m) > 1} == {}
