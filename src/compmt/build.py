@@ -18,7 +18,6 @@ import math
 import os
 import sys
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from random import Random
 
@@ -110,9 +109,11 @@ class RunConfig:
 
 @dataclass(slots=True)
 class SentenceRecord:
-    """One sentence pair.  Slotted, and ``from_json`` interns its tokens,
-    split and pattern id: a read corpus has a few thousand token types over
-    hundreds of thousands of tokens, so records share their strings."""
+    """One sentence pair.  Slotted, and ``from_json`` shares its strings: it
+    interns the tokens, split and pattern id, and rebuilds the annotation
+    and provenance over shared keys, strings and ints (``_shared``).  A read
+    corpus has a few thousand token types and a few dozen annotation values
+    over hundreds of thousands of uses, so records hold references."""
     id: str
     split: str
     pattern_id: str
@@ -141,12 +142,47 @@ class SentenceRecord:
         return out
 
     @classmethod
-    def from_json(cls, data):
+    def from_json(cls, data, ints=None):
+        """Record of a JSON object; ``ints`` maps each int to the one object
+        that stands for it, shared by every record built with it."""
+        ints = {} if ints is None else ints
         return cls(data["id"], sys.intern(data["split"]),
                    sys.intern(data.get("pattern_id", "")),
                    tuple(map(sys.intern, data["source"].split())),
                    tuple(map(sys.intern, data["target"].split())),
-                   data.get("annotation"), data.get("provenance", {}))
+                   _shared(data.get("annotation"), ints),
+                   _shared(data.get("provenance", {}), ints))
+
+
+def _shared(value, ints):
+    """A JSON value rebuilt with every key and string, at any depth,
+    interned and every int taken from ``ints``.  Only those immutable leaves
+    are shared: each dict and list is new, so no two records hold the same
+    one.  A bool or float stays as it is (``True == 1`` and ``1.0 == 1``, so
+    a memo keyed by value would change its type)."""
+    kind = type(value)
+    if kind is dict:
+        # A dict's leaves are shared inline: a call for each of them would
+        # make the rebuild half as slow again.
+        out = {}
+        for key, item in value.items():
+            item_kind = type(item)
+            if item_kind is str:
+                item = sys.intern(item)
+            elif item_kind is int:
+                item = ints.setdefault(item, item)
+            elif item_kind is dict or item_kind is list:
+                item = _shared(item, ints)
+            out[sys.intern(key)] = item
+        return out
+    if kind is list:
+        return [sys.intern(item) if type(item) is str else _shared(item, ints)
+                for item in value]
+    if kind is str:
+        return sys.intern(value)
+    if kind is int:
+        return ints.setdefault(value, value)
+    return value
 
 
 def child_seed(master_seed: int, stream: str) -> int:
@@ -451,6 +487,9 @@ def build_splits(config: RunConfig, bank=None):
     residual_total = 0
     pattern_ids = [p.id for p in bank.patterns]
     if config.parallel:
+        # Imported here: every other command would pay for loading the
+        # process-pool machinery.
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor() as pool:
             futures = [pool.submit(_build_pattern, pid, seed, scale, strict,
                                    cf)
@@ -637,55 +676,66 @@ def write_corpus(records, manifest, out_dir):
         fh.write("\n")
 
 
-def _record_problem(data):
-    """Why one parsed line of a split file is not a record that ``score``
-    and ``inspect`` can read, or None."""
+_DECODER = json.JSONDecoder()
+
+
+def _record(data, ints):
+    """The record one parsed line of a split file holds; ValueError says why
+    it is not one that ``score`` and ``inspect`` can read.  The annotation
+    and provenance are checked as ``from_json`` rebuilt them, so each line
+    is walked once."""
     if not isinstance(data, dict):
-        return "expected a JSON object"
+        raise ValueError("expected a JSON object")
     for key in ("id", "split", "source", "target"):
         if not isinstance(data.get(key), str):
-            return f"{key!r} is missing or not a string"
+            raise ValueError(f"{key!r} is missing or not a string")
     if not isinstance(data.get("pattern_id", ""), str):
-        return "'pattern_id' is not a string"
-    provenance = data.get("provenance", {})
+        raise ValueError("'pattern_id' is not a string")
+    record = SentenceRecord.from_json(data, ints)
+    provenance = record.provenance
     if not isinstance(provenance, dict):
-        return "'provenance' is not an object"
+        raise ValueError("'provenance' is not an object")
     if not isinstance(provenance.get("depths", {}), dict):
-        return "'provenance.depths' is not an object"
-    annotation = data.get("annotation")
+        raise ValueError("'provenance.depths' is not an object")
+    annotation = record.annotation
     if annotation is None:
-        return None
+        return record
     if not isinstance(annotation, dict):
-        return "'annotation' is not an object"
+        raise ValueError("'annotation' is not an object")
     ref = annotation.get("target_constituent_ref_tokens")
     if not (isinstance(ref, list) and all(isinstance(t, str) for t in ref)):
-        return "'target_constituent_ref_tokens' is not a list of strings"
+        raise ValueError(
+            "'target_constituent_ref_tokens' is not a list of strings")
     if not ref:
-        return "'target_constituent_ref_tokens' is empty"
+        raise ValueError("'target_constituent_ref_tokens' is empty")
     if not isinstance(annotation.get("expected_role"), (str, type(None))):
-        return "'expected_role' is neither a string nor null"
+        raise ValueError("'expected_role' is neither a string nor null")
     if not isinstance(annotation.get("depth_profile", {}), dict):
-        return "'depth_profile' is not an object"
-    return None
+        raise ValueError("'depth_profile' is not an object")
+    return record
 
 
 def read_jsonl(path):
     """Records of one split file; a line that is not JSON or not a record
-    (see ``_record_problem``) raises ValueError naming ``path:line``."""
+    (see ``_record``) raises ValueError naming ``path:line``.  Equal ints
+    are one object per file (``SentenceRecord.from_json``)."""
     out = []
+    ints = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
             try:
-                data = json.loads(line)
+                data, end = _DECODER.raw_decode(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc.msg}") from None
-            problem = _record_problem(data)
-            if problem:
-                raise ValueError(f"{path}:{lineno}: {problem}")
-            out.append(SentenceRecord.from_json(data))
+            if end < len(line):  # as json.loads says; no space trails
+                raise ValueError(f"{path}:{lineno}: Extra data")
+            try:
+                out.append(_record(data, ints))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
     return out
 
 

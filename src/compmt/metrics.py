@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 import operator
+import sys
 from collections import Counter
 from dataclasses import asdict, dataclass
 
@@ -272,7 +273,8 @@ def read_hypotheses(path, records=None):
 
     Two formats: JSONL objects ``{"id": ..., "hypothesis": ...}``, or plain
     text with one sentence per line aligned to ``records`` in order (the
-    record-id manifest).  The first non-blank line tells them apart.
+    record-id manifest).  The first non-blank line tells them apart.  Tokens
+    are interned, so equal tokens are one string, as in a read corpus.
     """
     with open(path, encoding="utf-8") as fh:
         # Only a newline ends a line: str.splitlines would also break at
@@ -304,7 +306,7 @@ def read_hypotheses(path, records=None):
                                    "string or a list of strings")
             if obj["id"] in out:
                 raise ScoringError(f"{where}: repeated id {obj['id']!r}")
-            out[obj["id"]] = hyp
+            out[obj["id"]] = list(map(sys.intern, hyp))
         return out
     if records is None:
         raise ScoringError(
@@ -316,7 +318,8 @@ def read_hypotheses(path, records=None):
             f"{path}: {len(lines)} hypothesis lines for {len(records)} "
             "reference records; first unmatched line is "
             f"{min(len(lines), len(records)) + 1}")
-    return {r.id: line.split() for r, line in zip(records, lines)}
+    return {r.id: list(map(sys.intern, line.split()))
+            for r, line in zip(records, lines)}
 
 
 def score_file(hyp_path, records, patterns) -> EvalReport:

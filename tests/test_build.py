@@ -177,6 +177,12 @@ def test_write_read_round_trip(tmp_path, small_build):
     for split in recs:
         assert [r.to_json() for r in back[split]] == \
             [r.to_json() for r in recs[split]]
+        # Each read record writes back its own line byte for byte: dict
+        # equality would miss a bool or a float read back as an int.
+        lines = (out / f"{split}.jsonl").read_text(
+            encoding="utf-8").splitlines()
+        assert [json.dumps(r.to_json(), ensure_ascii=False, sort_keys=True)
+                for r in back[split]] == lines
     # the TSV mirror carries one row per record plus the header
     tsv = (out / "corpus.tsv").read_text(encoding="utf-8").splitlines()
     assert len(tsv) == 1 + sum(len(v) for v in recs.values())
@@ -188,21 +194,72 @@ def test_record_json_round_trip():
     assert SentenceRecord.from_json(r.to_json()) == r
 
 
+def _parts(value):
+    """Every key, dict, list and leaf value of a JSON value, at any depth."""
+    yield value
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield key
+            yield from _parts(item)
+    elif isinstance(value, list):
+        for item in value:
+            yield from _parts(item)
+
+
 def test_read_records_are_slotted_and_share_tokens(tmp_path, bank):
     """A read corpus holds slotted records whose equal tokens, split and
-    pattern id are one shared string each."""
+    pattern id are one shared string each, as are the keys and strings of
+    their annotations and provenances; equal ints (the stream seeds) are one
+    object per file.  No dict or list is shared between records."""
     config = RunConfig(master_seed=1, scale=0.002)
     recs, manifest = build_splits(config, bank=bank)
     write_corpus(recs, manifest, str(tmp_path))
     back, _ = read_corpus(str(tmp_path))
-    records = [r for split in SPLITS for r in back[split]]
-    assert not hasattr(records[0], "__dict__")
+    assert not hasattr(back["gen"][0], "__dict__")
     first = {}
-    for r in records:
-        for token in (r.split, r.pattern_id, *r.source_tokens,
-                      *r.target_tokens):
-            assert first.setdefault(token, token) is token
-        assert SentenceRecord.from_json(r.to_json()) == r
+    containers = set()
+    for split in SPLITS:
+        ints, seeds = {}, 0
+        for r in back[split]:
+            for token in (r.split, r.pattern_id, *r.source_tokens,
+                          *r.target_tokens):
+                assert first.setdefault(token, token) is token
+            for part in (*_parts(r.annotation), *_parts(r.provenance)):
+                if isinstance(part, (dict, list)):
+                    assert id(part) not in containers
+                    containers.add(id(part))
+                elif type(part) is str:
+                    assert first.setdefault(part, part) is part
+                elif type(part) is int:
+                    assert ints.setdefault(part, part) is part
+            seeds += "seed" in r.provenance
+            assert SentenceRecord.from_json(r.to_json()) == r
+        # more records than streams, so some seed is read more than once
+        assert len([v for v in ints if v > 256]) < seeds
+
+
+def test_read_record_keeps_every_json_value(tmp_path):
+    """Sharing changes no value's type: bools, floats and nulls read back
+    as written, at any depth, and equal records share no dict or list."""
+    record = {"id": "x-1", "split": "gen", "source": "a b", "target": "c",
+              "annotation": {"target_constituent_ref_tokens": ["c"],
+                             "flags": [True, 1, 1.0, -0.0, None, 7 ** 30,
+                                       "s", [False, 0, {"k": 0.0}]],
+                             "depth_profile": {"CP": 1, "PP": True}},
+              "provenance": {"seed": 7 ** 30, "depths": {"CP": 1.0},
+                             "ok": False}}
+    line = json.dumps(record, ensure_ascii=False, sort_keys=True)
+    path = tmp_path / "gen.jsonl"
+    path.write_text(line + "\n" + line + "\n", encoding="utf-8")
+    one, two = build.read_jsonl(str(path))
+    for r in (one, two):
+        assert json.dumps(r.to_json(), ensure_ascii=False,
+                          sort_keys=True) == line
+    assert one.provenance["seed"] is two.annotation["flags"][5]
+    ids = [id(p) for r in (one, two)
+           for p in (*_parts(r.annotation), *_parts(r.provenance))
+           if isinstance(p, (dict, list))]
+    assert len(ids) == len(set(ids))
 
 
 def test_config_round_trip(tmp_path):

@@ -1,5 +1,9 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -182,6 +186,8 @@ def test_bad_corpus_line_is_io_error_naming_the_line(runner, corpus_dir,
          audit),
         (train, 3, json.dumps(dict(record, source="x", provenance=5)),
          "'provenance' is not an object", audit + readers),
+        (train, 3, json.dumps(dict(record, source="x")) + " {}", "Extra data",
+         audit + readers),
         (gen, 1, json.dumps(dict(annotated, pattern_id=["x"])),
          "'pattern_id' is not a string", readers),
         (gen, 1, with_annotation(5), "'annotation' is not an object", readers),
@@ -213,6 +219,20 @@ def test_bad_corpus_line_is_io_error_naming_the_line(runner, corpus_dir,
             assert result.stderr.startswith(
                 f"error: {path}:{lineno}: {message}"), result.stderr
         path.write_text(original, encoding="utf-8")
+
+
+def test_cli_import_loads_no_process_pool():
+    """Only ``generate --parallel`` starts workers, so importing the CLI
+    loads none of the process-pool machinery."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    script = ("import sys, compmt.cli; print(sorted(m for m in "
+              "('concurrent.futures.process', 'multiprocessing') "
+              "if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_inspect_bad_depth_filter(runner, corpus_dir):

@@ -333,6 +333,26 @@ def test_read_hypotheses_plain_text_alignment(tmp_path, small_build):
         read_hypotheses(str(path))  # no records to align against
 
 
+def test_read_hypotheses_share_equal_tokens(tmp_path, small_build):
+    """Equal hypothesis tokens are one string, in JSONL (string and list
+    hypotheses) and in plain text."""
+    recs, _ = small_build
+    gen = recs["gen"][:40]
+    text = tmp_path / "h.txt"
+    text.write_text("\n".join(r.target for r in gen) + "\n",
+                    encoding="utf-8")
+    jsonl = tmp_path / "h.jsonl"
+    jsonl.write_text("".join(json.dumps(
+        {"id": r.id, "hypothesis": r.target if i % 2 else r.target.split()})
+        + "\n" for i, r in enumerate(gen)), encoding="utf-8")
+    for path in (text, jsonl):
+        tokens = [t for hyp in read_hypotheses(str(path), gen).values()
+                  for t in hyp]
+        first = {}
+        assert all(first.setdefault(t, t) is t for t in tokens)
+        assert len(first) < len(tokens)
+
+
 def test_read_hypotheses_bad_jsonl(tmp_path):
     path = tmp_path / "h.jsonl"
     first = '{"id": "a", "hypothesis": "x"}\n'
