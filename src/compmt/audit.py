@@ -26,6 +26,15 @@ does not, and a leak that uses a lexeme outside it fails closed, as
 ``unparsable``.  The union still makes some frames string-ambiguous
 (``Harper wrote .`` parses as object-omission or plain intransitive), so a
 sentence is charged only with the violations of its most innocent parse.
+
+The union holds one production per reading.  Pattern grammars copy
+training productions onto their own nonterminals (``NP_TOBJ`` for
+``NP_DOBJ``), so a plain union would parse a reading once per copy.
+``audit_grammar`` drops a production that a sibling covers: one with the
+same id, construct and terminals whose nonterminal children derive every
+tree that the dropped one's children derive.  Each tree through a dropped
+production has a twin through its cover with the same ids and leaves, so
+no reading and no verdict is lost.
 """
 
 from __future__ import annotations
@@ -35,7 +44,7 @@ from functools import cache
 
 from .bank import analyze, base_name, default_bank
 from .earley import parse, span_tables
-from .grammar import CONSTRUCTS, Pcfg, Slot
+from .grammar import CONSTRUCTS, NT, Pcfg, Slot
 
 PARSE_LIMIT = 50
 
@@ -164,31 +173,88 @@ def _slot_unions(grammars):
     return unions
 
 
+def _rule(prod):
+    """(left-hand side, label, children) of ``prod``: its label is what a
+    covering production shares with it, the id, construct and terminals
+    with each nonterminal's place held by None; its children are the
+    nonterminals' names."""
+    return (prod.lhs,
+            (prod.id, prod.construct,
+             tuple(None if isinstance(s, NT) else s for s in prod.rhs)),
+            tuple(s.name for s in prod.rhs if isinstance(s, NT)))
+
+
+def _simulation(rules):
+    """The simulation preorder over the nonterminals of ``rules`` (as
+    ``_rule`` gives them), as the set of pairs (X, Y) with X <= Y: the
+    greatest relation in which each production of X is covered by one of
+    Y.  Starting from every pair, a sweep drops each pair that some
+    production of X no longer finds a cover for, until a sweep drops none
+    (Henzinger, Henzinger & Kopke 1995 give a faster algorithm; the audit
+    grammar is small)."""
+    by_lhs = {}  # lhs -> label -> children tuples
+    for lhs, label, kids in rules:
+        by_lhs.setdefault(lhs, {}).setdefault(label, set()).add(kids)
+    names = set(by_lhs).union(*(kids for _, _, kids in rules))
+    sim = {(x, y) for x in names for y in names}
+    while True:
+        lost = {(x, y) for x, y in sim
+                if not all(any(all(pair in sim for pair in zip(kids, cover))
+                               for cover in by_lhs.get(y, {}).get(label, ()))
+                           for label, group in by_lhs.get(x, {}).items()
+                           for kids in group)}
+        if not lost:
+            return sim
+        sim -= lost
+
+
 def audit_grammar(bank, patterns) -> Pcfg:
     """Union of the in-distribution and all pattern grammars, each slot
     widened to the union of its (pos, bundle, tag) lemma sets over them, so
     withheld material parses wherever any grammar puts it.
 
-    Productions sharing an id but differing in shape (a pattern grammar
-    repurposing an id under another nonterminal) are kept under suffixed
-    ids; analyses only depend on slot tags, constructs and the ids of
-    ``WITHHELD_STRUCTURES`` and ``rc_objgap``, none of which are suffixed.
+    One production per reading: a production is dropped when a sibling on
+    its left-hand side covers it and comes earlier or is not itself covered
+    by it.  q covers p when both have the same id, construct and terminals
+    (slots compared after widening) and each nonterminal child of p is
+    simulated by q's child in the same place (``_simulation``).  Every
+    tree through p then has a twin through q with the same ids and leaves,
+    and so the same analysis.  Covering is transitive, so a kept sibling
+    covers each dropped production and no reading is lost.  Identical
+    productions cover each other, and the first is kept.
+
+    Surviving productions sharing an id but differing in shape (a pattern
+    grammar repurposing an id under another nonterminal) are kept under
+    suffixed ids; analyses only depend on slot tags, constructs and the ids
+    of ``WITHHELD_STRUCTURES`` and ``rc_objgap``, none of which are
+    suffixed.
     """
-    grammars = [bank.grammar_for("in_dist")]
+    grammars = [bank.grammar]
     grammars.extend(p.gen_grammar for p in patterns)
     unions = _slot_unions(grammars)
-    merged, seen = [], {}
-    for g in grammars:
-        for prod in g.productions:
-            rhs = tuple(replace(s, lemmas=unions[s.pos, s.bundle, s.tag])
-                        if isinstance(s, Slot) else s for s in prod.rhs)
-            sig = (prod.lhs, rhs)
-            variants = seen.setdefault(prod.id, [])
-            if sig in variants:
-                continue
-            pid = prod.id if not variants else f"{prod.id}__{len(variants)}"
-            variants.append(sig)
-            merged.append(replace(prod, id=pid, rhs=rhs))
+    prods = [replace(prod, rhs=tuple(
+                replace(s, lemmas=unions[s.pos, s.bundle, s.tag])
+                if isinstance(s, Slot) else s for s in prod.rhs))
+             for g in grammars for prod in g.productions]
+    rules = [_rule(p) for p in prods]
+    sim = _simulation(rules)
+
+    def covers(j, i):
+        """Whether production j covers production i."""
+        return rules[j][1] == rules[i][1] and all(
+            pair in sim for pair in zip(rules[i][2], rules[j][2]))
+
+    siblings = {}
+    for i, (lhs, _, _) in enumerate(rules):
+        siblings.setdefault(lhs, []).append(i)
+    merged, copies = [], {}
+    for i, p in enumerate(prods):
+        if any(covers(j, i) and (j < i or not covers(i, j))
+               for j in siblings[p.lhs]):
+            continue
+        n = copies.get(p.id, 0)
+        copies[p.id] = n + 1
+        merged.append(replace(p, id=f"{p.id}__{n}") if n else p)
     return Pcfg("ROOT", merged, bank.lexicon, 1.0)
 
 

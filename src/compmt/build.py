@@ -366,12 +366,12 @@ def primitive_exposures(bank, spec, n, master_seed, cf, strict, seen,
                 provenance={"seed": seed, "grammar_id": "lexicon",
                             "augmentations": ["exposure:" + spec.id]}))
             continue
-        _, key, required, overrides, depths = recipe
-        cache_key = (key, tuple(sorted(
-            (tag, tuple(sorted(ls))) for tag, ls in overrides.items())))
+        _, required, overrides, depths = recipe
+        cache_key = tuple(sorted(
+            (tag, tuple(sorted(ls))) for tag, ls in overrides.items()))
         grammar = grammar_cache.get(cache_key)
         if grammar is None:
-            grammar = bank.grammar_for(key)
+            grammar = bank.grammar
             if overrides:
                 grammar = grammar.restrict_slots(
                     {tag: frozenset(ls) for tag, ls in overrides.items()})
@@ -383,7 +383,7 @@ def primitive_exposures(bank, spec, n, master_seed, cf, strict, seen,
         draws += samples
         records.append(SentenceRecord(
             rid, "train", "", source, target,
-            provenance={"seed": seed, "grammar_id": key,
+            provenance={"seed": seed, "grammar_id": "in_dist",
                         "augmentations": ["exposure:" + spec.id]}))
     return records, draws
 

@@ -75,7 +75,10 @@ class PatternSpec:
     target_kind: str  # "np" | "verb" | "wh" | "none"
     gen_grammar: Pcfg
     variants: tuple  # of (required ids, forbidden ids, depth pairs)
-    exposures: tuple  # of exposure recipes, cycled to 100 records
+    # exposure recipes, cycled to 100 records: ("bare", pos, lemma), or
+    # ("sample", required ids, slot overrides, depth pairs) over the
+    # training grammar
+    exposures: tuple
     wh_word: str = ""
     expected_role: str = ""
     embed_marker: str = ""
@@ -163,10 +166,10 @@ def _sample_exposures(plans, targets=None):
         for plan in plans:
             if isinstance(plan, tuple):
                 pid, tag = plan
-                out.append(("sample", "in_dist", frozenset([pid]),
+                out.append(("sample", frozenset([pid]),
                             {tag: (t,)} if t else {}, ()))
             else:
-                out.append(("sample", "in_dist", frozenset([plan]), {}, ()))
+                out.append(("sample", frozenset([plan]), {}, ()))
     return tuple(out)
 
 
@@ -175,7 +178,7 @@ def _bare_exposures(pos, targets):
 
 
 def _depth_exposures(construct):
-    return tuple(("sample", "in_dist", frozenset(), {}, ((construct, d),))
+    return tuple(("sample", frozenset(), {}, ((construct, d),))
                  for d in (1, 2, 4))
 
 

@@ -7,12 +7,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+from types import SimpleNamespace
+
 import pytest
 
 from compmt.audit import (WITHHELD_STRUCTURES, GapAuditor, audit_gap,
                           audit_grammar, segment)
 from compmt.bank import base_name
 from compmt.build import SentenceRecord, _build_pattern
+from compmt.earley import parse
+from compmt.grammar import LexEntry, Lexicon, Lit, NT, Pcfg, Production, Slot
 from compmt.naturalize import default_case_frames
 
 
@@ -136,6 +140,67 @@ def test_no_id_the_audit_reads_is_suffixed(bank, patterns):
     assert suffixed
     assert [i for i in suffixed
             if base_name(i.split("__")[0]) in read] == []
+
+
+def _toy_grammar(lexicon, *rules):
+    """A grammar of (id, lhs, rhs) rules: an upper-case word is a
+    nonterminal, a lemma in braces a noun slot admitting it, and any other
+    word a literal."""
+    def symbol(word):
+        if word.isupper():
+            return NT(word)
+        if word.startswith("{"):
+            return Slot("N", "base", "n", frozenset({word[1:-1]}))
+        return Lit(word)
+    return Pcfg("ROOT", [Production(pid, lhs, tuple(map(symbol, rhs.split())))
+                         for pid, lhs, rhs in rules], lexicon)
+
+
+def _toy_rule(p):
+    return (p.id, p.lhs, " ".join(s.name if isinstance(s, NT) else
+                                  s.text if isinstance(s, Lit) else "N"
+                                  for s in p.rhs))
+
+
+def test_audit_grammar_drops_only_covered_productions():
+    """NP_S simulates NP and back once their slots are widened to
+    {cat, dog}; NP_T, without the article, is strictly simulated by both."""
+    lexicon = Lexicon([LexEntry(w, "N", forms={"base": w}, zipf_rank=r)
+                       for r, w in enumerate(("cat", "dog"), 1)])
+    training = _toy_grammar(
+        lexicon,
+        ("s_x", "ROOT", "NP_T x"),  # strictly simulated: dropped, though first
+        ("s_y", "ROOT", "NP y"),  # the first of an equivalent pair: kept
+        ("s_w", "ROOT", "NP w"),
+        ("np_a", "NP", "{cat}"),
+        ("np_b", "NP", "the {cat}"))
+    pattern_s = _toy_grammar(
+        lexicon,
+        ("s_x", "ROOT", "NP x"),  # covers the training s_x
+        ("s_y", "ROOT", "NP_S y"),  # the second of the pair: dropped
+        ("np_a", "NP_S", "{dog}"),
+        ("np_b", "NP_S", "the {dog}"))
+    pattern_t = _toy_grammar(
+        lexicon,
+        ("s_z", "ROOT", "NP_T z"),  # no covering sibling: kept
+        ("s_v", "ROOT", "NP_T w"),  # covered children, but not s_w's id
+        ("np_a", "NP_T", "{dog}"))
+    g = audit_grammar(
+        SimpleNamespace(grammar=training, lexicon=lexicon),
+        [SimpleNamespace(gen_grammar=pattern_s),
+         SimpleNamespace(gen_grammar=pattern_t)])
+    assert [_toy_rule(p) for p in g.productions] == [
+        ("s_y", "ROOT", "NP y"), ("s_w", "ROOT", "NP w"),
+        ("np_a", "NP", "N"), ("np_b", "NP", "the N"),
+        ("s_x", "ROOT", "NP x"),
+        ("np_a__1", "NP_S", "N"), ("np_b__1", "NP_S", "the N"),
+        ("s_z", "ROOT", "NP_T z"), ("s_v", "ROOT", "NP_T w"),
+        ("np_a__2", "NP_T", "N")]
+    # the dropped productions' readings each parse once
+    for sentence, ids in (("dog x", ["s_x", "np_a"]),
+                          ("the dog y", ["s_y", "np_b"])):
+        [tree] = parse(g, sentence.split())
+        assert [tree.production.id, tree.children[0].production.id] == ids
 
 
 def test_injected_pp_subject_sentence(bank, patterns):

@@ -178,8 +178,15 @@ def _grammar_dump(patterns):
                     p.gen_count, p.target_kind != "none", bool(p.embed_marker),
                     p.target_kind, p.wh_word, p.expected_role,
                     p.embed_marker, g.start, g.zipf_exponent, _rules(g),
-                    _canon(p.variants), _canon(p.exposures)])
+                    _canon(p.variants), _canon_exposures(p.exposures)])
     return json.dumps(out, sort_keys=True)
+
+
+def _canon_exposures(recipes):
+    # "in_dist" holds the place of the grammar key that a sample recipe
+    # carried when the digest was pinned.
+    return [_canon(r[:1] + ("in_dist",) + r[1:] if r[0] == "sample" else r)
+            for r in recipes]
 
 
 def _bank_grammar_dump(bank):
