@@ -519,11 +519,8 @@ def _clause(node: ProdNode, out: Analysis):
         stem = _tag_stem(head.tag)
         sel = _SELECTIONAL_ROLE.get(stem)
         if verb is not None and sel is not None:
-            if sel == "inanimate_subject" or \
-                    head.entry.features.get("animacy") == "inanimate" \
-                    or sel == "direct_object":
-                out.pairs.append(
-                    (verb.entry.lemma, sel, head.entry.lemma, head.tag))
+            out.pairs.append(
+                (verb.entry.lemma, sel, head.entry.lemma, head.tag))
 
 
 def _walk_np(node: ProdNode, heads: list, out: Analysis):

@@ -208,10 +208,6 @@ def _train_depths(analysis):
     return all(d in TRAIN_DEPTHS for d in analysis.depths.values())
 
 
-def _pair_key(src_tokens, tgt_tokens):
-    return (" ".join(src_tokens), " ".join(tgt_tokens))
-
-
 def _render(bank, tree):
     """(target tree, capitalized source tokens, target tokens)."""
     tt = transduce(tree, bank.dictionary, bank.morph)
@@ -223,12 +219,13 @@ def _draw(grammar, rng, constraints, accept, bank, cf, strict, seen,
     """One record of a stream, by the build's only rejection loop: draw a
     tree exactly from the grammar conditioned on ``constraints``, analyze
     it, check the constraints, accept (on the analysis), reject duplicate
-    lexemes, naturalize, translate, capitalize and, unless ``seen`` is
-    None, reject a (source, target) pair already used.
+    lexemes, naturalize (an unrepairable tree counts in ``dropped[0]`` and
+    is drawn again), translate, capitalize and, unless ``seen`` is None,
+    reject a (source, target) token-tuple pair already used.
 
-    Returns (tree, analysis, target tree, source, target, residuals,
-    samples), where ``analysis`` is ``analyze(tree)`` and ``samples`` counts
-    its root draws.  Raises UnsatisfiableConstraintError naming ``what`` and
+    Returns (tree, analysis, target tree, source, target, samples), where
+    ``analysis`` is ``analyze(tree)`` and ``samples`` counts its root
+    draws.  Raises UnsatisfiableConstraintError naming ``what`` and
     ``constraints`` before the first draw when no tree meets
     ``constraints``, and after DRAW_BUDGET root draws otherwise.  A drawn
     tree that fails its constraints is a sampler bug and raises
@@ -249,18 +246,17 @@ def _draw(grammar, rng, constraints, accept, bank, cf, strict, seen,
         if reject_duplicates(analysis):
             continue
         try:
-            tree, residuals, _, analysis = naturalize(
+            tree, analysis, _ = naturalize(
                 tree, analysis, cf, rng, bank.lexicon, strict=strict)
         except UnrepairableRecordError:
             dropped[0] += 1
             continue
         tt, source, target = _render(bank, tree)
         if seen is not None:
-            key = _pair_key(source, target)
-            if key in seen:
+            if (source, target) in seen:
                 continue
-            seen.add(key)
-        return tree, analysis, tt, source, target, residuals, samples
+            seen.add((source, target))
+        return tree, analysis, tt, source, target, samples
     raise UnsatisfiableConstraintError(
         f"{what}: no fresh record in {DRAW_BUDGET} root draws "
         f"(constraints: {constraints or 'none'})")
@@ -309,8 +305,8 @@ def _annotate(tree, analysis, tt, target_tokens, spec):
 
 
 def _build_pattern(pattern_id, master_seed, scale, strict, cf):
-    """(records, selectional residuals, unrepairable drops, root draws) of
-    one pattern's generalization stream; pure in its arguments."""
+    """(records, unrepairable drops, root draws) of one pattern's
+    generalization stream; pure in its arguments."""
     bank = default_bank()
     spec = bank.by_pattern[pattern_id]
     seed = child_seed(master_seed, f"gen:{pattern_id}")
@@ -318,15 +314,13 @@ def _build_pattern(pattern_id, master_seed, scale, strict, cf):
     count = round(spec.gen_count * scale)
     records = []
     seen = set()
-    residual_count = 0
     dropped = [0]
     draws = 0
     for i in range(count):
-        tree, analysis, tt, source, target, residuals, samples = _draw(
+        tree, analysis, tt, source, target, samples = _draw(
             spec.gen_grammar, rng, spec.constraints_for(i), None, bank, cf,
             strict, seen, dropped, f"pattern {pattern_id}: gen record {i}")
         draws += samples
-        residual_count += len(residuals)
         annotation, depths, in_cp = _annotate(tree, analysis, tt, target, spec)
         provenance = {"seed": seed, "grammar_id": pattern_id,
                       "variant": i % len(spec.variants), "in_cp": in_cp}
@@ -335,7 +329,7 @@ def _build_pattern(pattern_id, master_seed, scale, strict, cf):
         records.append(SentenceRecord(
             f"gen-{pattern_id}-{i:05d}", "gen", pattern_id,
             source, target, annotation, provenance))
-    return records, residual_count, dropped[0], draws
+    return records, dropped[0], draws
 
 
 # --------------------------------------------------------------------------
@@ -377,7 +371,7 @@ def primitive_exposures(bank, spec, n, master_seed, cf, strict, seen,
                     {tag: frozenset(ls) for tag, ls in overrides.items()})
             grammar_cache[cache_key] = grammar
         cons = Constraints(frozenset(required), frozenset(), tuple(depths))
-        _, _, _, source, target, _, samples = _draw(
+        _, _, _, source, target, samples = _draw(
             grammar, rng, cons, _train_depths, bank, cf, strict, seen,
             dropped, f"pattern {spec.id}: exposure recipe {recipe!r}")
         draws += samples
@@ -440,7 +434,7 @@ def concatenate_for_length(bank, cf, master_seed, n, gen_max_len, strict,
                     raise UnsatisfiableConstraintError(
                         f"concatenation record {j}: no fresh joined pair in "
                         f"{draws} root draws")
-                _, _, _, src, tgt, _, samples = _draw(
+                _, _, _, src, tgt, samples = _draw(
                     bank.grammar, rng, None, _declarative_train_depths, bank,
                     cf, strict, None, dropped,
                     f"concatenation record {j} part {parts}")
@@ -448,10 +442,9 @@ def concatenate_for_length(bank, cf, master_seed, n, gen_max_len, strict,
                 source = source + src
                 target = target + ((".",) if target else ()) + tgt
                 parts += 1
-            key = _pair_key(source, target)
-            if key not in seen:
+            if (source, target) not in seen:
                 break
-        seen.add(key)
+        seen.add((source, target))
         total += draws
         records.append(SentenceRecord(
             f"train-cat-{j:04d}", "train", "", source, target,
@@ -484,7 +477,6 @@ def build_splits(config: RunConfig, bank=None):
 
     # 1. Generalization set, one independent stream per pattern.
     gen_records = []
-    residual_total = 0
     pattern_ids = [p.id for p in bank.patterns]
     if config.parallel:
         # Imported here: every other command would pay for loading the
@@ -501,18 +493,16 @@ def build_splits(config: RunConfig, bank=None):
     seen = set()
     dropped = [0]
     gen_draws = {}
-    for pid, (recs, residuals, pat_dropped, draws) in zip(pattern_ids,
-                                                          results):
+    for pid, (recs, pat_dropped, draws) in zip(pattern_ids, results):
         gen_draws[pid] = draws
         for r in recs:
-            key = _pair_key(r.source_tokens, r.target_tokens)
+            key = (r.source_tokens, r.target_tokens)
             if key in seen:
                 raise GrammarError(
                     f"cross-pattern duplicate generalization pair: "
                     f"{r.source!r}")
             seen.add(key)
         gen_records.extend(recs)
-        residual_total += residuals
         dropped[0] += pat_dropped
     gen_max_len = max(len(r.source_tokens) for r in gen_records)
 
@@ -520,6 +510,7 @@ def build_splits(config: RunConfig, bank=None):
     # same bare lexeme record recurs by design).
     n_exp = _scaled(N_EXPOSURE, scale)
     exposure_records = []
+    exposure_counts = {}
     grammar_cache = {}
     root_draws = sum(gen_draws.values())
     for spec in bank.patterns:
@@ -529,6 +520,7 @@ def build_splits(config: RunConfig, bank=None):
             bank, spec, max(n_exp, len(spec.exposures)), seed, cf, strict,
             seen, grammar_cache, dropped)
         exposure_records.extend(recs)
+        exposure_counts[spec.id] = len(recs)
         root_draws += draws
 
     # 3. One in-distribution pool, hash-partitioned into dev/test/train;
@@ -547,7 +539,7 @@ def build_splits(config: RunConfig, bank=None):
     fraction = config.topicalization_fraction
     while len(dev) < n_dev or len(test) < n_test or \
             len(train_pool) < n_pool_train:
-        tree, _, _, source, target, _, samples = _draw(
+        tree, _, _, source, target, samples = _draw(
             bank.grammar, rng, None, _train_depths, bank, cf, strict, seen,
             dropped, f"in-distribution pool (draw {index})")
         index += samples
@@ -578,10 +570,9 @@ def build_splits(config: RunConfig, bank=None):
             continue
         fronted = topicalize(bank, tree, s_node)
         _, fsource, ftarget = _render(bank, fronted)
-        fkey = _pair_key(fsource, ftarget)
-        if fkey in seen:
+        if (fsource, ftarget) in seen:
             continue
-        seen.add(fkey)
+        seen.add((fsource, ftarget))
         train_pool.append(SentenceRecord(
             f"train-{len(train_pool):06d}", "train", "", fsource, ftarget,
             provenance={"seed": pool_seed, "grammar_id": "in_dist",
@@ -599,36 +590,28 @@ def build_splits(config: RunConfig, bank=None):
     train = exposure_records + train_pool + concat_records
     records = {"train": train, "dev": dev, "test": test, "gen": gen_records}
     manifest = _manifest(config, bank, records, topicalized, eligible,
-                         residual_total, dropped[0], gen_draws, root_draws)
+                         exposure_counts, len(concat_records), dropped[0],
+                         gen_draws, root_draws)
     return records, manifest
 
 
-def _manifest(config, bank, records, topicalized, eligible,
-              residual_total, dropped, gen_draws, root_draws):
+def _manifest(config, bank, records, topicalized, eligible, exposure_counts,
+              concatenated, dropped, gen_draws, root_draws):
     def lengths(recs):
         if not recs:
             return {"max_source_len": 0, "max_target_len": 0}
         return {"max_source_len": max(len(r.source_tokens) for r in recs),
                 "max_target_len": max(len(r.target_tokens) for r in recs)}
 
-    exposure_counts = {}
-    for r in records["train"]:
-        for aug in r.provenance.get("augmentations", ()):
-            if aug.startswith("exposure:"):
-                pid = aug.split(":", 1)[1]
-                exposure_counts[pid] = exposure_counts.get(pid, 0) + 1
     gen_counts = Counter(r.pattern_id for r in records["gen"])
     per_pattern = {}
     for spec in bank.patterns:
         per_pattern[spec.id] = {
             "category": spec.category, "group": spec.group,
             "gen_count": gen_counts[spec.id],
-            "exposure_count": exposure_counts.get(spec.id, 0),
+            "exposure_count": exposure_counts[spec.id],
             "root_draws": gen_draws[spec.id],
         }
-    concatenated = sum(
-        1 for r in records["train"]
-        if "concatenated" in r.provenance.get("augmentations", ()))
     return {
         "master_seed": config.master_seed,
         "config": config.to_dict(),
@@ -641,7 +624,8 @@ def _manifest(config, bank, records, topicalized, eligible,
             "exposures": sum(exposure_counts.values()),
         },
         "root_draws": root_draws,
-        "selectional_residuals": residual_total,
+        # naturalize returns only fully licensed trees (see its docstring).
+        "selectional_residuals": 0,
         "unrepairable_dropped": dropped,
         "lengths": {split: lengths(recs)
                     for split, recs in records.items()},

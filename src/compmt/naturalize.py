@@ -6,7 +6,12 @@ more than once is rejected outright; the sampler simply draws again.  Second,
 verb-noun combinations in two sensitive positions — a verb with its direct
 object, and a verb with an inanimate subject — are checked against a
 case-frame pair list; an unlicensed noun is replaced in the derivation tree
-with a licensed one and the sentence is retranslated.
+with a licensed one and the sentence is retranslated.  When two verbs
+constrain the noun at once ("ate the wine that Ava drank"), the noun chosen
+for one verb must be licensed for the other too; otherwise the record is
+unrepairable, the sampler draws again and the build counts it in
+``unrepairable_dropped``.  So every sentence that leaves ``naturalize`` has
+only licensed pairs.
 
 The pair list is open-world by default: a (verb, role) that the list says
 nothing about licenses every noun.  Under strict checking, every pair absent
@@ -25,7 +30,8 @@ ROLES = ("inanimate_subject", "direct_object")
 
 
 class UnrepairableRecordError(GrammarError):
-    """No admissible replacement noun exists for a selectional violation."""
+    """No admissible replacement noun licenses every pair of an offending
+    noun's position."""
 
 
 @dataclass(frozen=True)
@@ -54,10 +60,9 @@ class CaseFrameList:
             self.pool.setdefault((verb, role), []).append((int(rank), noun))
         for key in self.pool:
             self.pool[key].sort()
-        self.covered = set(self.pool)
 
     def licensed(self, verb, role, noun, strict=False):
-        if (verb, role) not in self.covered:
+        if (verb, role) not in self.pool:
             return not strict
         return (verb, role, noun) in self.pairs
 
@@ -175,25 +180,29 @@ def _pick_replacement(cf, violation, slot, lexicon, present, rng):
     return None
 
 
-def repair(tree, analysis, cf: CaseFrameList, rng, lexicon, strict=False):
-    """Replace offending nouns until only multi-constraint residuals remain.
+def naturalize(tree, analysis, cf: CaseFrameList, rng, lexicon,
+               strict=False):
+    """Replace offending nouns of one derivation tree and its ``analysis``
+    until every checked pair is licensed.
 
-    ``analysis`` is ``analyze(tree)``.  Returns (tree, residuals, analysis of
-    that tree); only a tree a replacement made is analyzed again.  A noun
-    constrained by several verbs at once is repaired to satisfy one of its
-    pairs; the pairs left unlicensed are returned rather than retried,
-    mirroring the documented limitation of noun replacement.
+    Returns (tree, analysis of that tree, changed); only a tree a
+    replacement made is analyzed again.  A replacement comes from the pool
+    of the pair it fixes and every pair at its position must license it, so
+    each pass licenses one position for good and the passes are bounded by
+    the first check's violation count.  Raises UnrepairableRecordError when
+    no admissible noun is left, or when the replacement is unlicensed for a
+    second verb at the same position.  Duplicate-lexeme rejection is the
+    caller's job (it resamples rather than repairs).
     """
-    residual = []
     current = check_selectional(analysis, cf, strict=strict)
-    for _ in range(len(current) + 8):
-        pending = [v for v in current if v not in residual]
-        if not pending:
+    changed = bool(current)
+    for _ in range(len(current)):
+        if not current:
             break
-        v = pending[0]
+        v = current[0]
         leaf, slot = _locate(tree, v)
-        present = set(analysis.lemmas)
-        entry = _pick_replacement(cf, v, slot, lexicon, present, rng)
+        entry = _pick_replacement(cf, v, slot, lexicon, set(analysis.lemmas),
+                                  rng)
         if entry is None:
             raise UnrepairableRecordError(
                 f"no replacement for {v.noun!r} as {v.role} of {v.verb!r}")
@@ -201,24 +210,10 @@ def repair(tree, analysis, cf: CaseFrameList, rng, lexicon, strict=False):
                                                   leaf.tag))
         analysis = analyze(tree)
         current = check_selectional(analysis, cf, strict=strict)
-        # Any violation still involving the replaced noun is a second
-        # constraint on the same position; log it instead of looping.
         for o in current:
-            if o.noun == entry.lemma and o.tag == leaf.tag \
-                    and o not in residual:
-                residual.append(o)
-    return tree, residual, analysis
-
-
-def naturalize(tree, analysis, cf: CaseFrameList, rng, lexicon,
-               strict=False):
-    """Run the selectional check-and-repair cycle on one derivation tree and
-    its ``analysis``.
-
-    Returns (tree, residuals, changed, analysis of the returned tree).
-    Duplicate-lexeme rejection is the caller's job (it resamples rather than
-    repairs).
-    """
-    fixed, residual, analysis = repair(tree, analysis, cf, rng, lexicon,
-                                       strict=strict)
-    return fixed, residual, fixed is not tree, analysis
+            if o.noun == entry.lemma and o.tag == leaf.tag:
+                raise UnrepairableRecordError(
+                    f"{entry.lemma!r} replaces {v.noun!r} as {v.role} of "
+                    f"{v.verb!r} but is unlicensed as {o.role} of "
+                    f"{o.verb!r}")
+    return tree, analysis, changed

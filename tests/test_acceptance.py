@@ -20,7 +20,8 @@ from compmt.build import (RunConfig, SentenceRecord, build_splits,
 from compmt.earley import parse
 from compmt.grammar import CONSTRUCTS
 from compmt.metrics import corpus_bleu, exact_match, partial_match
-from compmt.naturalize import default_case_frames, naturalize
+from compmt.naturalize import (check_selectional, default_case_frames,
+                               naturalize)
 from compmt.transduce import linearize, transduce
 
 import test_sampling
@@ -325,10 +326,11 @@ def test_implausible_object_repair_golden(bank):
     trees = parse(bank.grammar_for("in_dist"),
                   "the teacher ate the bed .".split())
     assert len(trees) == 1
-    fixed, residual, changed, _ = naturalize(
-        trees[0], analyze(trees[0]), default_case_frames(), Random(0),
+    cf = default_case_frames()
+    fixed, analysis, changed = naturalize(
+        trees[0], analyze(trees[0]), cf, Random(0),
         bank.grammar_for("in_dist").lexicon)
-    assert changed and residual == []
+    assert changed and check_selectional(analysis, cf) == []
     got = " ".join(linearize(transduce(fixed, bank.dictionary, bank.morph)))
     assert got == "kyoosi ga ringo o tabe ta"
 

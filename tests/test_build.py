@@ -10,6 +10,7 @@ from compmt.audit import audit_gap
 from compmt.build import (SPLITS, RunConfig, SentenceRecord, _draw,
                           build_splits, child_seed, concatenate_for_length,
                           read_corpus, write_corpus)
+from compmt.earley import parse
 from compmt.grammar import (Constraints, GrammarError, Pcfg,
                             UnsatisfiableConstraintError)
 from compmt.naturalize import default_case_frames
@@ -335,6 +336,25 @@ def test_draw_checks_every_constrained_tree(bank, monkeypatch):
               default_case_frames(), False, set(), [0], "test stream")
 
 
+def test_draw_redraws_an_unrepairable_tree(bank, monkeypatch):
+    """A noun two verbs constrain ('wine', eaten and drunk) whose repair
+    would leave an unlicensed pair is not kept: ``_draw`` counts the tree as
+    unrepairable and draws again."""
+    in_dist = bank.grammar_for("in_dist")
+    [unrepairable] = parse(in_dist,
+                           "Lucas ate the wine that Ava drank .".split())
+    [clean] = parse(in_dist, "the teacher found the panda .".split())
+    trees = iter([unrepairable, clean])
+    monkeypatch.setattr(Pcfg, "sample_with_rng",
+                        lambda self, rng, constraints=None: next(trees))
+    dropped = [0]
+    got = _draw(bank.grammar, Random(0), None, None, bank,
+                default_case_frames(), False, set(), dropped, "test stream")
+    tree, source, samples = got[0], got[3], got[-1]
+    assert tree is clean and samples == 2 and dropped == [1]
+    assert source == ("The", "teacher", "found", "the", "panda", ".")
+
+
 def test_concatenation_part_draw_is_bounded(bank, monkeypatch):
     # With no training depth allowed, no tree passes the depth check.
     monkeypatch.setattr(build, "TRAIN_DEPTHS", frozenset())
@@ -367,7 +387,7 @@ def test_concatenation_record_has_one_draw_budget(bank, monkeypatch):
 def test_in_distribution_pool_draw_is_bounded(bank, monkeypatch):
     def one_gen_record(pid, *_args):
         return [SentenceRecord(f"gen-{pid}", "gen", pid, (pid,), (pid,))], \
-            0, 0, 1
+            0, 1
 
     monkeypatch.setattr(build, "_build_pattern", one_gen_record)
     monkeypatch.setattr(build, "primitive_exposures", lambda *_args: ([], 0))

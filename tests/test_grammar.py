@@ -261,9 +261,9 @@ def test_tree_edits_find_nodes_by_identity(bank, patterns):
         ["woman", "find", "small", "big", "panda"]
 
     [tree] = parse(g, "the teacher ate the bed .".split())
-    fixed, _, changed, _ = naturalize(tree, analyze(tree),
-                                      default_case_frames(), Random(0),
-                                      g.lexicon)
+    fixed, _, changed = naturalize(tree, analyze(tree),
+                                   default_case_frames(), Random(0),
+                                   g.lexicon)
     kept = [(a, b) for a, b in zip(iter_leaves(tree), iter_leaves(fixed))]
     assert changed and [a is b for a, b in kept] == [True, True, False]
 

@@ -37,10 +37,10 @@ def test_unlicensed_object_repaired_to_top_ranked_noun(bank):
     viols = check_selectional(analyze(tree), cf)
     assert [(v.verb, v.role, v.noun) for v in viols] == \
         [("eat", "direct_object", "bed")]
-    fixed, residual, changed, analysis = naturalize(
+    fixed, analysis, changed = naturalize(
         tree, analyze(tree), cf, Random(0),
         bank.grammar_for("in_dist").lexicon)
-    assert changed and residual == []
+    assert changed and check_selectional(analysis, cf) == []
     assert _gloss(bank, fixed) == "kyoosi ga ringo o tabe ta"
     assert analysis == analyze(fixed)
 
@@ -57,11 +57,12 @@ def test_repair_analyzes_each_tree_state_once(bank, monkeypatch):
 
     monkeypatch.setattr(nat, "analyze", counted)
     tree = _parse_one(bank, "the teacher ate the bed .")
-    fixed, residual, changed, _ = naturalize(
-        tree, analyze(tree), default_case_frames(), Random(0),
+    cf = default_case_frames()
+    fixed, analysis, changed = naturalize(
+        tree, analyze(tree), cf, Random(0),
         bank.grammar_for("in_dist").lexicon)
-    assert changed and residual == []
     assert calls == [fixed]
+    assert changed and check_selectional(analysis, cf) == []
 
 
 def test_inanimate_subject_repair(bank):
@@ -70,10 +71,10 @@ def test_inanimate_subject_repair(bank):
     viols = check_selectional(analyze(tree), cf)
     assert [(v.verb, v.role, v.noun) for v in viols] == \
         [("bloom", "inanimate_subject", "book")]
-    fixed, residual, changed, _ = naturalize(
+    fixed, analysis, changed = naturalize(
         tree, analyze(tree), cf, Random(0),
         bank.grammar_for("in_dist").lexicon)
-    assert changed and residual == []
+    assert changed and check_selectional(analysis, cf) == []
     assert _gloss(bank, fixed) == "hana ga sai ta"
 
 
@@ -81,10 +82,30 @@ def test_licensed_sentence_unchanged(bank):
     tree = _parse_one(bank, "the flower bloomed .")
     cf = default_case_frames()
     analysis = analyze(tree)
-    fixed, residual, changed, fixed_analysis = naturalize(
+    fixed, fixed_analysis, changed = naturalize(
         tree, analysis, cf, Random(0), bank.grammar_for("in_dist").lexicon)
-    assert not changed and residual == [] and fixed is tree
+    assert not changed and fixed is tree
     assert fixed_analysis is analysis
+    assert check_selectional(fixed_analysis, cf) == []
+
+
+def test_noun_two_verbs_constrain_is_unrepairable(bank):
+    """'wine' is the object of both 'ate' and the relative clause's 'drank'.
+    The best object of 'eat', 'apple', is unlicensed for 'drink', so the
+    repair would leave an unlicensed pair and the record is given up."""
+    tree = _parse_one(bank, "Lucas ate the wine that Ava drank .")
+    cf = default_case_frames()
+    viols = check_selectional(analyze(tree), cf)
+    assert [(v.verb, v.role, v.noun) for v in viols] == \
+        [("eat", "direct_object", "wine")]
+    assert cf.ranked("eat", "direct_object")[0] == ["apple"]
+    assert not cf.licensed("drink", "direct_object", "apple")
+    with pytest.raises(UnrepairableRecordError,
+                       match=r"'apple' replaces 'wine' as direct_object of "
+                             r"'eat' but is unlicensed as direct_object of "
+                             r"'drink'$"):
+        naturalize(tree, analyze(tree), cf, Random(0),
+                   bank.grammar_for("in_dist").lexicon)
 
 
 def test_repair_is_deterministic_in_seed(bank):
