@@ -28,6 +28,7 @@ from .transduce import linearize, render_leaf, span_for_source, transduce
 from .bank import analyze, default_bank, tag_role, _np_head
 from .naturalize import (UnrepairableRecordError, default_case_frames,
                          naturalize, read_case_frames, reject_duplicates)
+from .utf8 import undecodable
 
 TRAIN_DEPTHS = frozenset({0, 1, 2, 4})
 _MOD_DOBJ_IDS = frozenset(
@@ -53,7 +54,6 @@ class RunConfig:
     scale: float = 1.0
     topicalization_fraction: float = 0.10
     with_concat: bool = True
-    strict_selectional: bool = False
     out_dir: str = "corpus"
     case_frame_path: str = ""
     parallel: bool = False
@@ -62,11 +62,7 @@ class RunConfig:
     def from_file(cls, path):
         """Config from a JSON object; an unknown key or a value of the wrong
         type (a bool is not a number) raises ValueError naming the file."""
-        with open(path, encoding="utf-8") as fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{exc.lineno}: {exc.msg}") from None
+        data = _read_json(path)
         if not isinstance(data, dict):
             raise ValueError(f"{path}: expected a JSON object")
         types = {f.name: f.type for f in fields(cls)}
@@ -87,8 +83,13 @@ class RunConfig:
         """(field, message) for each value the build cannot run with;
         ``gen_counts`` are the patterns' unscaled generalization counts."""
         errors = []
-        if not (math.isfinite(self.scale)
-                and all(round(n * self.scale) >= 1 for n in gen_counts)):
+        largest = max(N_DEV, N_TEST, N_POOL_TRAIN, N_EXPOSURE, N_CONCAT,
+                      *gen_counts)
+        if math.isinf(largest * self.scale):
+            errors.append(("scale", f"{self.scale} makes a record count "
+                           f"infinite ({largest} x scale overflows)"))
+        elif not (math.isfinite(self.scale)
+                  and all(round(n * self.scale) >= 1 for n in gen_counts)):
             errors.append(("scale", f"{self.scale} leaves a pattern with no "
                            f"generalization records (round({min(gen_counts)}"
                            " x scale) must be at least 1)"))
@@ -214,8 +215,7 @@ def _render(bank, tree):
     return tt, _capitalize(yield_tokens(tree)), tuple(linearize(tt))
 
 
-def _draw(grammar, rng, constraints, accept, bank, cf, strict, seen,
-          dropped, what):
+def _draw(grammar, rng, constraints, accept, bank, cf, seen, dropped, what):
     """One record of a stream, by the build's only rejection loop: draw a
     tree exactly from the grammar conditioned on ``constraints``, analyze
     it, check the constraints, accept (on the analysis), reject duplicate
@@ -246,8 +246,8 @@ def _draw(grammar, rng, constraints, accept, bank, cf, strict, seen,
         if reject_duplicates(analysis):
             continue
         try:
-            tree, analysis, _ = naturalize(
-                tree, analysis, cf, rng, bank.lexicon, strict=strict)
+            tree, analysis, _ = naturalize(tree, analysis, cf, rng,
+                                           bank.lexicon)
         except UnrepairableRecordError:
             dropped[0] += 1
             continue
@@ -304,7 +304,7 @@ def _annotate(tree, analysis, tt, target_tokens, spec):
 # --------------------------------------------------------------------------
 
 
-def _build_pattern(pattern_id, master_seed, scale, strict, cf):
+def _build_pattern(pattern_id, master_seed, scale, cf):
     """(records, unrepairable drops, root draws) of one pattern's
     generalization stream; pure in its arguments."""
     bank = default_bank()
@@ -319,7 +319,7 @@ def _build_pattern(pattern_id, master_seed, scale, strict, cf):
     for i in range(count):
         tree, analysis, tt, source, target, samples = _draw(
             spec.gen_grammar, rng, spec.constraints_for(i), None, bank, cf,
-            strict, seen, dropped, f"pattern {pattern_id}: gen record {i}")
+            seen, dropped, f"pattern {pattern_id}: gen record {i}")
         draws += samples
         annotation, depths, in_cp = _annotate(tree, analysis, tt, target, spec)
         provenance = {"seed": seed, "grammar_id": pattern_id,
@@ -337,8 +337,8 @@ def _build_pattern(pattern_id, master_seed, scale, strict, cf):
 # --------------------------------------------------------------------------
 
 
-def primitive_exposures(bank, spec, n, master_seed, cf, strict, seen,
-                        grammar_cache, dropped):
+def primitive_exposures(bank, spec, n, master_seed, cf, seen, grammar_cache,
+                        dropped):
     """(n training records supplying the pattern's licensed prerequisites,
     their root draws)."""
     seed = child_seed(master_seed, f"exp:{spec.id}")
@@ -372,8 +372,8 @@ def primitive_exposures(bank, spec, n, master_seed, cf, strict, seen,
             grammar_cache[cache_key] = grammar
         cons = Constraints(frozenset(required), frozenset(), tuple(depths))
         _, _, _, source, target, samples = _draw(
-            grammar, rng, cons, _train_depths, bank, cf, strict, seen,
-            dropped, f"pattern {spec.id}: exposure recipe {recipe!r}")
+            grammar, rng, cons, _train_depths, bank, cf, seen, dropped,
+            f"pattern {spec.id}: exposure recipe {recipe!r}")
         draws += samples
         records.append(SentenceRecord(
             rid, "train", "", source, target,
@@ -412,8 +412,8 @@ def _declarative_train_depths(analysis):
     return "root_decl" in analysis.ids and _train_depths(analysis)
 
 
-def concatenate_for_length(bank, cf, master_seed, n, gen_max_len, strict,
-                           seen, dropped):
+def concatenate_for_length(bank, cf, master_seed, n, gen_max_len, seen,
+                           dropped):
     """(Training records longer than any generalization sentence, formed by
     concatenating independent declarative in-distribution sentences, their
     root draws).
@@ -436,7 +436,7 @@ def concatenate_for_length(bank, cf, master_seed, n, gen_max_len, strict,
                         f"{draws} root draws")
                 _, _, _, src, tgt, samples = _draw(
                     bank.grammar, rng, None, _declarative_train_depths, bank,
-                    cf, strict, None, dropped,
+                    cf, None, dropped,
                     f"concatenation record {j} part {parts}")
                 draws += samples
                 source = source + src
@@ -472,7 +472,6 @@ def build_splits(config: RunConfig, bank=None):
     else:
         cf = default_case_frames()
     scale = config.scale
-    strict = config.strict_selectional
     seed = config.master_seed
 
     # 1. Generalization set, one independent stream per pattern.
@@ -483,12 +482,11 @@ def build_splits(config: RunConfig, bank=None):
         # process-pool machinery.
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor() as pool:
-            futures = [pool.submit(_build_pattern, pid, seed, scale, strict,
-                                   cf)
+            futures = [pool.submit(_build_pattern, pid, seed, scale, cf)
                        for pid in pattern_ids]
             results = [f.result() for f in futures]
     else:
-        results = [_build_pattern(pid, seed, scale, strict, cf)
+        results = [_build_pattern(pid, seed, scale, cf)
                    for pid in pattern_ids]
     seen = set()
     dropped = [0]
@@ -517,8 +515,8 @@ def build_splits(config: RunConfig, bank=None):
         # Never scale below one exposure per recipe: a pattern's
         # prerequisites are only covered once the recipe cycle completes.
         recs, draws = primitive_exposures(
-            bank, spec, max(n_exp, len(spec.exposures)), seed, cf, strict,
-            seen, grammar_cache, dropped)
+            bank, spec, max(n_exp, len(spec.exposures)), seed, cf, seen,
+            grammar_cache, dropped)
         exposure_records.extend(recs)
         exposure_counts[spec.id] = len(recs)
         root_draws += draws
@@ -540,8 +538,8 @@ def build_splits(config: RunConfig, bank=None):
     while len(dev) < n_dev or len(test) < n_test or \
             len(train_pool) < n_pool_train:
         tree, _, _, source, target, samples = _draw(
-            bank.grammar, rng, None, _train_depths, bank, cf, strict, seen,
-            dropped, f"in-distribution pool (draw {index})")
+            bank.grammar, rng, None, _train_depths, bank, cf, seen, dropped,
+            f"in-distribution pool (draw {index})")
         index += samples
         bucket = _bucket(seed, index)
         if bucket == 0 and len(dev) < n_dev:
@@ -554,10 +552,9 @@ def build_splits(config: RunConfig, bank=None):
             split, out = "dev", dev
         else:
             split, out = "test", test
-        rid = {"dev": f"dev-{len(dev):05d}", "test": f"test-{len(test):05d}",
-               "train": f"train-{len(train_pool):06d}"}[split]
+        width = 6 if split == "train" else 5
         out.append(SentenceRecord(
-            rid, split, "", source, target,
+            f"{split}-{len(out):0{width}d}", split, "", source, target,
             provenance={"seed": pool_seed, "grammar_id": "in_dist"}))
         if split != "train":
             continue
@@ -584,7 +581,7 @@ def build_splits(config: RunConfig, bank=None):
     # 4. Length-covering concatenations.
     n_concat = _scaled(N_CONCAT, scale) if config.with_concat else 0
     concat_records, draws = concatenate_for_length(
-        bank, cf, seed, n_concat, gen_max_len, strict, seen, dropped)
+        bank, cf, seed, n_concat, gen_max_len, seen, dropped)
     root_draws += draws
 
     train = exposure_records + train_pool + concat_records
@@ -700,36 +697,45 @@ def _record(data, ints):
 
 
 def read_jsonl(path):
-    """Records of one split file; a line that is not JSON or not a record
-    (see ``_record``) raises ValueError naming ``path:line``.  Equal ints
-    are one object per file (``SentenceRecord.from_json``)."""
+    """Records of one split file; a line that is not UTF-8, not JSON or not
+    a record (see ``_record``) raises ValueError naming ``path:line``.
+    Equal ints are one object per file (``SentenceRecord.from_json``)."""
     out = []
     ints = {}
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                data, end = _DECODER.raw_decode(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc.msg}") from None
-            if end < len(line):  # as json.loads says; no space trails
-                raise ValueError(f"{path}:{lineno}: Extra data")
-            try:
-                out.append(_record(data, ints))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
+        try:
+            for lineno, line in enumerate(fh, 1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    data, end = _DECODER.raw_decode(line)
+                except json.JSONDecodeError as exc:
+                    raise ValueError(f"{path}:{lineno}: {exc.msg}") from None
+                if end < len(line):  # as json.loads says; no space trails
+                    raise ValueError(f"{path}:{lineno}: Extra data")
+                try:
+                    out.append(_record(data, ints))
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: {exc}") from None
+        except UnicodeDecodeError:
+            raise ValueError(undecodable(path)) from None
     return out
+
+
+def _read_json(path):
+    """The JSON value of a whole file; one that is not UTF-8 or not JSON
+    raises ValueError naming ``path:line``."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except UnicodeDecodeError:
+            raise ValueError(undecodable(path)) from None
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}:{exc.lineno}: {exc.msg}") from None
 
 
 def read_corpus(out_dir):
     records = {split: read_jsonl(os.path.join(out_dir, f"{split}.jsonl"))
                for split in SPLITS}
-    path = os.path.join(out_dir, "manifest.json")
-    with open(path, encoding="utf-8") as fh:
-        try:
-            manifest = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}:{exc.lineno}: {exc.msg}") from None
-    return records, manifest
+    return records, _read_json(os.path.join(out_dir, "manifest.json"))

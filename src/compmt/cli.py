@@ -37,8 +37,7 @@ def _fail_io(message):
     sys.exit(EXIT_IO)
 
 
-def _load_config(config_path, seed, scale, wo_concat, strict_selectional,
-                 out):
+def _load_config(config_path, seed, scale, wo_concat, out):
     """The run configuration: the file, then the flags over it.  A bad
     value exits 2 naming the flag or the file it came from."""
     try:
@@ -52,8 +51,6 @@ def _load_config(config_path, seed, scale, wo_concat, strict_selectional,
         config.scale = scale
     if wo_concat:
         config.with_concat = False
-    if strict_selectional:
-        config.strict_selectional = True
     if out is not None:
         config.out_dir = out
     elif os.environ.get(OUT_DIR_ENV):
@@ -80,8 +77,6 @@ def _config_options(fn):
                       help="Linear corpus size multiplier.")(fn)
     fn = click.option("--wo-concat", is_flag=True,
                       help="Skip the long-sentence concatenation step.")(fn)
-    fn = click.option("--strict-selectional", is_flag=True,
-                      help="Closed-world selectional checking.")(fn)
     fn = click.option("--out", type=click.Path(), default=None,
                       help=f"Output directory (or ${OUT_DIR_ENV}).")(fn)
     return fn
@@ -94,11 +89,10 @@ def main():
 
 @main.command()
 @_config_options
-def validate(config_path, seed, scale, wo_concat, strict_selectional, out):
+def validate(config_path, seed, scale, wo_concat, out):
     """Validate every grammar the build samples from.  Building the bank
     parses every production's transduction template against its rhs."""
-    _load_config(config_path, seed, scale, wo_concat, strict_selectional,
-                 out)
+    _load_config(config_path, seed, scale, wo_concat, out)
     try:
         bank = default_bank()
         patterns = bank.patterns
@@ -122,11 +116,9 @@ def validate(config_path, seed, scale, wo_concat, strict_selectional, out):
 @_config_options
 @click.option("--parallel", is_flag=True,
               help="Build generalization patterns in worker processes.")
-def generate(config_path, seed, scale, wo_concat, strict_selectional, out,
-             parallel):
+def generate(config_path, seed, scale, wo_concat, out, parallel):
     """Build all four splits, audit the gap, and write the corpus."""
-    config = _load_config(config_path, seed, scale, wo_concat,
-                          strict_selectional, out)
+    config = _load_config(config_path, seed, scale, wo_concat, out)
     if parallel:
         config.parallel = True
     try:

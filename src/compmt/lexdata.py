@@ -341,7 +341,7 @@ QUESTION_PARTICLE = "ka"
 
 # Selectional restrictions: licensed (verb, role, noun) pairs with the
 # replacement ranking implied by list order.  Any (verb, role) absent here is
-# open-world (never checked under the default flag).
+# open-world (never checked).
 CASE_FRAMES = [
     ("eat", "direct_object",
      ["apple", "cake", "cookie", "fig", "melon", "banana", "pizza"]),

@@ -21,6 +21,8 @@ import sys
 from collections import Counter
 from dataclasses import asdict, dataclass
 
+from .utf8 import undecodable
+
 ROLE_PARTICLES = {
     "ga": "subject",
     "o": "direct_object",
@@ -280,7 +282,10 @@ def read_hypotheses(path, records=None):
         # Only a newline ends a line: str.splitlines would also break at
         # U+2028, form feeds and the like, which JSON strings and plain
         # text may hold.
-        lines = [line.rstrip("\n") for line in fh]
+        try:
+            lines = [line.rstrip("\n") for line in fh]
+        except UnicodeDecodeError:
+            raise ScoringError(undecodable(path)) from None
     first = next((line for line in lines if line.strip()), "")
     if first.lstrip().startswith("{"):
         out = {}

@@ -13,9 +13,8 @@ unrepairable, the sampler draws again and the build counts it in
 ``unrepairable_dropped``.  So every sentence that leaves ``naturalize`` has
 only licensed pairs.
 
-The pair list is open-world by default: a (verb, role) that the list says
-nothing about licenses every noun.  Under strict checking, every pair absent
-from the list is a violation.
+The pair list is open-world: a (verb, role) that the list says nothing
+about licenses every noun.
 """
 
 from __future__ import annotations
@@ -25,6 +24,7 @@ from dataclasses import dataclass
 from .grammar import GrammarError, LeafNode, ProdNode, Slot
 from .bank import analyze
 from .lexdata import CASE_FRAMES
+from .utf8 import undecodable
 
 ROLES = ("inanimate_subject", "direct_object")
 
@@ -61,10 +61,9 @@ class CaseFrameList:
         for key in self.pool:
             self.pool[key].sort()
 
-    def licensed(self, verb, role, noun, strict=False):
-        if (verb, role) not in self.pool:
-            return not strict
-        return (verb, role, noun) in self.pairs
+    def licensed(self, verb, role, noun):
+        return ((verb, role) not in self.pool
+                or (verb, role, noun) in self.pairs)
 
     def ranked(self, verb, role):
         """Pool nouns grouped by rank, best first."""
@@ -109,7 +108,11 @@ def parse_case_frames(text: str, source="case-frames") -> CaseFrameList:
 
 def read_case_frames(path) -> CaseFrameList:
     with open(path, encoding="utf-8") as fh:
-        return parse_case_frames(fh.read(), path)
+        try:
+            text = fh.read()
+        except UnicodeDecodeError:
+            raise GrammarError(undecodable(path)) from None
+    return parse_case_frames(text, path)
 
 
 # --------------------------------------------------------------------------
@@ -123,10 +126,10 @@ def reject_duplicates(analysis) -> bool:
     return len(set(analysis.lemmas)) < len(analysis.lemmas)
 
 
-def check_selectional(analysis, cf: CaseFrameList, strict=False) -> list:
+def check_selectional(analysis, cf: CaseFrameList) -> list:
     out = []
     for verb, role, noun, tag in analysis.pairs:
-        if not cf.licensed(verb, role, noun, strict=strict):
+        if not cf.licensed(verb, role, noun):
             out.append(SelViolation(verb, role, noun, tag))
     return out
 
@@ -180,8 +183,7 @@ def _pick_replacement(cf, violation, slot, lexicon, present, rng):
     return None
 
 
-def naturalize(tree, analysis, cf: CaseFrameList, rng, lexicon,
-               strict=False):
+def naturalize(tree, analysis, cf: CaseFrameList, rng, lexicon):
     """Replace offending nouns of one derivation tree and its ``analysis``
     until every checked pair is licensed.
 
@@ -194,7 +196,7 @@ def naturalize(tree, analysis, cf: CaseFrameList, rng, lexicon,
     second verb at the same position.  Duplicate-lexeme rejection is the
     caller's job (it resamples rather than repairs).
     """
-    current = check_selectional(analysis, cf, strict=strict)
+    current = check_selectional(analysis, cf)
     changed = bool(current)
     for _ in range(len(current)):
         if not current:
@@ -209,7 +211,7 @@ def naturalize(tree, analysis, cf: CaseFrameList, rng, lexicon,
         tree = _replace_leaf(tree, leaf, LeafNode(entry, leaf.bundle,
                                                   leaf.tag))
         analysis = analyze(tree)
-        current = check_selectional(analysis, cf, strict=strict)
+        current = check_selectional(analysis, cf)
         for o in current:
             if o.noun == entry.lemma and o.tag == leaf.tag:
                 raise UnrepairableRecordError(

@@ -89,7 +89,7 @@ def test_every_gen_record_leaks_its_own_pattern(bank, patterns, seed):
     gen sentence a most innocent parse that hides its withheld material."""
     cf = default_case_frames()
     gen = [r for p in patterns
-           for r in _build_pattern(p.id, seed, 0.01, False, cf)[0]]
+           for r in _build_pattern(p.id, seed, 0.01, cf)[0]]
     assert len(gen) == 760
     a = GapAuditor(patterns, bank=bank)
     missed = []

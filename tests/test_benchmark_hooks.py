@@ -26,7 +26,7 @@ assert all(hasattr(f, "__wrapped__") for f in hooks)
 bank = default_bank()
 spec = bank.by_pattern["pp_recursion_deeper"]
 build._draw(spec.gen_grammar, Random(0), spec.constraints_for(0), None, bank,
-            naturalize.default_case_frames(), False, set(), [0], "probe")
+            naturalize.default_case_frames(), set(), [0], "probe")
 records = [build.SentenceRecord(f"probe-{i}", "train", "",
                                 tuple(s.split()), ())
            for i, s in enumerate(("Harper wrote .", "The baby cried ."))]

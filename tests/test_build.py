@@ -306,7 +306,7 @@ def test_draw_gives_up_after_its_budget(bank, monkeypatch):
     with pytest.raises(UnsatisfiableConstraintError,
                        match="^test stream: no fresh record in 10000"):
         _draw(bank.grammar, Random(0), None, lambda tree: False, bank,
-              default_case_frames(), False, set(), [0], "test stream")
+              default_case_frames(), set(), [0], "test stream")
     # Constraints that admit no tree raise before the first root draw.
     draws = _count_draws(monkeypatch, bank.grammar)
     never = Constraints(required=frozenset({"root_decl", "root_q"}))
@@ -314,7 +314,7 @@ def test_draw_gives_up_after_its_budget(bank, monkeypatch):
                        match=r"^test stream: no tree meets the constraints "
                              r"\(required=root_decl,root_q\)$"):
         _draw(bank.grammar, Random(0), never, None, bank,
-              default_case_frames(), False, set(), [0], "test stream")
+              default_case_frames(), set(), [0], "test stream")
     assert draws == []
     monkeypatch.undo()
     assert "sample_with_rng" not in vars(bank.grammar)
@@ -333,7 +333,7 @@ def test_draw_checks_every_constrained_tree(bank, monkeypatch):
                        match=r"^test stream: sampled a tree that fails its "
                              r"constraints \(forbidden=root_decl\)$"):
         _draw(bank.grammar, Random(0), question, None, bank,
-              default_case_frames(), False, set(), [0], "test stream")
+              default_case_frames(), set(), [0], "test stream")
 
 
 def test_draw_redraws_an_unrepairable_tree(bank, monkeypatch):
@@ -349,7 +349,7 @@ def test_draw_redraws_an_unrepairable_tree(bank, monkeypatch):
                         lambda self, rng, constraints=None: next(trees))
     dropped = [0]
     got = _draw(bank.grammar, Random(0), None, None, bank,
-                default_case_frames(), False, set(), dropped, "test stream")
+                default_case_frames(), set(), dropped, "test stream")
     tree, source, samples = got[0], got[3], got[-1]
     assert tree is clean and samples == 2 and dropped == [1]
     assert source == ("The", "teacher", "found", "the", "panda", ".")
@@ -360,8 +360,8 @@ def test_concatenation_part_draw_is_bounded(bank, monkeypatch):
     monkeypatch.setattr(build, "TRAIN_DEPTHS", frozenset())
     with pytest.raises(UnsatisfiableConstraintError,
                        match="^concatenation record 0 part 0:"):
-        concatenate_for_length(bank, default_case_frames(), 1, 1, 10, False,
-                               set(), [0])
+        concatenate_for_length(bank, default_case_frames(), 1, 1, 10, set(),
+                               [0])
 
 
 class _EveryPairUsed(set):
@@ -377,7 +377,7 @@ def test_concatenation_record_has_one_draw_budget(bank, monkeypatch):
     with pytest.raises(UnsatisfiableConstraintError,
                        match=r"^concatenation record 0: no fresh joined pair "
                              r"in \d+ root draws$"):
-        concatenate_for_length(bank, default_case_frames(), 1, 1, 10, False,
+        concatenate_for_length(bank, default_case_frames(), 1, 1, 10,
                                _EveryPairUsed(), [0])
     assert 20 <= len(draws) < 2 * 20
     monkeypatch.undo()

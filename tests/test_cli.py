@@ -207,18 +207,24 @@ def test_bad_corpus_line_is_io_error_naming_the_line(runner, corpus_dir,
          readers + [["inspect", "--corpus", str(copy), "--pattern",
                      "cp_recursion_shallower"],
                     ["inspect", "--corpus", str(copy), "--depth", "cp=3"]]),
+        # Text mode decodes in chunks, so the error surfaces lines early.
+        (train, 3, b"\xff\xfe", "not UTF-8 (invalid start byte)",
+         audit + readers),
+        (copy / "manifest.json", 2, b"\xff\xfe", "not UTF-8",
+         audit + readers),
+        (hyp, 1, b"\xff\xfe", "not UTF-8", readers[:1]),
     ]
     for path, lineno, text, message, commands in bad:
-        original = path.read_text(encoding="utf-8")
+        original = path.read_bytes()
         lines = original.splitlines()
-        lines[lineno - 1] = text
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        lines[lineno - 1] = text if isinstance(text, bytes) else text.encode()
+        path.write_bytes(b"\n".join(lines) + b"\n")
         for command in commands:
             result = runner.invoke(main, command)
             assert result.exit_code == 2, (text, command)
             assert result.stderr.startswith(
                 f"error: {path}:{lineno}: {message}"), result.stderr
-        path.write_text(original, encoding="utf-8")
+        path.write_bytes(original)
 
 
 def test_cli_import_loads_no_process_pool():
@@ -297,10 +303,19 @@ def test_bad_config_file_is_io_error(runner, tmp_path):
     cfg.write_text('{"no_such_key": 1}', encoding="utf-8")
     result = runner.invoke(main, ["validate", "--config", str(cfg)])
     assert result.exit_code == 2
-    # A knob that was accepted but never read is now unknown.
-    cfg.write_text('{"cp_embedding_fraction": 0.5}', encoding="utf-8")
-    result = runner.invoke(main, ["validate", "--config", str(cfg)])
+    # A knob that was accepted but never read is now unknown, and so is
+    # closed-world selectional checking, which no build could honour.
+    for knob in ({"cp_embedding_fraction": 0.5},
+                 {"strict_selectional": True}):
+        cfg.write_text(json.dumps(knob), encoding="utf-8")
+        result = runner.invoke(main, ["validate", "--config", str(cfg)])
+        assert result.exit_code == 2, knob
+        assert "unknown config keys" in result.stderr, knob
+    result = runner.invoke(main, ["generate", "--strict-selectional",
+                                  "--out", str(tmp_path / "never")])
     assert result.exit_code == 2
+    assert "No such option" in result.stderr
+    assert "--strict-selectional" in result.stderr
     result = runner.invoke(main, ["validate", "--config",
                                   str(tmp_path / "missing.json")])
     assert result.exit_code == 2
@@ -317,24 +332,34 @@ def test_bad_config_file_is_io_error(runner, tmp_path):
             f"{cfg}: topicalization_fraction 1.5 is outside [0, 1]",
         json.dumps({"case_frame_path": str(frames)}):
             f"{frames}:2: expected 4 columns, got 3",
+        b'{"scale": 0.01,\n \xff\xfe}':
+            f"{cfg}:2: not UTF-8 (invalid start byte)",
     }
     frames.write_text("eat\tdirect_object\tapple\t1\n"
                       "eat\tdirect_object\tcake\n", encoding="utf-8")
     for text, message in bad.items():
-        cfg.write_text(text, encoding="utf-8")
+        cfg.write_bytes(text if isinstance(text, bytes) else text.encode())
         result = runner.invoke(main, ["validate", "--config", str(cfg)])
         assert result.exit_code == 2, text
         assert f"error: {message}" in result.stderr, (text, result.stderr)
-    frames.write_text("eat\toblique\tapple\t1\n", encoding="utf-8")
     cfg.write_text(json.dumps({"case_frame_path": str(frames)}),
                    encoding="utf-8")
-    result = runner.invoke(main, ["generate", "--config", str(cfg),
-                                  "--out", str(tmp_path / "never")])
-    assert result.exit_code == 2
-    assert f"{frames}:1: unknown case-frame role 'oblique'" in result.stderr
-    assert not (tmp_path / "never").exists()
-    for scale in ("0", "-0.5", "0.0001", "nan"):
+    for rows, message in (
+            (b"eat\toblique\tapple\t1\n",
+             "1: unknown case-frame role 'oblique'"),
+            (b"eat\tdirect_object\tapple\t1\n\xff\xfe\n", "2: not UTF-8")):
+        frames.write_bytes(rows)
+        result = runner.invoke(main, ["generate", "--config", str(cfg),
+                                      "--out", str(tmp_path / "never")])
+        assert result.exit_code == 2, rows
+        assert f"error: {frames}:{message}" in result.stderr, result.stderr
+        assert not (tmp_path / "never").exists()
+    for scale, message in (("0", "leaves a pattern"),
+                           ("-0.5", "leaves a pattern"),
+                           ("0.0001", "leaves a pattern"),
+                           ("nan", "leaves a pattern"),
+                           ("1e308", "makes a record count infinite")):
         result = runner.invoke(main, ["validate", "--scale", scale])
         assert result.exit_code == 2, scale
         assert result.stderr.startswith(
-            f"error: --scale {float(scale)} leaves a pattern"), scale
+            f"error: --scale {float(scale)} {message}"), scale
