@@ -151,7 +151,6 @@ class GapViolation:
     kind: str  # "leak", "unparsable", or "missing_prerequisite"
     detail: str
     record_id: str = ""
-    sentence: str = ""
 
     def __str__(self):
         where = f" [{self.record_id}]" if self.record_id else ""
@@ -314,17 +313,16 @@ class GapAuditor:
         if not trees and seg[0][:1].isupper():
             lowered = [seg[0][0].lower() + seg[0][1:]] + seg[1:]
             trees = parse(self.grammar, lowered, limit=PARSE_LIMIT)
-        sentence = " ".join(seg)
         if not trees:
             self.violations.append(GapViolation(
                 "", "unparsable", "no parse under the audit grammar",
-                record.id, sentence))
+                record.id))
             return
         # Charge the segment with its most innocent reading.
         best = None
         for tree in trees:
             an = analyze(tree)
-            viols = self._analysis_violations(an, record.id, sentence)
+            viols = self._analysis_violations(an, record.id)
             if best is None or len(viols) < len(best[0]):
                 best = (viols, an)
             if not viols:
@@ -333,7 +331,7 @@ class GapAuditor:
         self.violations.extend(viols)
         self._record_facts(an, seg)
 
-    def _analysis_violations(self, an, record_id, sentence):
+    def _analysis_violations(self, an, record_id):
         out = []
         for lemma, role in an.lemma_roles:
             for pid in self._target_patterns.get(lemma, ()):
@@ -341,7 +339,7 @@ class GapAuditor:
                 if allowed is not None and role not in allowed:
                     out.append(GapViolation(
                         pid, "leak", f"target {lemma!r} used as {role}",
-                        record_id, sentence))
+                        record_id))
         for lemma, frame, tense, voice in an.verbs:
             cell = (_canon_frame(frame), tense, voice)
             for pid in self._target_patterns.get(lemma, ()):
@@ -356,23 +354,22 @@ class GapAuditor:
                     out.append(GapViolation(
                         pid, "leak",
                         f"target {lemma!r} in withheld cell {cell}",
-                        record_id, sentence))
+                        record_id))
         ids = {base_name(i) for i in an.ids}
         for flag, (pid, flagged) in WITHHELD_STRUCTURES.items():
             if not ids.isdisjoint(flagged):
                 out.append(GapViolation(
-                    pid, "leak", f"withheld structure {flag}",
-                    record_id, sentence))
+                    pid, "leak", f"withheld structure {flag}", record_id))
         for construct, (shallow, deep) in DEPTH_PATTERNS.items():
             d = an.depths.get(construct, 0)
             if d == WITHHELD_DEPTH:
                 out.append(GapViolation(
                     shallow, "leak",
-                    f"{construct} recursion depth {d}", record_id, sentence))
+                    f"{construct} recursion depth {d}", record_id))
             elif d > WITHHELD_DEPTH + 1:
                 out.append(GapViolation(
                     deep, "leak",
-                    f"{construct} recursion depth {d}", record_id, sentence))
+                    f"{construct} recursion depth {d}", record_id))
         return out
 
     def _record_facts(self, an, seg):

@@ -88,6 +88,10 @@ class RunConfig:
         if math.isinf(largest * self.scale):
             errors.append(("scale", f"{self.scale} makes a record count "
                            f"infinite ({largest} x scale overflows)"))
+        elif largest * self.scale > sys.maxsize:
+            errors.append(("scale", f"{self.scale} makes a record count "
+                           f"larger than a list can hold ({largest} x scale "
+                           f"exceeds {sys.maxsize})"))
         elif not (math.isfinite(self.scale)
                   and all(round(n * self.scale) >= 1 for n in gen_counts)):
             errors.append(("scale", f"{self.scale} leaves a pattern with no "

@@ -242,7 +242,6 @@ class Pcfg:
             self.by_id[p.id] = p
             self.by_lhs.setdefault(p.lhs, []).append(p)
         self._slot_cache = {}
-        self._surface_cache = {}
         self._plans = {}  # production id -> _plan
         self._intersections = {}  # constraints -> _Intersection
         # constraints -> solved inside weights; shared by restrict_slots copies
@@ -263,17 +262,6 @@ class Pcfg:
             total = sum(weights)
             cached = (entries, list(accumulate(w / total for w in weights)))
             self._slot_cache[slot] = cached
-        return cached
-
-    def slot_surfaces(self, slot: Slot) -> dict:
-        """The slot's admitted entries by surface form, {surface: [entries]},
-        each list in ``slot_candidates`` order."""
-        cached = self._surface_cache.get(slot)
-        if cached is None:
-            cached = {}
-            for e in self.slot_candidates(slot)[0]:
-                cached.setdefault(e.form(slot.bundle), []).append(e)
-            self._surface_cache[slot] = cached
         return cached
 
     def restrict_slots(self, overrides: dict) -> "Pcfg":

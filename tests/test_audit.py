@@ -261,7 +261,7 @@ auditor = GapAuditor(default_bank().patterns)
 an = Analysis(ids={"q_whlong", "np_subj_pp", "np_iobj_rco",
                    "np_subj_adj"})
 print(" ".join(v.pattern_id for v in
-               auditor._analysis_violations(an, "r", "s")))
+               auditor._analysis_violations(an, "r")))
 """
 
 

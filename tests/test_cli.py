@@ -358,6 +358,8 @@ def test_bad_config_file_is_io_error(runner, tmp_path):
                            ("-0.5", "leaves a pattern"),
                            ("0.0001", "leaves a pattern"),
                            ("nan", "leaves a pattern"),
+                           ("1e300", "makes a record count larger than a "
+                                     "list can hold"),
                            ("1e308", "makes a record count infinite")):
         result = runner.invoke(main, ["validate", "--scale", scale])
         assert result.exit_code == 2, scale

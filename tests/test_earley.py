@@ -207,9 +207,10 @@ def test_span_tables_solve_through_cycles_and_recursion():
     assert last == {"S": {".", "q"}, "A": {"y", "cat", "dog", "w"},
                     "B": {"y", "cat", "dog", "w"},
                     "C": {"cat", "dog", "w"}, "D": {"q"}}
-    # per production: suffix minimum lengths, first and last tokens
-    p, suffix, starts, ends = rules["B"][1]
-    assert p.id == "b_xc" and suffix == (2, 1, 0)
+    # per production: steps, suffix minimum lengths, first and last tokens
+    p, steps, suffix, starts, ends = rules["B"][1]
+    assert p.id == "b_xc" and steps == ({"x": [LitNode("x")]}, "C")
+    assert suffix == (2, 1, 0)
     assert starts == {"x"} and ends == {"cat", "dog", "w"}
     assert span_tables(g) is span_tables(g)
     [tree] = parse(g, "x dog w w .".split())
@@ -240,6 +241,22 @@ def test_grammars_sharing_a_slot_use_their_own_lexicons():
         [tree] = parse(g, [word])
         assert tree.children[0].entry is g.lexicon.get(word, "N")
         assert parse(g, [other]) == []
+
+
+def test_a_parse_hashes_no_grammar_symbol(bank, monkeypatch):
+    """Terminals are looked up through the parser's own tables, by token:
+    once they are built, a parse hashes no slot or literal."""
+    g = bank.grammar_for("in_dist")
+    span_tables(g)
+
+    def unhashable(sym):
+        raise AssertionError(f"parse hashed {sym!r}")
+
+    for cls in (Slot, Lit):
+        monkeypatch.setattr(cls, "__hash__", unhashable)
+    trees = parse(g, "the woman found the small panda .".split())
+    monkeypatch.undo()
+    assert trees
 
 
 def test_repeated_word_gets_a_leaf_per_position(bank):
@@ -330,7 +347,9 @@ def _parse_every_split(g, tokens, limit):
                 for tail in cover(rhs, k + 1, i + 1, j):
                     yield (LitNode(sym.text),) + tail
         else:
-            for e in g.slot_surfaces(sym).get(tokens[i], ()):
+            for e in g.slot_candidates(sym)[0]:
+                if e.form(sym.bundle) != tokens[i]:
+                    continue
                 for tail in cover(rhs, k + 1, i + 1, j):
                     yield (LeafNode(e, sym.bundle, sym.tag),) + tail
 
