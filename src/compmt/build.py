@@ -206,7 +206,7 @@ def _scaled(n, scale):
 
 def _capitalize(tokens):
     head = tokens[0]
-    return (head[0].upper() + head[1:],) + tuple(tokens[1:])
+    return (sys.intern(head[0].upper() + head[1:]),) + tuple(tokens[1:])
 
 
 def _train_depths(analysis):

@@ -241,11 +241,10 @@ class Pcfg:
                 raise GrammarError(f"duplicate production id {p.id}")
             self.by_id[p.id] = p
             self.by_lhs.setdefault(p.lhs, []).append(p)
-        self._slot_cache = {}
+        self._slot_cache = {}  # slot -> slot_candidates
         self._plans = {}  # production id -> _plan
         self._intersections = {}  # constraints -> _Intersection
-        # constraints -> solved inside weights; shared by restrict_slots copies
-        self._inside = {}
+        self._parent = None  # the grammar a restrict_slots copy views
         self._span_tables = None  # earley.span_tables
 
     # -- lexical slot machinery -------------------------------------------
@@ -265,21 +264,30 @@ class Pcfg:
         return cached
 
     def restrict_slots(self, overrides: dict) -> "Pcfg":
-        """New grammar with slot tags restricted to the given lemma sets.
+        """New grammar with slot tags restricted to the given lemma sets,
+        drawn as a thin view of this one.
 
-        The copy shares this grammar's solved inside weights (see
-        ``_Intersection``): they depend on the productions' ids, weights,
-        constructs and nonterminals, never on which lemmas a slot admits,
-        so a constraint set solved for one of them is solved for all."""
+        Only a production with an overridden slot tag is replaced; every
+        other production stays this grammar's object, and the copy reuses
+        its plan (``_plan``).  The copy shares this grammar's constrained
+        tables (``_Intersection``): they read the productions' ids,
+        weights, constructs and nonterminals, never which lemmas a slot
+        admits, so a constraint set solved for one of them is solved for
+        all.  It shares the slot candidates too, which are keyed by the
+        slot, lemmas included."""
         def remap(sym):
             if isinstance(sym, Slot) and sym.tag in overrides:
                 return replace(sym, lemmas=frozenset(overrides[sym.tag]))
             return sym
 
-        prods = [replace(p, rhs=tuple(remap(s) for s in p.rhs))
-                 for p in self.productions]
+        prods = []
+        for p in self.productions:
+            rhs = tuple(map(remap, p.rhs))
+            prods.append(p if rhs == p.rhs else replace(p, rhs=rhs))
         copy = Pcfg(self.start, prods, self.lexicon, self.zipf_exponent)
-        copy._inside = self._inside
+        copy._slot_cache = self._slot_cache
+        copy._intersections = self._intersections
+        copy._parent = self
         return copy
 
     # -- validation --------------------------------------------------------
@@ -368,33 +376,42 @@ class Pcfg:
         table = self._intersection(constraints)
         return table.options(table.root)[2] > 0
 
-    def _plan(self, prod: Production) -> tuple:
-        """How ``_expand`` fills each symbol of ``prod``'s right-hand side:
-        None for a nonterminal, a literal's text, or a slot's (entries,
-        running sums, bundle, tag).  Built once per production; a
-        ``restrict_slots`` copy builds its own from its own slots."""
-        steps = []
-        for sym in prod.rhs:
-            if isinstance(sym, NT):
-                steps.append(None)
-            elif isinstance(sym, Slot):
-                entries, sums = self.slot_candidates(sym)
-                if not entries:
-                    raise GrammarError(f"slot {sym.tag} admits no entries")
-                steps.append((entries, sums, sym.bundle, sym.tag))
-            else:
-                steps.append(sym.text)
-        plan = self._plans[prod.id] = tuple(steps)
+    def _plan(self, pid: str) -> tuple:
+        """(this grammar's production ``pid``, how ``_expand`` fills each
+        symbol of its right-hand side: None for a nonterminal, a literal's
+        text, or a slot's (entries, running sums, bundle, tag)).  Built once
+        per production; a ``restrict_slots`` copy takes its parent's plan
+        for every production it did not replace."""
+        prod = self.by_id[pid]
+        parent = self._parent
+        if parent is not None and parent.by_id.get(pid) is prod:
+            plan = parent._plans.get(pid) or parent._plan(pid)
+        else:
+            steps = []
+            for sym in prod.rhs:
+                if isinstance(sym, NT):
+                    steps.append(None)
+                elif isinstance(sym, Slot):
+                    entries, sums = self.slot_candidates(sym)
+                    if not entries:
+                        raise GrammarError(
+                            f"slot {sym.tag} admits no entries")
+                    steps.append((entries, sums, sym.bundle, sym.tag))
+                else:
+                    steps.append(sym.text)
+            plan = (prod, tuple(steps))
+        self._plans[pid] = plan
         return plan
 
     def _expand(self, key, rng: Random, table: "_Intersection"):
+        """A tree below split nonterminal ``key``.  The table's choices may
+        hold another view's productions; each node gets this grammar's own
+        from its plan."""
         options, cum, total = table.options(key)
         if not options:
             raise GrammarError(f"no sampleable productions for {key[0]}")
-        prod, child_keys = options[_pick(cum, rng.random() * total)]
-        plan = self._plans.get(prod.id)
-        if plan is None:
-            plan = self._plan(prod)
+        choice, child_keys = options[_pick(cum, rng.random() * total)]
+        prod, plan = self._plans.get(choice.id) or self._plan(choice.id)
         child_keys = iter(child_keys)
         children = []
         for step in plan:
@@ -497,6 +514,13 @@ class _Intersection:
     Without constraints every inside weight is 1 (a validated grammar is
     normalized and consistent), so the choices are the productions with
     their own weights and the draw is the plain PCFG's.
+
+    The table reads only the productions' ids, weights, constructs and
+    nonterminal children, so a grammar and its ``restrict_slots`` copies
+    share one table per constraint set, with its inside weights, solved
+    once.  Its choices hold the productions of whichever of them built it;
+    ``Pcfg._expand`` maps each choice to the drawing grammar's own
+    production by id.
     """
 
     def __init__(self, grammar: Pcfg, constraints: Optional[Constraints]):
@@ -515,11 +539,7 @@ class _Intersection:
         self.root = (grammar.start, (0,) * len(self.targets), 0, flags)
         self._options = {}
         self._weights = {}
-        self._z = None
-        if c != Constraints():
-            self._z = grammar._inside.get(c)
-            if self._z is None:
-                self._z = grammar._inside[c] = self._solve(flags)
+        self._z = None if c == Constraints() else self._solve(flags)
 
     def _step(self, prod, path, negated):
         """(path below ``prod``, flags ``prod`` satisfies), or None where

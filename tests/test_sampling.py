@@ -17,6 +17,7 @@ from compmt.audit import audit_grammar
 from compmt.grammar import (Constraints, LexEntry, Lexicon, Lit, NT, Pcfg,
                             Production, Slot, iter_leaves, iter_nodes,
                             profile, yield_tokens)
+from compmt.naturalize import SelViolation, _locate
 
 F = Fraction
 
@@ -184,19 +185,72 @@ def _slot_lemmas(trees, tag):
 
 
 def test_restricted_copy_has_its_own_expansion_plans(bank):
-    """A ``restrict_slots`` copy shares its parent's inside weights, not the
-    slot entries its draws pick from, in either direction."""
+    """A ``restrict_slots`` copy shares its parent's constrained tables,
+    not the slot entries its draws pick from, in either direction."""
     g = bank.grammar
     has_dobj = Constraints(required=frozenset({"np_dobj_c"}))
     rng = Random(5)
     before = [g.sample_with_rng(rng, has_dobj) for _ in range(50)]
     assert len(_slot_lemmas(before, "n:dobj:c")) > 5
     copy = g.restrict_slots({"n:dobj:c": {"panda"}})
-    assert copy._inside is g._inside and copy._plans is not g._plans
+    assert copy._intersections is g._intersections \
+        and copy._plans is not g._plans
     drawn = [copy.sample_with_rng(rng, has_dobj) for _ in range(50)]
     assert _slot_lemmas(drawn, "n:dobj:c") == {"panda"}
     after = [g.sample_with_rng(rng, has_dobj) for _ in range(50)]
     assert len(_slot_lemmas(after, "n:dobj:c")) > 5
+
+
+def _full_copy(g, overrides):
+    """``g`` restricted to ``overrides`` with nothing shared: every
+    production replaced and every table its own."""
+    def remap(sym):
+        if isinstance(sym, Slot) and sym.tag in overrides:
+            return replace(sym, lemmas=frozenset(overrides[sym.tag]))
+        return sym
+
+    return Pcfg(g.start,
+                [replace(p, rhs=tuple(map(remap, p.rhs)))
+                 for p in g.productions], g.lexicon, g.zipf_exponent)
+
+
+def test_restricted_copy_draws_what_a_full_copy_draws(bank, patterns):
+    # The first exposure recipe that overrides each slot tag.
+    recipes = {}
+    for spec in patterns:
+        for kind, *recipe in spec.exposures:
+            if kind == "sample" and recipe[1]:
+                recipes.setdefault(tuple(sorted(recipe[1])), recipe)
+    assert len(recipes) > 10
+    g = bank.grammar
+    for required, overrides, depths in recipes.values():
+        view, full = g.restrict_slots(overrides), _full_copy(g, overrides)
+        cons = Constraints(required, frozenset(), depths)
+        for seed in range(5):
+            a = view.sample_with_rng(Random(seed), cons)
+            b = full.sample_with_rng(Random(seed), cons)
+            assert a == b and yield_tokens(a) == yield_tokens(b)
+
+
+def test_restricted_copy_is_a_view_of_its_parent(bank):
+    g = bank.grammar
+    copy = g.restrict_slots({"n:dobj:c": {"panda"}})
+    replaced = {pid for pid, prod in copy.by_id.items()
+                if prod is not g.by_id[pid]}
+    assert replaced == {p.id for p in g.productions if any(
+        isinstance(s, Slot) and s.tag == "n:dobj:c" for s in p.rhs)}
+    assert "np_dobj_c" in replaced and "s_trans_past" not in replaced
+    assert copy._slot_cache is g._slot_cache
+    # A drawn node keeps the restricted slot, so a repair stays inside it.
+    tree = copy.sample_with_rng(
+        Random(3), Constraints(required=frozenset({"np_dobj_c"})))
+    node = next(n for n in iter_nodes(tree)
+                if n.production.id == "np_dobj_c")
+    assert node.production is copy.by_id["np_dobj_c"]
+    leaf, slot = _locate(tree, SelViolation("eat", "direct_object", "panda",
+                                            "n:dobj:c"))
+    assert leaf in node.children and slot in node.production.rhs
+    assert slot.lemmas == frozenset({"panda"})
 
 
 def _has_verb_slot(prod):
