@@ -24,7 +24,7 @@ from random import Random
 from .grammar import (Constraints, GrammarError, LeafNode, LitNode, ProdNode,
                       UnsatisfiableConstraintError, iter_leaves, iter_nodes,
                       yield_tokens)
-from .transduce import linearize, render_leaf, span_for_source, transduce
+from .transduce import render_leaf, target_span, transduce
 from .bank import analyze, default_bank, tag_role, _np_head
 from .naturalize import (UnrepairableRecordError, default_case_frames,
                          naturalize, read_case_frames, reject_duplicates)
@@ -214,9 +214,9 @@ def _train_depths(analysis):
 
 
 def _render(bank, tree):
-    """(target tree, capitalized source tokens, target tokens)."""
-    tt = transduce(tree, bank.dictionary, bank.morph)
-    return tt, _capitalize(yield_tokens(tree)), tuple(linearize(tt))
+    """(capitalized source tokens, target tokens)."""
+    return (_capitalize(yield_tokens(tree)),
+            tuple(transduce(tree, bank.dictionary, bank.morph)))
 
 
 def _draw(grammar, rng, constraints, accept, bank, cf, seen, dropped, what):
@@ -227,7 +227,7 @@ def _draw(grammar, rng, constraints, accept, bank, cf, seen, dropped, what):
     is drawn again), translate, capitalize and, unless ``seen`` is None,
     reject a (source, target) token-tuple pair already used.
 
-    Returns (tree, analysis, target tree, source, target, samples), where
+    Returns (tree, analysis, source, target, samples), where
     ``analysis`` is ``analyze(tree)`` and ``samples`` counts its root
     draws.  Raises UnsatisfiableConstraintError naming ``what`` and
     ``constraints`` before the first draw when no tree meets
@@ -255,18 +255,18 @@ def _draw(grammar, rng, constraints, accept, bank, cf, seen, dropped, what):
         except UnrepairableRecordError:
             dropped[0] += 1
             continue
-        tt, source, target = _render(bank, tree)
+        source, target = _render(bank, tree)
         if seen is not None:
             if (source, target) in seen:
                 continue
             seen.add((source, target))
-        return tree, analysis, tt, source, target, samples
+        return tree, analysis, source, target, samples
     raise UnsatisfiableConstraintError(
         f"{what}: no fresh record in {DRAW_BUDGET} root draws "
         f"(constraints: {constraints or 'none'})")
 
 
-def _annotate(tree, analysis, tt, target_tokens, spec):
+def _annotate(tree, analysis, target, spec, bank):
     """Annotation payload for one generalization record."""
     in_cp = spec.embed_marker in analysis.ids
     if spec.target_kind == "none":
@@ -274,26 +274,24 @@ def _annotate(tree, analysis, tt, target_tokens, spec):
     if spec.target_kind == "wh":
         ref = [spec.wh_word]
         role = spec.expected_role
-    elif spec.target_kind == "verb":
-        leaf = next(lf for lf in iter_leaves(tree)
-                    if lf.entry.pos == "Verb"
-                    and lf.entry.lemma in spec.target_lexemes)
-        start, end = span_for_source(tt, leaf)
-        ref = list(target_tokens[start:end])
-        # No case particle follows a predicate; Partial Match checks the
-        # inflected form's presence only.
-        role = None
-    else:  # np
-        node = next(nd for nd in iter_nodes(tree)
-                    if nd.production.annot_target)
-        span = span_for_source(tt, node)
+    else:
+        if spec.target_kind == "verb":
+            node = next(lf for lf in iter_leaves(tree)
+                        if lf.entry.pos == "Verb"
+                        and lf.entry.lemma in spec.target_lexemes)
+            # No case particle follows a predicate; Partial Match checks
+            # the inflected form's presence only.
+            role = None
+        else:  # np
+            node = next(nd for nd in iter_nodes(tree)
+                        if nd.production.annot_target)
+            role = spec.expected_role or tag_role(_np_head(node).tag)
+        span = target_span(tree, node, bank.dictionary, bank.morph)
         if span is None:
             raise GrammarError(
                 f"{spec.id}: target constituent has no target span")
         start, end = span
-        ref = list(target_tokens[start:end])
-        head = _np_head(node)
-        role = spec.expected_role or tag_role(head.tag)
+        ref = list(target[start:end])
     annotation = {
         "target_constituent_ref_tokens": ref,
         "expected_role": role,
@@ -321,11 +319,12 @@ def _build_pattern(pattern_id, master_seed, scale, cf):
     dropped = [0]
     draws = 0
     for i in range(count):
-        tree, analysis, tt, source, target, samples = _draw(
+        tree, analysis, source, target, samples = _draw(
             spec.gen_grammar, rng, spec.constraints_for(i), None, bank, cf,
             seen, dropped, f"pattern {pattern_id}: gen record {i}")
         draws += samples
-        annotation, depths, in_cp = _annotate(tree, analysis, tt, target, spec)
+        annotation, depths, in_cp = _annotate(tree, analysis, target, spec,
+                                              bank)
         provenance = {"seed": seed, "grammar_id": pattern_id,
                       "variant": i % len(spec.variants), "in_cp": in_cp}
         if spec.target_kind == "none":
@@ -357,8 +356,7 @@ def primitive_exposures(bank, spec, n, master_seed, cf, seen, grammar_cache,
             leaf = LeafNode(bank.lexicon.by_key[(lemma, pos)],
                             "inf" if pos == "Verb" else "base", "")
             source = (leaf.surface,)
-            target = tuple(linearize(render_leaf(leaf, bank.dictionary,
-                                                 bank.morph)))
+            target = render_leaf(leaf, bank.dictionary, bank.morph)
             records.append(SentenceRecord(
                 rid, "train", "", source, target,
                 provenance={"seed": seed, "grammar_id": "lexicon",
@@ -375,7 +373,7 @@ def primitive_exposures(bank, spec, n, master_seed, cf, seen, grammar_cache,
                     {tag: frozenset(ls) for tag, ls in overrides.items()})
             grammar_cache[cache_key] = grammar
         cons = Constraints(frozenset(required), frozenset(), tuple(depths))
-        _, _, _, source, target, samples = _draw(
+        _, _, source, target, samples = _draw(
             grammar, rng, cons, _train_depths, bank, cf, seen, dropped,
             f"pattern {spec.id}: exposure recipe {recipe!r}")
         draws += samples
@@ -387,8 +385,8 @@ def primitive_exposures(bank, spec, n, master_seed, cf, seen, grammar_cache,
 
 
 def _topic_eligible(tree):
-    """The (s_node, dobj_node) of a matrix transitive clause with a modified
-    direct object, or None."""
+    """The clause node of a matrix transitive clause with a modified direct
+    object, or None."""
     if tree.production.id != "root_decl":
         return None
     s_node = tree.children[0]
@@ -438,7 +436,7 @@ def concatenate_for_length(bank, cf, master_seed, n, gen_max_len, seen,
                     raise UnsatisfiableConstraintError(
                         f"concatenation record {j}: no fresh joined pair in "
                         f"{draws} root draws")
-                _, _, _, src, tgt, samples = _draw(
+                _, _, src, tgt, samples = _draw(
                     bank.grammar, rng, None, _declarative_train_depths, bank,
                     cf, None, dropped,
                     f"concatenation record {j} part {parts}")
@@ -467,7 +465,9 @@ def build_splits(config: RunConfig, bank=None):
     """Build train/dev/test/gen; returns ({split: [records]}, manifest).
 
     ``bank`` can be passed in to reuse compiled grammars; it defaults to
-    the standard resources.
+    the standard resources.  It serves every stage but the generalization
+    set: each pattern's stream (``_build_pattern``) always uses
+    ``default_bank()``, so that it runs alike in a worker process.
     """
     if bank is None:
         bank = default_bank()
@@ -541,7 +541,7 @@ def build_splits(config: RunConfig, bank=None):
     fraction = config.topicalization_fraction
     while len(dev) < n_dev or len(test) < n_test or \
             len(train_pool) < n_pool_train:
-        tree, _, _, source, target, samples = _draw(
+        tree, _, source, target, samples = _draw(
             bank.grammar, rng, None, _train_depths, bank, cf, seen, dropped,
             f"in-distribution pool (draw {index})")
         index += samples
@@ -570,7 +570,7 @@ def build_splits(config: RunConfig, bank=None):
                 len(train_pool) >= n_pool_train:
             continue
         fronted = topicalize(bank, tree, s_node)
-        _, fsource, ftarget = _render(bank, fronted)
+        fsource, ftarget = _render(bank, fronted)
         if (fsource, ftarget) in seen:
             continue
         seen.add((fsource, ftarget))

@@ -153,7 +153,7 @@ def audit(corpus_dir):
     """Re-run the leakage audit over an existing corpus."""
     try:
         records, _manifest = read_corpus(corpus_dir)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         _fail_io(exc)
     bank = default_bank()
     patterns = bank.patterns
@@ -178,7 +178,7 @@ def score(corpus_dir, split, hyp_path, report_path):
     """Score hypotheses against a corpus split."""
     try:
         records, _manifest = read_corpus(corpus_dir)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         _fail_io(exc)
     bank = default_bank()
     patterns = bank.patterns
@@ -219,7 +219,7 @@ def inspect(corpus_dir, split, pattern_id, depth_filter, regex, limit):
     """Pretty-print records matching the given filters."""
     try:
         records, _manifest = read_corpus(corpus_dir)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         _fail_io(exc)
     want_construct = want_depth = None
     if depth_filter:

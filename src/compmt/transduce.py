@@ -1,22 +1,22 @@
-"""Tree transduction from English derivation trees to Japanese token output.
+"""Tree transduction from English derivation trees to Japanese tokens.
 
 Each production carries its own target template (``Production.template``,
 parsed by ``parse_template`` when the grammar is built); templates
 interleave child references, literal morphemes (case particles,
 complementizer "to", the question particle) and morphology directives that
-inflect a verb leaf.  Templates are applied bottom-up, yielding a target
-tree whose linearization is the SOV reference translation.  English
-function words (determiners, auxiliaries, relative pronouns) are simply
-never referenced by a template and therefore drop.
+inflect a verb leaf.  One walk of the source tree applies them and emits
+the SOV reference translation's tokens left to right.  English function
+words (determiners, auxiliaries, relative pronouns) are simply never
+referenced by a template and therefore drop.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, Optional
 
-from .grammar import GrammarError, LeafNode, Lit, ProdNode
+from .grammar import GrammarError, LeafNode, Lit, ProdNode, Slot
 
 
 class TransductionError(GrammarError):
@@ -50,17 +50,14 @@ class BilingualDictionary:
 
     def __init__(self, rows: Iterable[tuple]):
         self.entries = {}
-        # (morph table, lemma, pos, bundle, tense, voice) -> the TLeaf tuple
-        # ``render_leaf`` built from this dictionary and that table.
+        # (morph table, lemma, pos, bundle, tense, voice) -> the token tuple
+        # ``render_leaf`` looked up in this dictionary and that table.
         self._rendered = {}
         for lemma, pos, bundle, tokens in rows:
             key = (lemma, pos, bundle)
             if key in self.entries:
                 raise TransductionError(f"duplicate dictionary entry {key}")
             self.entries[key] = tuple(tokens)
-
-    def __len__(self):
-        return len(self.entries)
 
     def lookup(self, lemma: str, pos: str, bundle: str) -> tuple:
         try:
@@ -90,42 +87,19 @@ class MorphTable:
                 f"no morphology for class {cls!r} {tense}/{voice}") from None
 
 
-# -- target trees -----------------------------------------------------------
-
-# Named tuples for the same reason as the source tree's nodes (grammar.py).
-
-class TLeaf(NamedTuple):
-    token: str
-
-
-class TNode(NamedTuple):
-    source: object  # the ProdNode / LeafNode this node rewrites
-    children: tuple
-
-
-def linearize(tt) -> list:
-    """Left-to-right target tokens of a target tree."""
-    out = []
-    stack = [tt]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, TLeaf):
-            out.append(node.token)
-        else:
-            stack.extend(reversed(node.children))
-    return out
+# -- translation ------------------------------------------------------------
 
 
 def render_leaf(leaf: LeafNode, dictionary: BilingualDictionary,
-                morph: MorphTable, tense=None, voice=None) -> TNode:
-    """Target node of one lexical leaf.  A verb is inflected for its
+                morph: MorphTable, tense=None, voice=None) -> tuple:
+    """Target tokens of one lexical leaf.  A verb is inflected for its
     bundle's tense and voice unless ``tense`` or ``voice`` overrides them.
-    The target leaves are built once per dictionary, morphology table and
-    (lemma, pos, bundle, tense, voice); every call gets a node of its own."""
+    The tokens are looked up once per dictionary, morphology table and
+    (lemma, pos, bundle, tense, voice); every call gets that one tuple."""
     entry = leaf.entry
     key = (morph, entry.lemma, entry.pos, leaf.bundle, tense, voice)
-    leaves = dictionary._rendered.get(key)
-    if leaves is None:
+    tokens = dictionary._rendered.get(key)
+    if tokens is None:
         if entry.pos == "Verb":
             bt, bv = BUNDLE_TV[leaf.bundle]
             cls = dictionary.verb_class(entry.lemma)
@@ -134,69 +108,52 @@ def render_leaf(leaf: LeafNode, dictionary: BilingualDictionary,
                 + suffixes
         else:
             tokens = dictionary.lookup(entry.lemma, entry.pos, leaf.bundle)
-        leaves = dictionary._rendered[key] = tuple(TLeaf(t) for t in tokens)
-    return TNode(leaf, leaves)
+        dictionary._rendered[key] = tokens
+    return tokens
 
 
 def transduce(tree: ProdNode, dictionary: BilingualDictionary,
-              morph: MorphTable) -> TNode:
-    """Rewrite a source derivation tree into a target tree, bottom-up, by
-    each node's production template."""
-    return _rewrite(tree, dictionary, morph)
-
-
-def _rewrite(node: ProdNode, dictionary, morph) -> TNode:
-    pid = node.production.id
-    template = node.production.template
-    if template is None:
-        raise TransductionError(
-            f"uncovered production {pid}: no transduction rule")
+              morph: MorphTable) -> list:
+    """Target tokens of a source derivation tree, by each node's
+    production template."""
     out = []
-    for item in template:
-        if item.kind == "lit":
-            out.append(TLeaf(item.text))
-        elif item.kind == "q":
-            out.append(TLeaf(morph.question_particle))
-        elif item.kind == "child":
-            child = node.children[item.index]
-            out.append(_rewrite(child, dictionary, morph)
-                       if isinstance(child, ProdNode)
-                       else render_leaf(child, dictionary, morph))
-        else:  # morph directive
-            child = node.children[item.index]
-            if not isinstance(child, LeafNode) or child.entry.pos != "Verb":
-                raise TransductionError(
-                    f"production {pid}: @morph target {item.index} is "
-                    "not a verb leaf")
-            out.append(render_leaf(child, dictionary, morph,
-                                   item.tense, item.voice))
-    return TNode(node, tuple(out))
-
-
-def target_spans(tt: TNode) -> list:
-    """(source node, start, end) for every target node, in preorder."""
-    out = []
-    _span_walk(tt, 0, out)
+    _emit(tree, dictionary, morph, out, None, None)
     return out
 
 
-def _span_walk(node, offset, out) -> int:
-    """Append the spans of ``node`` and its descendants, ``node`` starting
-    at ``offset``, to ``out``; returns the offset after ``node``."""
-    if isinstance(node, TLeaf):
-        return offset + 1
-    start = offset
-    for child in node.children:
-        offset = _span_walk(child, offset, out)
-    out.append((node.source, start, offset))
-    return offset
+def target_span(tree: ProdNode, node, dictionary: BilingualDictionary,
+                morph: MorphTable) -> Optional[tuple]:
+    """(start, end) of the node object ``node``'s tokens in ``tree``'s
+    translation, or None when ``tree`` does not translate that object (an
+    equal node elsewhere has its own span)."""
+    found = []
+    _emit(tree, dictionary, morph, [], node, found)
+    return found[0] if found else None
 
 
-def span_for_source(tt: TNode, src_node) -> Optional[tuple]:
-    for source, start, end in target_spans(tt):
-        if source is src_node:
-            return (start, end)
-    return None
+def _emit(node, dictionary, morph, out, mark, found, tense=None, voice=None):
+    """Append the target tokens of ``node`` to ``out``, a verb leaf
+    inflected by ``tense`` and ``voice`` when given; append the (start, end)
+    of ``mark``'s tokens to ``found`` when the walk passes it."""
+    start = len(out)
+    if isinstance(node, LeafNode):
+        out.extend(render_leaf(node, dictionary, morph, tense, voice))
+    else:
+        template = node.production.template
+        if template is None:
+            raise TransductionError(
+                f"uncovered production {node.production.id}: "
+                "no transduction rule")
+        for item in template:
+            if item.kind == "lit":
+                out.append(item.text)
+            elif item.kind == "q":
+                out.append(morph.question_particle)
+            else:  # "child", or "morph" with its tense/voice override
+                _emit(node.children[item.index], dictionary, morph, out,
+                      mark, found, item.tense, item.voice)
+    if node is mark:
+        found.append((start, len(out)))
 
 
 # -- template tokens --------------------------------------------------------
@@ -225,7 +182,7 @@ def _parse_item(pid: str, token: str) -> TItem:
 def parse_template(pid: str, text: str, rhs: tuple) -> tuple:
     """The template of production ``pid`` as a tuple of TItem.  Each child
     reference (``$k`` or ``@morph(k)``) must name a distinct non-literal
-    symbol of ``rhs``."""
+    symbol of ``rhs``, and each ``@morph(k)`` a verb slot."""
     items = tuple(_parse_item(pid, t) for t in text.split())
     seen = set()
     for item in items:
@@ -240,6 +197,10 @@ def parse_template(pid: str, text: str, rhs: tuple) -> tuple:
         if isinstance(rhs[item.index], Lit):
             raise TransductionError(
                 f"production {pid}: child {item.index} is a literal terminal")
+        if item.kind == "morph" and not (isinstance(rhs[item.index], Slot)
+                                         and rhs[item.index].pos == "Verb"):
+            raise TransductionError(f"production {pid}: @morph target "
+                                    f"{item.index} is not a verb slot")
         seen.add(item.index)
     return items
 

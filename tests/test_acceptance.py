@@ -22,7 +22,7 @@ from compmt.grammar import CONSTRUCTS
 from compmt.metrics import corpus_bleu, exact_match, partial_match
 from compmt.naturalize import (check_selectional, default_case_frames,
                                naturalize)
-from compmt.transduce import linearize, transduce
+from compmt.transduce import transduce
 
 import test_sampling
 
@@ -125,7 +125,7 @@ def _reproduces(bank, grammar, seg, want):
         trees = parse(grammar, [seg[0][0].lower() + seg[0][1:]] + seg[1:],
                       limit=50)
     for tree in trees:
-        got = tuple(linearize(transduce(tree, bank.dictionary, bank.morph)))
+        got = tuple(transduce(tree, bank.dictionary, bank.morph))
         if got == want:
             return True
     return False
@@ -331,7 +331,7 @@ def test_implausible_object_repair_golden(bank):
         trees[0], analyze(trees[0]), cf, Random(0),
         bank.grammar_for("in_dist").lexicon)
     assert changed and check_selectional(analysis, cf) == []
-    got = " ".join(linearize(transduce(fixed, bank.dictionary, bank.morph)))
+    got = " ".join(transduce(fixed, bank.dictionary, bank.morph))
     assert got == "kyoosi ga ringo o tabe ta"
 
 

@@ -350,7 +350,7 @@ def test_draw_redraws_an_unrepairable_tree(bank, monkeypatch):
     dropped = [0]
     got = _draw(bank.grammar, Random(0), None, None, bank,
                 default_case_frames(), set(), dropped, "test stream")
-    tree, source, samples = got[0], got[3], got[-1]
+    tree, source, samples = got[0], got[2], got[-1]
     assert tree is clean and samples == 2 and dropped == [1]
     assert source == ("The", "teacher", "found", "the", "panda", ".")
 

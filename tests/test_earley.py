@@ -12,7 +12,7 @@ from compmt.earley import parse, span_tables
 from compmt.grammar import (LeafNode, LexEntry, Lexicon, Lit, LitNode, NT,
                             Pcfg, ProdNode, Production, Slot, iter_leaves,
                             iter_nodes, yield_tokens)
-from compmt.transduce import transduce, linearize
+from compmt.transduce import transduce
 
 # sha256 of the _dump of every parse list of the scale-0.01 train split at
 # seed 1, in list order.  Both digests here were checked against the
@@ -27,7 +27,7 @@ SMALL_GEN_PARSES_SHA256 = \
 
 
 def _translate(bank, tree):
-    return tuple(linearize(transduce(tree, bank.dictionary, bank.morph)))
+    return tuple(transduce(tree, bank.dictionary, bank.morph))
 
 
 def test_parse_rejects_garbage(bank):

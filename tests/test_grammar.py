@@ -12,8 +12,7 @@ from compmt.grammar import (Constraints, GrammarError, LeafNode, LexEntry,
                             Production, Slot, UnsatisfiableConstraintError,
                             iter_leaves, iter_nodes, profile, yield_tokens)
 from compmt.naturalize import _replace_leaf, default_case_frames, naturalize
-from compmt.transduce import TLeaf, TNode, linearize, span_for_source, \
-    transduce
+from compmt.transduce import target_span, transduce
 
 
 def _toy_lexicon():
@@ -230,9 +229,6 @@ def _value_pairs():
         (LeafNode(entry, "base", "n:head"), LeafNode(entry, "base", "n:head"),
          LeafNode(entry, "base", "n:dobj")),
         (LitNode("one"), LitNode("one"), LitNode("two")),
-        (TNode(prod, (TLeaf("a"),)), TNode(prod, (TLeaf("a"),)),
-         TNode(prod, (TLeaf("b"),))),
-        (TLeaf("a"), TLeaf("a"), TLeaf("b")),
     ]
 
 
@@ -270,10 +266,11 @@ def test_tree_edits_find_nodes_by_identity(bank, patterns):
     spec = next(p for p in patterns if p.target_kind == "np")
     tree = spec.gen_grammar.sample_with_rng(Random(0),
                                             spec.constraints_for(0))
-    tt = transduce(tree, bank.dictionary, bank.morph)
-    annotation, _, _ = _annotate(tree, analyze(tree), tt, linearize(tt),
-                                 spec)
+    annotation, _, _ = _annotate(
+        tree, analyze(tree), transduce(tree, bank.dictionary, bank.morph),
+        spec, bank)
     node = next(nd for nd in iter_nodes(tree) if nd.production.annot_target)
     assert annotation["target_constituent_ref_tokens"] == \
-        linearize(transduce(node, bank.dictionary, bank.morph))
-    assert span_for_source(tt, ProdNode(*node)) is None
+        transduce(node, bank.dictionary, bank.morph)
+    assert target_span(tree, ProdNode(*node), bank.dictionary,
+                       bank.morph) is None

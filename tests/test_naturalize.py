@@ -9,11 +9,11 @@ from compmt.naturalize import (CaseFrameList, UnrepairableRecordError,
                                check_selectional, default_case_frames,
                                naturalize, parse_case_frames,
                                reject_duplicates)
-from compmt.transduce import linearize, transduce
+from compmt.transduce import transduce
 
 
 def _gloss(bank, tree):
-    return " ".join(linearize(transduce(tree, bank.dictionary, bank.morph)))
+    return " ".join(transduce(tree, bank.dictionary, bank.morph))
 
 
 def _parse_one(bank, sentence):

@@ -8,8 +8,8 @@ from compmt.grammar import (LeafNode, Lit, LitNode, NT, ProdNode, Production,
                             iter_leaves, yield_tokens)
 from compmt.lexdata import dictionary_rows
 from compmt.transduce import (BilingualDictionary, TransductionError,
-                              default_morph, linearize, render_leaf,
-                              span_for_source, transduce)
+                              default_morph, render_leaf, target_span,
+                              transduce)
 
 # English sentence -> expected morpheme-level gloss.  Each pair exercises a
 # different construction: plain transitive, long passive, PP-on-subject
@@ -46,8 +46,7 @@ def test_paper_glosses_token_exact(bank, grammar_id, source, gloss):
                       [tokens[0][0].lower() + tokens[0][1:]] + tokens[1:])
     assert trees, source
     want = gloss.split()
-    produced = [list(linearize(transduce(t, bank.dictionary, bank.morph)))
-                for t in trees]
+    produced = [transduce(t, bank.dictionary, bank.morph) for t in trees]
     assert want in produced, produced
 
 
@@ -61,7 +60,7 @@ def test_declaratives_are_sov_without_final_punct(bank):
     for _ in range(300):
         tree = g.sample_with_rng(rng)
         source = yield_tokens(tree)
-        target = linearize(transduce(tree, bank.dictionary, bank.morph))
+        target = transduce(tree, bank.dictionary, bank.morph)
         if source[-1] == "?":
             seen_q += 1
             assert target[-2:] == ["ka", "?"]
@@ -84,6 +83,7 @@ def test_transduce_unknown_production_raises(bank):
     ("$0 $3", "child 3 out of range"),
     ("$0 ga @morph(0)", "child 0 referenced twice"),
     ("$1 @morph(2)", "child 1 is a literal terminal"),
+    ("$2 @morph(0)", "@morph target 0 is not a verb slot"),
 ])
 def test_grammar_spec_rejects_bad_template(template, problem):
     spec = GrammarSpec()
@@ -118,10 +118,10 @@ def test_leaf_tokens_are_kept_per_dictionary(bank):
     first, second = BilingualDictionary(rows), BilingualDictionary(renamed)
     leaf = LeafNode(bank.lexicon.get("cat", "CommonNoun"), "base", "n:x")
     morph = default_morph()
-    plain = linearize(render_leaf(leaf, first, morph))
-    assert plain != ["neko2"]
-    assert linearize(render_leaf(leaf, second, morph)) == ["neko2"]
-    assert linearize(render_leaf(leaf, first, morph)) == plain
+    plain = render_leaf(leaf, first, morph)
+    assert plain != ("neko2",)
+    assert render_leaf(leaf, second, morph) == ("neko2",)
+    assert render_leaf(leaf, first, morph) == plain
 
 
 def test_morph_overrides_render_apart_from_the_bundle(bank):
@@ -132,22 +132,36 @@ def test_morph_overrides_render_apart_from_the_bundle(bank):
     calls = [(None, None), ("past", None), ("past", "passive"),
              (None, None), ("pres", None)]
     cached = BilingualDictionary(dictionary_rows())
-    got = [linearize(render_leaf(leaf, cached, morph, *tv)) for tv in calls]
-    fresh = [linearize(render_leaf(leaf, BilingualDictionary(
-        dictionary_rows()), morph, *tv)) for tv in calls]
+    got = [render_leaf(leaf, cached, morph, *tv) for tv in calls]
+    fresh = [render_leaf(leaf, BilingualDictionary(dictionary_rows()),
+                         morph, *tv) for tv in calls]
     assert got == fresh
-    assert len({tuple(tokens) for tokens in got}) == 3
+    assert len(set(got)) == 3
 
 
-def test_equal_leaves_get_their_own_target_nodes(bank):
+def test_equal_leaves_get_their_own_target_spans(bank):
     g = bank.grammar_for("in_dist")
     [tree] = parse(g, "the woman found the small small panda .".split())
     first, second = [lf for lf in iter_leaves(tree)
                      if lf.entry.lemma == "small"]
     assert first == second and first is not second
-    tt = transduce(tree, bank.dictionary, bank.morph)
-    tokens = linearize(tt)
-    spans = [span_for_source(tt, first), span_for_source(tt, second)]
+    tokens = transduce(tree, bank.dictionary, bank.morph)
+    spans = [target_span(tree, leaf, bank.dictionary, bank.morph)
+             for leaf in (first, second)]
     assert spans[0] != spans[1]
-    assert [tokens[a:b] for a, b in spans] == \
-        [linearize(render_leaf(first, bank.dictionary, bank.morph))] * 2
+    assert [tuple(tokens[a:b]) for a, b in spans] == \
+        [render_leaf(first, bank.dictionary, bank.morph)] * 2
+
+
+def test_target_span_covers_a_template_override(bank):
+    """A verb inflected by its parent's ``@morph`` override spans the
+    override's tokens, not its own bundle's."""
+    [tree] = parse(bank.grammar_for("in_dist"),
+                   "What did the woman find ?".split())
+    assert tree.children[0].production.id == "q_whatobj"
+    [verb] = [lf for lf in iter_leaves(tree) if lf.entry.pos == "Verb"]
+    start, end = target_span(tree, verb, bank.dictionary, bank.morph)
+    tokens = transduce(tree, bank.dictionary, bank.morph)
+    past = render_leaf(verb, bank.dictionary, bank.morph, "past")
+    assert tuple(tokens[start:end]) == past
+    assert past != render_leaf(verb, bank.dictionary, bank.morph)
