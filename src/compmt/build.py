@@ -114,11 +114,12 @@ class RunConfig:
 
 @dataclass(slots=True)
 class SentenceRecord:
-    """One sentence pair.  Slotted, and ``from_json`` shares its strings: it
-    interns the tokens, split and pattern id, and rebuilds the annotation
-    and provenance over shared keys, strings and ints (``_shared``).  A read
-    corpus has a few thousand token types and a few dozen annotation values
-    over hundreds of thousands of uses, so records hold references."""
+    """One sentence pair.  Slotted, and its values are shared: the tokens,
+    split and pattern id are interned, and the annotation and provenance are
+    read-only values, one object for each distinct value in a file or a
+    build stream (``_shared``).  A corpus has a few thousand token types and
+    a few thousand distinct annotation and provenance values over hundreds
+    of thousands of uses, so records hold references."""
     id: str
     split: str
     pattern_id: str
@@ -147,24 +148,78 @@ class SentenceRecord:
         return out
 
     @classmethod
-    def from_json(cls, data, ints=None):
-        """Record of a JSON object; ``ints`` maps each int to the one object
-        that stands for it, shared by every record built with it."""
-        ints = {} if ints is None else ints
+    def from_json(cls, data, memo=None, check=False):
+        """Record of a JSON object whose annotation and provenance are the
+        values ``memo`` shares (``_shared``).  With ``check``, each value
+        new to ``memo`` is checked as ``read_jsonl`` requires, and one that
+        fails raises ValueError saying why."""
+        memo = {} if memo is None else memo
+        provenance = _shared(data.get("provenance", {}), memo,
+                             _check_provenance if check else None)
+        annotation = _shared(data.get("annotation"), memo,
+                             _check_annotation if check else None)
         return cls(data["id"], sys.intern(data["split"]),
                    sys.intern(data.get("pattern_id", "")),
                    tuple(map(sys.intern, data["source"].split())),
                    tuple(map(sys.intern, data["target"].split())),
-                   _shared(data.get("annotation"), ints),
-                   _shared(data.get("provenance", {}), ints))
+                   annotation, provenance)
 
 
-def _shared(value, ints):
-    """A JSON value rebuilt with every key and string, at any depth,
-    interned and every int taken from ``ints``.  Only those immutable leaves
-    are shared: each dict and list is new, so no two records hold the same
-    one.  A bool or float stays as it is (``True == 1`` and ``1.0 == 1``, so
-    a memo keyed by value would change its type)."""
+def _read_only(self, *args, **kwargs):
+    raise TypeError(f"a {type(self).__name__} is shared between records "
+                    "and cannot change")
+
+
+class ReadOnlyDict(dict):
+    """A dict that records share; every method that would change it raises
+    TypeError."""
+    __slots__ = ()
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = \
+        setdefault = update = _read_only
+
+    def __reduce__(self):
+        # The default unpickling of a dict subclass sets its items one by
+        # one, which would raise.
+        return ReadOnlyDict, (dict(self),)
+
+
+class ReadOnlyList(list):
+    """A list that records share; every method that would change it raises
+    TypeError."""
+    __slots__ = ()
+    __setitem__ = __delitem__ = __iadd__ = __imul__ = append = clear = \
+        extend = insert = pop = remove = reverse = sort = _read_only
+
+    def __reduce__(self):
+        return ReadOnlyList, (list(self),)
+
+
+def _shared(value, memo, check=None):
+    """The read-only value that stands for the JSON value ``value`` in
+    ``memo``, which lives for one file or one build stream.  Records given
+    equal values get one object.  The key is ``repr(value)``, which keeps
+    ``true``, ``1`` and ``1.0`` apart, and ``-0.0`` and ``0.0``.
+
+    Only a miss does work: it rebuilds ``value`` (``_rebuilt``) and runs
+    ``check`` on the result, so each distinct value is built and checked
+    once."""
+    key = (check, repr(value))
+    try:
+        return memo[key]
+    except KeyError:
+        pass
+    shared = _rebuilt(value, memo)
+    if check is not None:
+        check(shared)
+    memo[key] = shared
+    return shared
+
+
+def _rebuilt(value, memo):
+    """``value`` with each dict and list made read-only, each key and
+    string interned and each int taken from ``memo``, where an int is its
+    own key.  A bool or float stays as it is (``True == 1`` and
+    ``1.0 == 1``, so a memo keyed by value would change its type)."""
     kind = type(value)
     if kind is dict:
         # A dict's leaves are shared inline: a call for each of them would
@@ -175,19 +230,43 @@ def _shared(value, ints):
             if item_kind is str:
                 item = sys.intern(item)
             elif item_kind is int:
-                item = ints.setdefault(item, item)
+                item = memo.setdefault(item, item)
             elif item_kind is dict or item_kind is list:
-                item = _shared(item, ints)
+                item = _rebuilt(item, memo)
             out[sys.intern(key)] = item
-        return out
+        return ReadOnlyDict(out)
     if kind is list:
-        return [sys.intern(item) if type(item) is str else _shared(item, ints)
-                for item in value]
+        return ReadOnlyList([sys.intern(item) if type(item) is str
+                             else _rebuilt(item, memo) for item in value])
     if kind is str:
         return sys.intern(value)
     if kind is int:
-        return ints.setdefault(value, value)
+        return memo.setdefault(value, value)
     return value
+
+
+def _check_provenance(provenance):
+    if not isinstance(provenance, dict):
+        raise ValueError("'provenance' is not an object")
+    if not isinstance(provenance.get("depths", {}), dict):
+        raise ValueError("'provenance.depths' is not an object")
+
+
+def _check_annotation(annotation):
+    if annotation is None:
+        return
+    if not isinstance(annotation, dict):
+        raise ValueError("'annotation' is not an object")
+    ref = annotation.get("target_constituent_ref_tokens")
+    if not (isinstance(ref, list) and all(isinstance(t, str) for t in ref)):
+        raise ValueError(
+            "'target_constituent_ref_tokens' is not a list of strings")
+    if not ref:
+        raise ValueError("'target_constituent_ref_tokens' is empty")
+    if not isinstance(annotation.get("expected_role"), (str, type(None))):
+        raise ValueError("'expected_role' is neither a string nor null")
+    if not isinstance(annotation.get("depth_profile", {}), dict):
+        raise ValueError("'depth_profile' is not an object")
 
 
 def child_seed(master_seed: int, stream: str) -> int:
@@ -318,6 +397,7 @@ def _build_pattern(pattern_id, master_seed, scale, cf):
     seen = set()
     dropped = [0]
     draws = 0
+    memo = {}
     for i in range(count):
         tree, analysis, source, target, samples = _draw(
             spec.gen_grammar, rng, spec.constraints_for(i), None, bank, cf,
@@ -330,8 +410,8 @@ def _build_pattern(pattern_id, master_seed, scale, cf):
         if spec.target_kind == "none":
             provenance["depths"] = depths
         records.append(SentenceRecord(
-            f"gen-{pattern_id}-{i:05d}", "gen", pattern_id,
-            source, target, annotation, provenance))
+            f"gen-{pattern_id}-{i:05d}", "gen", pattern_id, source, target,
+            _shared(annotation, memo), _shared(provenance, memo)))
     return records, dropped[0], draws
 
 
@@ -348,6 +428,12 @@ def primitive_exposures(bank, spec, n, master_seed, cf, seen, grammar_cache,
     rng = Random(seed)
     records = []
     draws = 0
+    memo = {}
+    augmentations = ["exposure:" + spec.id]
+    bare = _shared({"seed": seed, "grammar_id": "lexicon",
+                    "augmentations": augmentations}, memo)
+    drawn = _shared({"seed": seed, "grammar_id": "in_dist",
+                     "augmentations": augmentations}, memo)
     for k in range(n):
         recipe = spec.exposures[k % len(spec.exposures)]
         rid = f"train-exp-{spec.id}-{k:03d}"
@@ -357,10 +443,8 @@ def primitive_exposures(bank, spec, n, master_seed, cf, seen, grammar_cache,
                             "inf" if pos == "Verb" else "base", "")
             source = (leaf.surface,)
             target = render_leaf(leaf, bank.dictionary, bank.morph)
-            records.append(SentenceRecord(
-                rid, "train", "", source, target,
-                provenance={"seed": seed, "grammar_id": "lexicon",
-                            "augmentations": ["exposure:" + spec.id]}))
+            records.append(SentenceRecord(rid, "train", "", source, target,
+                                          provenance=bare))
             continue
         _, required, overrides, depths = recipe
         cache_key = tuple(sorted(
@@ -377,10 +461,8 @@ def primitive_exposures(bank, spec, n, master_seed, cf, seen, grammar_cache,
             grammar, rng, cons, _train_depths, bank, cf, seen, dropped,
             f"pattern {spec.id}: exposure recipe {recipe!r}")
         draws += samples
-        records.append(SentenceRecord(
-            rid, "train", "", source, target,
-            provenance={"seed": seed, "grammar_id": "in_dist",
-                        "augmentations": ["exposure:" + spec.id]}))
+        records.append(SentenceRecord(rid, "train", "", source, target,
+                                      provenance=drawn))
     return records, draws
 
 
@@ -427,6 +509,7 @@ def concatenate_for_length(bank, cf, master_seed, n, gen_max_len, seen,
     rng = Random(seed)
     records = []
     total = 0
+    memo = {}
     for j in range(n):
         draws = 0
         while True:
@@ -450,9 +533,9 @@ def concatenate_for_length(bank, cf, master_seed, n, gen_max_len, seen,
         total += draws
         records.append(SentenceRecord(
             f"train-cat-{j:04d}", "train", "", source, target,
-            provenance={"seed": seed, "grammar_id": "in_dist",
-                        "augmentations": ["concatenated"],
-                        "parts": parts}))
+            provenance=_shared({"seed": seed, "grammar_id": "in_dist",
+                                "augmentations": ["concatenated"],
+                                "parts": parts}, memo)))
     return records, total
 
 
@@ -539,6 +622,10 @@ def build_splits(config: RunConfig, bank=None):
     topicalized = 0
     index = 0
     fraction = config.topicalization_fraction
+    memo = {}
+    in_dist = _shared({"seed": pool_seed, "grammar_id": "in_dist"}, memo)
+    fronted_in_dist = _shared({"seed": pool_seed, "grammar_id": "in_dist",
+                               "augmentations": ["topicalized"]}, memo)
     while len(dev) < n_dev or len(test) < n_test or \
             len(train_pool) < n_pool_train:
         tree, _, source, target, samples = _draw(
@@ -559,7 +646,7 @@ def build_splits(config: RunConfig, bank=None):
         width = 6 if split == "train" else 5
         out.append(SentenceRecord(
             f"{split}-{len(out):0{width}d}", split, "", source, target,
-            provenance={"seed": pool_seed, "grammar_id": "in_dist"}))
+            provenance=in_dist))
         if split != "train":
             continue
         s_node = _topic_eligible(tree)
@@ -576,8 +663,7 @@ def build_splits(config: RunConfig, bank=None):
         seen.add((fsource, ftarget))
         train_pool.append(SentenceRecord(
             f"train-{len(train_pool):06d}", "train", "", fsource, ftarget,
-            provenance={"seed": pool_seed, "grammar_id": "in_dist",
-                        "augmentations": ["topicalized"]}))
+            provenance=fronted_in_dist))
         topicalized += 1
 
     root_draws += index
@@ -640,14 +726,17 @@ def _manifest(config, bank, records, topicalized, eligible, exposure_counts,
 SPLITS = ("train", "dev", "test", "gen")
 
 
+# One encoder for every line: json.dumps with options builds one per call.
+_ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True)
+
+
 def write_corpus(records, manifest, out_dir):
     os.makedirs(out_dir, exist_ok=True)
     for split in SPLITS:
         with open(os.path.join(out_dir, f"{split}.jsonl"), "w",
                   encoding="utf-8") as fh:
             for r in records[split]:
-                fh.write(json.dumps(r.to_json(), ensure_ascii=False,
-                                    sort_keys=True) + "\n")
+                fh.write(_ENCODER.encode(r.to_json()) + "\n")
     with open(os.path.join(out_dir, "corpus.tsv"), "w",
               encoding="utf-8") as fh:
         fh.write("id\tsplit\tpattern\tsource\ttarget\n")
@@ -664,11 +753,11 @@ def write_corpus(records, manifest, out_dir):
 _DECODER = json.JSONDecoder()
 
 
-def _record(data, ints):
+def _record(data, memo):
     """The record one parsed line of a split file holds; ValueError says why
-    it is not one that ``score`` and ``inspect`` can read.  The annotation
-    and provenance are checked as ``from_json`` rebuilt them, so each line
-    is walked once."""
+    it is not one that ``score`` and ``inspect`` can read.  ``memo`` is the
+    file's (``_shared``): an annotation or provenance is checked when it is
+    first read, and a line that repeats it holds the same object."""
     if not isinstance(data, dict):
         raise ValueError("expected a JSON object")
     for key in ("id", "split", "source", "target"):
@@ -676,36 +765,15 @@ def _record(data, ints):
             raise ValueError(f"{key!r} is missing or not a string")
     if not isinstance(data.get("pattern_id", ""), str):
         raise ValueError("'pattern_id' is not a string")
-    record = SentenceRecord.from_json(data, ints)
-    provenance = record.provenance
-    if not isinstance(provenance, dict):
-        raise ValueError("'provenance' is not an object")
-    if not isinstance(provenance.get("depths", {}), dict):
-        raise ValueError("'provenance.depths' is not an object")
-    annotation = record.annotation
-    if annotation is None:
-        return record
-    if not isinstance(annotation, dict):
-        raise ValueError("'annotation' is not an object")
-    ref = annotation.get("target_constituent_ref_tokens")
-    if not (isinstance(ref, list) and all(isinstance(t, str) for t in ref)):
-        raise ValueError(
-            "'target_constituent_ref_tokens' is not a list of strings")
-    if not ref:
-        raise ValueError("'target_constituent_ref_tokens' is empty")
-    if not isinstance(annotation.get("expected_role"), (str, type(None))):
-        raise ValueError("'expected_role' is neither a string nor null")
-    if not isinstance(annotation.get("depth_profile", {}), dict):
-        raise ValueError("'depth_profile' is not an object")
-    return record
+    return SentenceRecord.from_json(data, memo, check=True)
 
 
 def read_jsonl(path):
     """Records of one split file; a line that is not UTF-8, not JSON or not
     a record (see ``_record``) raises ValueError naming ``path:line``.
-    Equal ints are one object per file (``SentenceRecord.from_json``)."""
+    Equal annotations, provenances and ints are one object per file."""
     out = []
-    ints = {}
+    memo = {}
     with open(path, encoding="utf-8") as fh:
         try:
             for lineno, line in enumerate(fh, 1):
@@ -719,7 +787,7 @@ def read_jsonl(path):
                 if end < len(line):  # as json.loads says; no space trails
                     raise ValueError(f"{path}:{lineno}: Extra data")
                 try:
-                    out.append(_record(data, ints))
+                    out.append(_record(data, memo))
                 except ValueError as exc:
                     raise ValueError(f"{path}:{lineno}: {exc}") from None
         except UnicodeDecodeError:
@@ -739,7 +807,12 @@ def _read_json(path):
             raise ValueError(f"{path}:{exc.lineno}: {exc.msg}") from None
 
 
-def read_corpus(out_dir):
-    records = {split: read_jsonl(os.path.join(out_dir, f"{split}.jsonl"))
-               for split in SPLITS}
+def read_corpus(out_dir, keep=SPLITS):
+    """({split: records} for each split in ``keep``, manifest).  Every split
+    file and the manifest are read and checked, in order, kept or not."""
+    records = {}
+    for split in SPLITS:
+        records[split] = read_jsonl(os.path.join(out_dir, f"{split}.jsonl"))
+        if split not in keep:
+            del records[split]
     return records, _read_json(os.path.join(out_dir, "manifest.json"))

@@ -152,7 +152,7 @@ def generate(config_path, seed, scale, wo_concat, out, parallel):
 def audit(corpus_dir):
     """Re-run the leakage audit over an existing corpus."""
     try:
-        records, _manifest = read_corpus(corpus_dir)
+        records, _manifest = read_corpus(corpus_dir, keep=("train",))
     except (OSError, ValueError) as exc:
         _fail_io(exc)
     bank = default_bank()
@@ -177,7 +177,7 @@ def audit(corpus_dir):
 def score(corpus_dir, split, hyp_path, report_path):
     """Score hypotheses against a corpus split."""
     try:
-        records, _manifest = read_corpus(corpus_dir)
+        records, _manifest = read_corpus(corpus_dir, keep=(split,))
     except (OSError, ValueError) as exc:
         _fail_io(exc)
     bank = default_bank()
@@ -217,8 +217,9 @@ def _record_depths(record):
               show_default=True)
 def inspect(corpus_dir, split, pattern_id, depth_filter, regex, limit):
     """Pretty-print records matching the given filters."""
+    splits = [split] if split else SPLITS
     try:
-        records, _manifest = read_corpus(corpus_dir)
+        records, _manifest = read_corpus(corpus_dir, keep=splits)
     except (OSError, ValueError) as exc:
         _fail_io(exc)
     want_construct = want_depth = None
@@ -235,7 +236,6 @@ def inspect(corpus_dir, split, pattern_id, depth_filter, regex, limit):
     except re.error as exc:
         _fail_io(f"bad regex: {exc}")
     shown = 0
-    splits = [split] if split else SPLITS
     for name in splits:
         for record in records[name]:
             if pattern_id and record.pattern_id != pattern_id:

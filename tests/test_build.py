@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import json
+import pickle
 from random import Random
 
 import pytest
@@ -207,29 +208,50 @@ def _parts(value):
             yield from _parts(item)
 
 
+def _assert_read_only(value):
+    """Every dict and list of a JSON value, at any depth, refuses change."""
+    for part in _parts(value):
+        if isinstance(part, dict):
+            changes = (lambda d: d.__setitem__("k", 0),
+                       lambda d: d.update(k=0), lambda d: d.pop("k", None),
+                       lambda d: d.clear())
+        elif isinstance(part, list):
+            changes = (lambda xs: xs.__setitem__(0, 0),
+                       lambda xs: xs.append(0), lambda xs: xs.pop(),
+                       lambda xs: xs.clear())
+        else:
+            continue
+        before = json.dumps(part)
+        for change in changes:
+            with pytest.raises(TypeError):
+                change(part)
+        assert json.dumps(part) == before
+
+
 def test_read_records_are_slotted_and_share_tokens(tmp_path, bank):
     """A read corpus holds slotted records whose equal tokens, split and
     pattern id are one shared string each, as are the keys and strings of
     their annotations and provenances; equal ints (the stream seeds) are one
-    object per file.  No dict or list is shared between records."""
+    object per file.  Equal annotations and provenances are one read-only
+    object per file."""
     config = RunConfig(master_seed=1, scale=0.002)
     recs, manifest = build_splits(config, bank=bank)
     write_corpus(recs, manifest, str(tmp_path))
     back, _ = read_corpus(str(tmp_path))
     assert not hasattr(back["gen"][0], "__dict__")
     first = {}
-    containers = set()
     for split in SPLITS:
-        ints, seeds = {}, 0
+        ints, seeds, values = {}, 0, {}
         for r in back[split]:
             for token in (r.split, r.pattern_id, *r.source_tokens,
                           *r.target_tokens):
                 assert first.setdefault(token, token) is token
+            for name in ("annotation", "provenance"):
+                value = getattr(r, name)
+                assert values.setdefault((name, repr(value)), value) is value
+                _assert_read_only(value)
             for part in (*_parts(r.annotation), *_parts(r.provenance)):
-                if isinstance(part, (dict, list)):
-                    assert id(part) not in containers
-                    containers.add(id(part))
-                elif type(part) is str:
+                if type(part) is str:
                     assert first.setdefault(part, part) is part
                 elif type(part) is int:
                     assert ints.setdefault(part, part) is part
@@ -241,7 +263,8 @@ def test_read_records_are_slotted_and_share_tokens(tmp_path, bank):
 
 def test_read_record_keeps_every_json_value(tmp_path):
     """Sharing changes no value's type: bools, floats and nulls read back
-    as written, at any depth, and equal records share no dict or list."""
+    as written, at any depth, and equal records share one read-only
+    annotation and provenance."""
     record = {"id": "x-1", "split": "gen", "source": "a b", "target": "c",
               "annotation": {"target_constituent_ref_tokens": ["c"],
                              "flags": [True, 1, 1.0, -0.0, None, 7 ** 30,
@@ -257,10 +280,78 @@ def test_read_record_keeps_every_json_value(tmp_path):
         assert json.dumps(r.to_json(), ensure_ascii=False,
                           sort_keys=True) == line
     assert one.provenance["seed"] is two.annotation["flags"][5]
-    ids = [id(p) for r in (one, two)
-           for p in (*_parts(r.annotation), *_parts(r.provenance))
-           if isinstance(p, (dict, list))]
-    assert len(ids) == len(set(ids))
+    assert one.annotation is two.annotation
+    assert one.provenance is two.provenance
+    _assert_read_only(one.annotation)
+    _assert_read_only(one.provenance)
+
+
+def _line(annotation, provenance):
+    return json.dumps({"id": "g-1", "split": "gen", "source": "a b",
+                       "target": "c", "annotation": annotation,
+                       "provenance": provenance},
+                      ensure_ascii=False, sort_keys=True)
+
+
+@pytest.mark.parametrize("old,new", [(True, 1), (1.0, 1), (-0.0, 0.0)])
+def test_values_that_differ_only_in_type_or_sign_share_nothing(
+        tmp_path, old, new):
+    """Equal lines share their annotation and provenance; a line whose
+    values differ from theirs only in ``true``/``1``, ``1.0``/``1`` or
+    ``-0.0``/``0.0`` (equal in Python) shares no dict or list with them and
+    reads back byte for byte."""
+    def line(flag):
+        return _line({"target_constituent_ref_tokens": ["c"],
+                      "flags": [flag], "depth_profile": {"CP": flag}},
+                     {"seed": 5, "depths": {"CP": flag}, "x": flag})
+
+    lines = [line(old), line(old), line(new)]
+    path = tmp_path / "gen.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    one, two, three = build.read_jsonl(str(path))
+    assert one.annotation is two.annotation
+    assert one.provenance is two.provenance
+    assert three.annotation == one.annotation
+    assert three.provenance == one.provenance
+    seen = {id(p) for r in (one, two)
+            for p in (*_parts(r.annotation), *_parts(r.provenance))
+            if isinstance(p, (dict, list))}
+    assert not seen & {id(p) for p in (*_parts(three.annotation),
+                                       *_parts(three.provenance))
+                       if isinstance(p, (dict, list))}
+    assert [json.dumps(r.to_json(), ensure_ascii=False, sort_keys=True)
+            for r in (one, two, three)] == lines
+
+
+def test_built_records_are_read_only(small_build):
+    recs, _ = small_build
+    for split in SPLITS:
+        for r in recs[split]:
+            _assert_read_only(r.annotation)
+            _assert_read_only(r.provenance)
+
+
+def test_records_pickle_as_read_only_values(tmp_path, small_build):
+    """The --parallel gen stage sends records back from its workers
+    pickled; they come back equal and still read-only, built or read."""
+    recs, manifest = small_build
+    write_corpus(recs, manifest, str(tmp_path))
+    back, _ = read_corpus(str(tmp_path), keep=("gen",))
+    for records in (recs["gen"], back["gen"]):
+        copies = pickle.loads(pickle.dumps(records))
+        assert copies == records
+        for r in copies:
+            _assert_read_only(r.annotation)
+            _assert_read_only(r.provenance)
+
+
+def test_pool_records_share_one_provenance(small_build):
+    recs, _ = small_build
+    pool = [r for split in ("train", "dev", "test") for r in recs[split]
+            if r.provenance == {"seed": child_seed(1, "pool"),
+                                "grammar_id": "in_dist"}]
+    assert len(pool) >= 50 + 50 + 300
+    assert all(r.provenance is pool[0].provenance for r in pool)
 
 
 def test_config_round_trip(tmp_path):
