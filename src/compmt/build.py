@@ -148,21 +148,16 @@ class SentenceRecord:
         return out
 
     @classmethod
-    def from_json(cls, data, memo=None, check=False):
+    def from_json(cls, data, memo=None):
         """Record of a JSON object whose annotation and provenance are the
-        values ``memo`` shares (``_shared``).  With ``check``, each value
-        new to ``memo`` is checked as ``read_jsonl`` requires, and one that
-        fails raises ValueError saying why."""
+        values ``memo`` shares (``_shared``)."""
         memo = {} if memo is None else memo
-        provenance = _shared(data.get("provenance", {}), memo,
-                             _check_provenance if check else None)
-        annotation = _shared(data.get("annotation"), memo,
-                             _check_annotation if check else None)
         return cls(data["id"], sys.intern(data["split"]),
                    sys.intern(data.get("pattern_id", "")),
                    tuple(map(sys.intern, data["source"].split())),
                    tuple(map(sys.intern, data["target"].split())),
-                   annotation, provenance)
+                   _shared(data.get("annotation"), memo),
+                   _shared(data.get("provenance", {}), memo))
 
 
 def _read_only(self, *args, **kwargs):
@@ -194,25 +189,18 @@ class ReadOnlyList(list):
         return ReadOnlyList, (list(self),)
 
 
-def _shared(value, memo, check=None):
+def _shared(value, memo):
     """The read-only value that stands for the JSON value ``value`` in
     ``memo``, which lives for one file or one build stream.  Records given
     equal values get one object.  The key is ``repr(value)``, which keeps
-    ``true``, ``1`` and ``1.0`` apart, and ``-0.0`` and ``0.0``.
-
-    Only a miss does work: it rebuilds ``value`` (``_rebuilt``) and runs
-    ``check`` on the result, so each distinct value is built and checked
-    once."""
-    key = (check, repr(value))
+    ``true``, ``1`` and ``1.0`` apart, and ``-0.0`` and ``0.0``.  Only a
+    miss does work: it rebuilds ``value`` (``_rebuilt``)."""
+    key = repr(value)
     try:
         return memo[key]
     except KeyError:
-        pass
-    shared = _rebuilt(value, memo)
-    if check is not None:
-        check(shared)
-    memo[key] = shared
-    return shared
+        shared = memo[key] = _rebuilt(value, memo)
+        return shared
 
 
 def _rebuilt(value, memo):
@@ -756,8 +744,9 @@ _DECODER = json.JSONDecoder()
 def _record(data, memo):
     """The record one parsed line of a split file holds; ValueError says why
     it is not one that ``score`` and ``inspect`` can read.  ``memo`` is the
-    file's (``_shared``): an annotation or provenance is checked when it is
-    first read, and a line that repeats it holds the same object."""
+    file's (``_shared``): a line that repeats an annotation or provenance
+    holds the same object, so each distinct pair of them is checked once,
+    at the first line that holds it."""
     if not isinstance(data, dict):
         raise ValueError("expected a JSON object")
     for key in ("id", "split", "source", "target"):
@@ -765,7 +754,14 @@ def _record(data, memo):
             raise ValueError(f"{key!r} is missing or not a string")
     if not isinstance(data.get("pattern_id", ""), str):
         raise ValueError("'pattern_id' is not a string")
-    return SentenceRecord.from_json(data, memo, check=True)
+    record = SentenceRecord.from_json(data, memo)
+    # The memo holds both values, so their ids stand for them.
+    key = (id(record.provenance), id(record.annotation))
+    if key not in memo:
+        _check_provenance(record.provenance)
+        _check_annotation(record.annotation)
+        memo[key] = None
+    return record
 
 
 def read_jsonl(path):

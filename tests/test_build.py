@@ -323,6 +323,19 @@ def test_values_that_differ_only_in_type_or_sign_share_nothing(
             for r in (one, two, three)] == lines
 
 
+def test_a_value_is_checked_in_each_role_it_is_read_in(tmp_path):
+    """One object stands for equal values, whether read as an annotation
+    or a provenance; a value first read as a provenance is still checked
+    when a later line holds it as its annotation."""
+    value = {"seed": 5}
+    path = tmp_path / "gen.jsonl"
+    path.write_text(_line(None, value) + "\n" + _line(value, value) + "\n",
+                    encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{path}:2: 'target_constituent_"
+                                         "ref_tokens' is not a list"):
+        build.read_jsonl(str(path))
+
+
 def test_built_records_are_read_only(small_build):
     recs, _ = small_build
     for split in SPLITS:
