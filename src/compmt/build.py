@@ -114,27 +114,30 @@ class RunConfig:
 
 @dataclass(slots=True)
 class SentenceRecord:
-    """One sentence pair.  Slotted, and its values are shared: the tokens,
-    split and pattern id are interned, and the annotation and provenance are
-    read-only values, one object for each distinct value in a file or a
-    build stream (``_shared``).  A corpus has a few thousand token types and
-    a few thousand distinct annotation and provenance values over hundreds
-    of thousands of uses, so records hold references."""
+    """One sentence pair.  Slotted.  The source and target are texts, the
+    tokens joined by single spaces (a read record keeps its line's
+    strings); ``source_tokens`` and ``target_tokens`` split them on demand,
+    which gives the tokens back, since no token is empty or holds
+    whitespace.  The split and pattern id are interned, and the annotation
+    and provenance are read-only values, one object for each distinct value
+    in a file or a build stream (``_shared``): a corpus has a few thousand
+    of them over hundreds of thousands of uses, so records hold
+    references."""
     id: str
     split: str
     pattern_id: str
-    source_tokens: tuple
-    target_tokens: tuple
+    source: str
+    target: str
     annotation: dict = None
     provenance: dict = field(default_factory=dict)
 
     @property
-    def source(self):
-        return " ".join(self.source_tokens)
+    def source_tokens(self):
+        return tuple(self.source.split())
 
     @property
-    def target(self):
-        return " ".join(self.target_tokens)
+    def target_tokens(self):
+        return tuple(self.target.split())
 
     def to_json(self):
         out = {"id": self.id, "split": self.split,
@@ -154,8 +157,7 @@ class SentenceRecord:
         memo = {} if memo is None else memo
         return cls(data["id"], sys.intern(data["split"]),
                    sys.intern(data.get("pattern_id", "")),
-                   tuple(map(sys.intern, data["source"].split())),
-                   tuple(map(sys.intern, data["target"].split())),
+                   data["source"], data["target"],
                    _shared(data.get("annotation"), memo),
                    _shared(data.get("provenance", {}), memo))
 
@@ -271,9 +273,10 @@ def _scaled(n, scale):
     return max(1, round(n * scale)) if n else 0
 
 
-def _capitalize(tokens):
-    head = tokens[0]
-    return (sys.intern(head[0].upper() + head[1:]),) + tuple(tokens[1:])
+def _length(text):
+    """Tokens in a built record's text: its tokens are joined by single
+    spaces and hold none."""
+    return text.count(" ") + 1
 
 
 def _train_depths(analysis):
@@ -281,9 +284,10 @@ def _train_depths(analysis):
 
 
 def _render(bank, tree):
-    """(capitalized source tokens, target tokens)."""
-    return (_capitalize(yield_tokens(tree)),
-            tuple(transduce(tree, bank.dictionary, bank.morph)))
+    """(capitalized source text, target text)."""
+    source = " ".join(yield_tokens(tree))
+    return (source[0].upper() + source[1:],
+            " ".join(transduce(tree, bank.dictionary, bank.morph)))
 
 
 def _draw(grammar, rng, constraints, accept, bank, cf, seen, dropped, what):
@@ -292,7 +296,8 @@ def _draw(grammar, rng, constraints, accept, bank, cf, seen, dropped, what):
     it, check the constraints, accept (on the analysis), reject duplicate
     lexemes, naturalize (an unrepairable tree counts in ``dropped[0]`` and
     is drawn again), translate, capitalize and, unless ``seen`` is None,
-    reject a (source, target) token-tuple pair already used.
+    reject a (source, target) text pair already used.  ``seen`` keeps the
+    returned pair itself, so a record of its texts adds no copy.
 
     Returns (tree, analysis, source, target, samples), where
     ``analysis`` is ``analyze(tree)`` and ``samples`` counts its root
@@ -322,19 +327,20 @@ def _draw(grammar, rng, constraints, accept, bank, cf, seen, dropped, what):
         except UnrepairableRecordError:
             dropped[0] += 1
             continue
-        source, target = _render(bank, tree)
+        pair = _render(bank, tree)
         if seen is not None:
-            if (source, target) in seen:
+            if pair in seen:
                 continue
-            seen.add((source, target))
-        return tree, analysis, source, target, samples
+            seen.add(pair)
+        return (tree, analysis, *pair, samples)
     raise UnsatisfiableConstraintError(
         f"{what}: no fresh record in {DRAW_BUDGET} root draws "
         f"(constraints: {constraints or 'none'})")
 
 
 def _annotate(tree, analysis, target, spec, bank):
-    """Annotation payload for one generalization record."""
+    """Annotation payload for one generalization record; ``target`` is the
+    list of its target tokens."""
     in_cp = spec.embed_marker in analysis.ids
     if spec.target_kind == "none":
         return None, dict(analysis.depths), in_cp
@@ -391,8 +397,8 @@ def _build_pattern(pattern_id, master_seed, scale, cf):
             spec.gen_grammar, rng, spec.constraints_for(i), None, bank, cf,
             seen, dropped, f"pattern {pattern_id}: gen record {i}")
         draws += samples
-        annotation, depths, in_cp = _annotate(tree, analysis, target, spec,
-                                              bank)
+        annotation, depths, in_cp = _annotate(tree, analysis, target.split(),
+                                              spec, bank)
         provenance = {"seed": seed, "grammar_id": pattern_id,
                       "variant": i % len(spec.variants), "in_cp": in_cp}
         if spec.target_kind == "none":
@@ -429,10 +435,9 @@ def primitive_exposures(bank, spec, n, master_seed, cf, seen, grammar_cache,
             _, pos, lemma = recipe
             leaf = LeafNode(bank.lexicon.by_key[(lemma, pos)],
                             "inf" if pos == "Verb" else "base", "")
-            source = (leaf.surface,)
-            target = render_leaf(leaf, bank.dictionary, bank.morph)
-            records.append(SentenceRecord(rid, "train", "", source, target,
-                                          provenance=bare))
+            target = " ".join(render_leaf(leaf, bank.dictionary, bank.morph))
+            records.append(SentenceRecord(rid, "train", "", leaf.surface,
+                                          target, provenance=bare))
             continue
         _, required, overrides, depths = recipe
         cache_key = tuple(sorted(
@@ -501,8 +506,8 @@ def concatenate_for_length(bank, cf, master_seed, n, gen_max_len, seen,
     for j in range(n):
         draws = 0
         while True:
-            source, target, parts = (), (), 0
-            while len(source) <= gen_max_len:
+            source, target, length, parts = "", "", 0, 0
+            while length <= gen_max_len:
                 if draws >= DRAW_BUDGET:
                     raise UnsatisfiableConstraintError(
                         f"concatenation record {j}: no fresh joined pair in "
@@ -512,12 +517,15 @@ def concatenate_for_length(bank, cf, master_seed, n, gen_max_len, seen,
                     cf, None, dropped,
                     f"concatenation record {j} part {parts}")
                 draws += samples
-                source = source + src
-                target = target + ((".",) if target else ()) + tgt
+                # As the parts' tokens joined, with "." between targets.
+                source = f"{source} {src}" if source else src
+                target = f"{target} . {tgt}" if target else tgt
+                length += _length(src)
                 parts += 1
-            if (source, target) not in seen:
+            pair = (source, target)
+            if pair not in seen:
                 break
-        seen.add((source, target))
+        seen.add(pair)
         total += draws
         records.append(SentenceRecord(
             f"train-cat-{j:04d}", "train", "", source, target,
@@ -569,7 +577,7 @@ def build_splits(config: RunConfig, bank=None):
     for pid, (recs, pat_dropped, draws) in zip(pattern_ids, results):
         gen_draws[pid] = draws
         for r in recs:
-            key = (r.source_tokens, r.target_tokens)
+            key = (r.source, r.target)
             if key in seen:
                 raise GrammarError(
                     f"cross-pattern duplicate generalization pair: "
@@ -577,7 +585,7 @@ def build_splits(config: RunConfig, bank=None):
             seen.add(key)
         gen_records.extend(recs)
         dropped[0] += pat_dropped
-    gen_max_len = max(len(r.source_tokens) for r in gen_records)
+    gen_max_len = max(_length(r.source) for r in gen_records)
 
     # 2. Primitive exposures (bare primitives are exempt from dedup: the
     # same bare lexeme record recurs by design).
@@ -645,12 +653,12 @@ def build_splits(config: RunConfig, bank=None):
                 len(train_pool) >= n_pool_train:
             continue
         fronted = topicalize(bank, tree, s_node)
-        fsource, ftarget = _render(bank, fronted)
-        if (fsource, ftarget) in seen:
+        pair = _render(bank, fronted)
+        if pair in seen:
             continue
-        seen.add((fsource, ftarget))
+        seen.add(pair)
         train_pool.append(SentenceRecord(
-            f"train-{len(train_pool):06d}", "train", "", fsource, ftarget,
+            f"train-{len(train_pool):06d}", "train", "", *pair,
             provenance=fronted_in_dist))
         topicalized += 1
 
@@ -675,8 +683,8 @@ def _manifest(config, bank, records, topicalized, eligible, exposure_counts,
     def lengths(recs):
         if not recs:
             return {"max_source_len": 0, "max_target_len": 0}
-        return {"max_source_len": max(len(r.source_tokens) for r in recs),
-                "max_target_len": max(len(r.target_tokens) for r in recs)}
+        return {"max_source_len": max(_length(r.source) for r in recs),
+                "max_target_len": max(_length(r.target) for r in recs)}
 
     gen_counts = Counter(r.pattern_id for r in records["gen"])
     per_pattern = {}

@@ -212,7 +212,8 @@ def _record_depths(record):
 @click.option("--depth", "depth_filter", default=None,
               help="Construct depth filter, e.g. cp=5 or pp=3.")
 @click.option("--regex", default=None,
-              help="Regular expression over the source sentence.")
+              help="Regular expression over the source sentence, as "
+              "the split file holds it.")
 @click.option("--limit", type=click.IntRange(min=1), default=20,
               show_default=True)
 def inspect(corpus_dir, split, pattern_id, depth_filter, regex, limit):

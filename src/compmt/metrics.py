@@ -241,7 +241,7 @@ def score_records(hyp_by_id, records, patterns) -> EvalReport:
         if hyp is None:
             skipped += 1
             continue
-        hyp, ref = list(hyp), list(record.target_tokens)
+        hyp, ref = list(hyp), record.target.split()
         annotated = bool(record.annotation)
         sentence = [1, hyp == ref, annotated,
                     annotated and partial_match(hyp, record.annotation),
@@ -274,9 +274,10 @@ def read_hypotheses(path, records=None):
     """Hypotheses as {record id: token list}.
 
     Two formats: JSONL objects ``{"id": ..., "hypothesis": ...}``, or plain
-    text with one sentence per line aligned to ``records`` in order (the
-    record-id manifest).  The first non-blank line tells them apart.  Tokens
-    are interned, so equal tokens are one string, as in a read corpus.
+    text with one sentence per line aligned to ``records``, a sequence, in
+    order (the record-id manifest).  The first non-blank line tells them
+    apart.  Tokens are interned, so equal tokens are one string: a system's
+    output repeats a few thousand token types many times over.
     """
     with open(path, encoding="utf-8") as fh:
         # Only a newline ends a line: str.splitlines would also break at
@@ -317,7 +318,6 @@ def read_hypotheses(path, records=None):
         raise ScoringError(
             f"{path}: plain-text hypotheses need reference records for "
             "line alignment")
-    records = list(records)
     if len(lines) != len(records):
         raise ScoringError(
             f"{path}: {len(lines)} hypothesis lines for {len(records)} "

@@ -96,7 +96,7 @@ def test_mutation_suite_one_violation_per_pattern(auditor, full, patterns):
         rec = first[p.id]
         start = len(auditor.violations)
         auditor.consume(SentenceRecord("mut-" + p.id, "train", "",
-                                       rec.source_tokens, rec.target_tokens))
+                                       rec.source, rec.target))
         new = auditor.violations[start:]
         del auditor.violations[start:]
         assert len(new) == 1, (p.id, [str(v) for v in new])

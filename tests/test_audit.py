@@ -22,7 +22,7 @@ from compmt.naturalize import default_case_frames
 
 def _as_train(record):
     return SentenceRecord("inj-" + record.id, "train", "",
-                          record.source_tokens, record.target_tokens)
+                          record.source, record.target)
 
 
 @pytest.fixture(scope="module")
@@ -207,7 +207,7 @@ def test_injected_pp_subject_sentence(bank, patterns):
     a = GapAuditor(patterns, bank=bank)
     a.consume(SentenceRecord(
         "inj-pp", "train", "",
-        tuple("The baby in the room cried .".split()), ()))
+        "The baby in the room cried .", ""))
     assert [(v.pattern_id, v.kind) for v in a.violations] == \
         [("pp_in_subj", "leak")]
 
@@ -216,8 +216,8 @@ def test_injected_cp_depth_three_sentence(bank, patterns):
     a = GapAuditor(patterns, bank=bank)
     a.consume(SentenceRecord(
         "inj-cp3", "train", "",
-        tuple(("Emma believed that Liam hoped that Noah realized that "
-               "the woman smiled .").split()), ()))
+        "Emma believed that Liam hoped that Noah realized that "
+        "the woman smiled .", ""))
     assert [(v.pattern_id, v.kind) for v in a.violations] == \
         [("cp_recursion_shallower", "leak")]
 
@@ -226,7 +226,7 @@ def test_unparsable_training_sentence_is_flagged(bank, patterns):
     a = GapAuditor(patterns, bank=bank)
     a.consume(SentenceRecord(
         "inj-bad", "train", "",
-        tuple("colorless green ideas sleep .".split()), ()))
+        "colorless green ideas sleep .", ""))
     assert [v.kind for v in a.violations] == ["unparsable"]
 
 
@@ -250,7 +250,7 @@ def test_most_innocent_parse_rule(bank, patterns):
     as plain intransitive."""
     a = GapAuditor(patterns, bank=bank)
     a.consume(SentenceRecord(
-        "amb", "train", "", tuple("Harper wrote .".split()), ()))
+        "amb", "train", "", "Harper wrote .", ""))
     assert a.violations == []
 
 

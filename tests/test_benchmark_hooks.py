@@ -27,8 +27,7 @@ bank = default_bank()
 spec = bank.by_pattern["pp_recursion_deeper"]
 build._draw(spec.gen_grammar, Random(0), spec.constraints_for(0), None, bank,
             naturalize.default_case_frames(), set(), [0], "probe")
-records = [build.SentenceRecord(f"probe-{i}", "train", "",
-                                tuple(s.split()), ())
+records = [build.SentenceRecord(f"probe-{i}", "train", "", s, "")
            for i, s in enumerate(("Harper wrote .", "The baby cried ."))]
 audit.audit_gap(records, bank.patterns, bank=bank)
 calls = Counter(span[0] for span in tracer.spans)

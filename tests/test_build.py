@@ -12,7 +12,7 @@ from compmt.build import (SPLITS, RunConfig, SentenceRecord, _draw,
                           build_splits, child_seed, concatenate_for_length,
                           read_corpus, write_corpus)
 from compmt.earley import parse
-from compmt.grammar import (Constraints, GrammarError, Pcfg,
+from compmt.grammar import (Constraints, GrammarError, Lit, Pcfg,
                             UnsatisfiableConstraintError)
 from compmt.naturalize import default_case_frames
 
@@ -190,8 +190,48 @@ def test_write_read_round_trip(tmp_path, small_build):
     assert len(tsv) == 1 + sum(len(v) for v in recs.values())
 
 
+def _emitted_tokens(bank):
+    """(where, token) for every token a built record can hold: lexicon
+    surfaces, dictionary translations, morphology suffixes, the question
+    particle and the literal tokens of every production, source and
+    target side, of the bank's grammar and each pattern's."""
+    for entry in bank.lexicon.entries:
+        for bundle, surface in entry.forms.items():
+            yield f"lexicon {entry.lemma}/{entry.pos} {bundle}", surface
+    for (lemma, pos, bundle), tokens in bank.dictionary.entries.items():
+        if bundle != "class":  # a verb's morphology class, never emitted
+            for token in tokens:
+                yield f"dictionary {lemma}/{pos} {bundle}", token
+    for key, (_, suffixes) in bank.morph.rules.items():
+        for token in suffixes:
+            yield f"morphology {key}", token
+    yield "question particle", bank.morph.question_particle
+    for grammar in (bank.grammar, *(p.gen_grammar for p in bank.patterns)):
+        for prod in grammar.productions:
+            for symbol in prod.rhs:
+                if isinstance(symbol, Lit):
+                    yield f"production {prod.id}", symbol.text
+            for item in prod.template or ():
+                if item.kind == "lit":
+                    yield f"template of {prod.id}", item.text
+
+
+def test_every_emitted_token_splits_back_to_itself(bank):
+    """Records hold their texts, tokens joined by single spaces, so a token
+    must be non-empty and hold no whitespace: then a text splits back to
+    its tokens, and (source, target) text pairs dedup exactly as token
+    pairs do."""
+    tokens = list(_emitted_tokens(bank))
+    assert {where.split()[0] for where, _ in tokens} == {
+        "lexicon", "dictionary", "morphology", "question", "production",
+        "template"}
+    bad = [(where, token) for where, token in tokens
+           if token.split() != [token]]
+    assert not bad
+
+
 def test_record_json_round_trip():
-    r = SentenceRecord("x-1", "gen", "pat", ("a", "b"), ("c",),
+    r = SentenceRecord("x-1", "gen", "pat", "a b", "c",
                        {"expected_role": "subject"}, {"seed": 4})
     assert SentenceRecord.from_json(r.to_json()) == r
 
@@ -229,11 +269,11 @@ def _assert_read_only(value):
 
 
 def test_read_records_are_slotted_and_share_tokens(tmp_path, bank):
-    """A read corpus holds slotted records whose equal tokens, split and
-    pattern id are one shared string each, as are the keys and strings of
-    their annotations and provenances; equal ints (the stream seeds) are one
-    object per file.  Equal annotations and provenances are one read-only
-    object per file."""
+    """A read corpus holds slotted records whose source and target are the
+    strings of their line; equal splits and pattern ids are one shared
+    string each, as are the keys and strings of their annotations and
+    provenances; equal ints (the stream seeds) are one object per file.
+    Equal annotations and provenances are one read-only object per file."""
     config = RunConfig(master_seed=1, scale=0.002)
     recs, manifest = build_splits(config, bank=bank)
     write_corpus(recs, manifest, str(tmp_path))
@@ -242,9 +282,15 @@ def test_read_records_are_slotted_and_share_tokens(tmp_path, bank):
     first = {}
     for split in SPLITS:
         ints, seeds, values = {}, 0, {}
-        for r in back[split]:
-            for token in (r.split, r.pattern_id, *r.source_tokens,
-                          *r.target_tokens):
+        lines = (tmp_path / f"{split}.jsonl").read_text(
+            encoding="utf-8").splitlines()
+        assert len(lines) == len(back[split])
+        for r, line in zip(back[split], lines):
+            data = json.loads(line)
+            for name in ("source", "target"):
+                assert type(getattr(r, name)) is str
+                assert getattr(r, name) == data[name]
+            for token in (r.split, r.pattern_id):
                 assert first.setdefault(token, token) is token
             for name in ("annotation", "provenance"):
                 value = getattr(r, name)
@@ -456,7 +502,7 @@ def test_draw_redraws_an_unrepairable_tree(bank, monkeypatch):
                 default_case_frames(), set(), dropped, "test stream")
     tree, source, samples = got[0], got[2], got[-1]
     assert tree is clean and samples == 2 and dropped == [1]
-    assert source == ("The", "teacher", "found", "the", "panda", ".")
+    assert source == "The teacher found the panda ."
 
 
 def test_concatenation_part_draw_is_bounded(bank, monkeypatch):
@@ -490,7 +536,7 @@ def test_concatenation_record_has_one_draw_budget(bank, monkeypatch):
 
 def test_in_distribution_pool_draw_is_bounded(bank, monkeypatch):
     def one_gen_record(pid, *_args):
-        return [SentenceRecord(f"gen-{pid}", "gen", pid, (pid,), (pid,))], \
+        return [SentenceRecord(f"gen-{pid}", "gen", pid, pid, pid)], \
             0, 1
 
     monkeypatch.setattr(build, "_build_pattern", one_gen_record)
