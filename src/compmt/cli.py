@@ -1,13 +1,13 @@
 """Command-line interface.
 
 Subcommands wire the pipeline end to end: ``validate`` checks every
-grammar and, by building them, every transduction template, ``generate``
-builds and audits a corpus, ``audit`` re-audits an existing one, ``score``
-evaluates a hypothesis file, and ``inspect`` filters records for
-eyeballing.
+grammar (as the tests do; no command checks them on start) and, by
+building them, every transduction template, ``generate`` builds and
+audits a corpus, ``audit`` re-audits an existing one, ``score`` evaluates
+a hypothesis file, and ``inspect`` filters records for eyeballing.
 
-Exit codes: 0 success, 1 validation or leakage failure, 2 I/O or
-configuration error.
+Exit codes: 0 success, 1 validation or leakage failure or a bank that
+cannot be built, 2 I/O or configuration error.
 """
 
 from __future__ import annotations
@@ -37,6 +37,15 @@ def _fail_io(message):
     sys.exit(EXIT_IO)
 
 
+def _bank():
+    """The bundled bank, or exit 1 with why it cannot be built."""
+    try:
+        return default_bank()
+    except GrammarError as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(EXIT_INVALID)
+
+
 def _load_config(config_path, seed, scale, wo_concat, out):
     """The run configuration: the file, then the flags over it.  A bad
     value exits 2 naming the flag or the file it came from."""
@@ -55,7 +64,7 @@ def _load_config(config_path, seed, scale, wo_concat, out):
         config.out_dir = out
     elif os.environ.get(OUT_DIR_ENV):
         config.out_dir = os.environ[OUT_DIR_ENV]
-    gen_counts = [p.gen_count for p in default_bank().patterns]
+    gen_counts = [p.gen_count for p in _bank().patterns]
     for key, message in config.range_errors(gen_counts):
         if key == "scale" and scale is not None:
             _fail_io(f"--scale {message}")
@@ -93,13 +102,10 @@ def validate(config_path, seed, scale, wo_concat, out):
     """Validate every grammar the build samples from.  Building the bank
     parses every production's transduction template against its rhs."""
     _load_config(config_path, seed, scale, wo_concat, out)
-    try:
-        bank = default_bank()
-        patterns = bank.patterns
-        names = ["in_dist"] + [p.id for p in patterns]
-        grammars = [(name, bank.grammar_for(name)) for name in names]
-    except GrammarError as exc:
-        _fail_io(exc)
+    bank = _bank()
+    patterns = bank.patterns
+    names = ["in_dist"] + [p.id for p in patterns]
+    grammars = [(name, bank.grammar_for(name)) for name in names]
     problems = [f"{name}: {violation}" for name, grammar in grammars
                 for violation in grammar.validate()]
     if problems:
@@ -121,8 +127,8 @@ def generate(config_path, seed, scale, wo_concat, out, parallel):
     config = _load_config(config_path, seed, scale, wo_concat, out)
     if parallel:
         config.parallel = True
+    bank = _bank()
     try:
-        bank = default_bank()
         splits, manifest = build_splits(config, bank=bank)
     except GrammarError as exc:
         click.echo(f"build failed: {exc}", err=True)
@@ -155,7 +161,7 @@ def audit(corpus_dir):
         records, _manifest = read_corpus(corpus_dir, keep=("train",))
     except (OSError, ValueError) as exc:
         _fail_io(exc)
-    bank = default_bank()
+    bank = _bank()
     patterns = bank.patterns
     violations = audit_gap(records["train"], patterns, bank=bank)
     for v in violations:
@@ -180,8 +186,7 @@ def score(corpus_dir, split, hyp_path, report_path):
         records, _manifest = read_corpus(corpus_dir, keep=(split,))
     except (OSError, ValueError) as exc:
         _fail_io(exc)
-    bank = default_bank()
-    patterns = bank.patterns
+    patterns = _bank().patterns
     try:
         report = score_file(hyp_path, records[split], patterns)
     except (OSError, ScoringError) as exc:

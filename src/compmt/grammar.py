@@ -64,9 +64,6 @@ class Lexicon:
             if ranks != list(range(1, len(group) + 1)):
                 raise GrammarError(f"zipf ranks for {pos} not contiguous from 1")
 
-    def __len__(self):
-        return len(self.entries)
-
     def get(self, lemma: str, pos: str) -> LexEntry:
         try:
             return self.by_key[(lemma, pos)]
@@ -511,9 +508,10 @@ class _Intersection:
     the first child that satisfies it, and the children before that one
     negate it.
 
-    Without constraints every inside weight is 1 (a validated grammar is
-    normalized and consistent), so the choices are the productions with
-    their own weights and the draw is the plain PCFG's.
+    Without constraints every inside weight is 1 (``compmt validate``
+    checks that each grammar is normalized and consistent), so the choices
+    are the productions with their own weights and the draw is the plain
+    PCFG's.
 
     The table reads only the productions' ids, weights, constructs and
     nonterminal children, so a grammar and its ``restrict_slots`` copies

@@ -31,8 +31,6 @@ ROLE_PARTICLES = {
     "niyotte": "agent_by",
 }
 
-GROUPS = ("Lexical", "LexicalMorphological", "Structural")
-
 
 class ScoringError(ValueError):
     """Hypothesis/reference misalignment or an empty scoring request."""
@@ -223,8 +221,8 @@ class EvalReport:
                  f"{'exact':>6s} {'bleu':>6s} {'partial':>7s}"]
         lines.extend(line(f"{row['pattern_id']:28s} {row['group']:22s}", row)
                      for row in self.per_pattern)
-        lines.extend(line(f"[{group}]", self.per_group[group])
-                     for group in GROUPS if group in self.per_group)
+        lines.extend(line(f"[{group}]", row)
+                     for group, row in self.per_group.items())
         lines.append(line("[overall]", self.overall))
         return "\n".join(lines)
 
@@ -232,7 +230,8 @@ class EvalReport:
 def score_records(hyp_by_id, records, patterns) -> EvalReport:
     """Score a {record id: hypothesis tokens} mapping against reference
     records, per pattern, per pattern group and overall.  Every row is
-    formatted from the sum of its sentences' integer counts."""
+    formatted from the sum of its sentences' integer counts.  Groups come
+    in the order in which ``patterns`` first names them."""
     group_of = {p.id: p.group for p in patterns}
     totals = {}  # pattern id -> summed row totals
     skipped = 0
@@ -254,7 +253,7 @@ def score_records(hyp_by_id, records, patterns) -> EvalReport:
     per_pattern = [{"pattern_id": pid, "group": group_of.get(pid, ""),
                     **_row(totals[pid])} for pid in order]
     per_group = {}
-    for group in GROUPS:
+    for group in dict.fromkeys(p.group for p in patterns):
         members = [totals[pid] for pid in order if group_of.get(pid) == group]
         if members:
             per_group[group] = _row(_sum(members))

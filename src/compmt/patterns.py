@@ -151,14 +151,6 @@ def _with_embedded(g, clauses):
         _emb_clause(g, p.id, 2 * p.weight)
 
 
-def _compile(g, lexicon, zipf=1.0):
-    grammar = g.grammar(lexicon, zipf_exponent=zipf)
-    problems = grammar.validate()
-    if problems:
-        raise ValueError("; ".join(str(p) for p in problems))
-    return grammar
-
-
 def _sample_exposures(plans, targets=None):
     """Exposure recipes over the training grammar: one per target x plan."""
     out = []
@@ -670,7 +662,7 @@ def build_patterns(lexicon) -> list:
                 variants.append(((), (), fixed))
         specs.append(PatternSpec(
             pid, category, group, tuple(targets), count, kind,
-            _compile(spec, lexicon, zipf), tuple(variants),
+            spec.grammar(lexicon, zipf_exponent=zipf), tuple(variants),
             tuple(exposures), wh_word, role, marker))
 
     # -- primitive substitution -------------------------------------------

@@ -3,11 +3,15 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+from compmt import bank as bank_module
+from compmt import patterns as patterns_module
 from compmt.cli import main
 from compmt.grammar import GrammarError
 
@@ -42,6 +46,52 @@ def test_validate_ok(runner):
     assert result.exit_code == 0, result.output
     assert "ok: 43 grammars" in result.output
     assert "42 pattern grammars" in result.output
+
+
+def test_validate_names_a_non_normalized_pattern_grammar(runner,
+                                                         monkeypatch):
+    """The bank is built without validating its grammars, so ``validate``
+    reaches its own report for a broken pattern grammar."""
+    build = patterns_module._gen_wh_passive_subj
+
+    def skewed():
+        g = build()
+        i = next(i for i, p in enumerate(g.prods) if p.id == "q_whatpass")
+        g.prods[i] = replace(g.prods[i], weight=F(2, 10))
+        return g
+
+    monkeypatch.setattr(patterns_module, "_gen_wh_passive_subj", skewed)
+    monkeypatch.setattr(bank_module, "_default_bank", None)
+    result = runner.invoke(main, ["validate"])
+    assert result.exit_code == 1, result.output
+    assert result.output == ("wh_passive_subj: non_normalized: SQ "
+                             "(lhs SQ sums to 1.1)\n1 grammar violations\n")
+
+
+@pytest.mark.parametrize("command", ["validate", "generate", "audit",
+                                     "score"])
+def test_a_bank_that_cannot_be_built_exits_1_naming_the_production(
+        runner, corpus_dir, tmp_path, monkeypatch, command):
+    parse = bank_module.parse_template
+
+    def malformed(pid, text, rhs):
+        if pid == "s_trans_past":
+            text = "$0 ga $9 o @morph(1)"
+        return parse(pid, text, rhs)
+
+    monkeypatch.setattr(bank_module, "parse_template", malformed)
+    monkeypatch.setattr(bank_module, "_default_bank", None)
+    hyp = tmp_path / "hyp.txt"
+    hyp.write_text("")
+    args = {"validate": [],
+            "generate": ["--scale", "0.01", "--out", str(tmp_path / "out")],
+            "audit": ["--corpus", str(corpus_dir)],
+            "score": ["--corpus", str(corpus_dir), "--hyp", str(hyp)]}
+    result = runner.invoke(main, [command, *args[command]])
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert result.output == \
+        "error: production s_trans_past: child 9 out of range\n"
 
 
 def test_audit_existing_corpus(runner, corpus_dir):

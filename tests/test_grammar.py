@@ -4,7 +4,7 @@ from random import Random
 import pytest
 
 from compmt import grammar
-from compmt.bank import analyze
+from compmt.bank import Bank, analyze
 from compmt.build import _annotate
 from compmt.earley import parse
 from compmt.grammar import (Constraints, GrammarError, LeafNode, LexEntry,
@@ -216,6 +216,16 @@ def test_default_bank_grammars_validate(bank, patterns):
     assert bank.grammar_for("in_dist").validate() == []
     for p in patterns:
         assert p.gen_grammar.validate() == [], p.id
+
+
+def test_bank_builds_without_validating_its_grammars(monkeypatch):
+    """The bundled grammars are checked by the test above and by
+    ``compmt validate``, not on every start."""
+    def refuse(self):
+        raise AssertionError("Pcfg.validate ran while building the bank")
+
+    monkeypatch.setattr(Pcfg, "validate", refuse)
+    assert len(Bank().patterns) == 42
 
 
 def _value_pairs():

@@ -4,6 +4,7 @@ import math
 import random
 import re
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -254,6 +255,22 @@ def test_report_table_marks_unevaluable_partial(small_build, patterns):
     table = report.table()
     assert "---" in table and "[overall]" in table
     json.loads(report.to_json())
+
+
+def test_a_pattern_group_gets_its_row_in_order_of_appearance(small_build,
+                                                             patterns):
+    recs, _ = small_build
+    gen = recs["gen"]
+    last = replace(patterns[-1], group="Fourth")
+    report = score_records({r.id: list(r.target_tokens) for r in gen},
+                           gen, [*patterns[:-1], last])
+    assert list(report.per_group) == ["Lexical", "LexicalMorphological",
+                                      "Structural", "Fourth"]
+    row = next(row for row in report.per_pattern
+               if row["pattern_id"] == last.id)
+    assert report.per_group["Fourth"] == {
+        k: v for k, v in row.items() if k not in ("pattern_id", "group")}
+    assert report.table().splitlines()[-2].startswith("[Fourth] ")
 
 
 def test_tuple_hypotheses_score_as_lists(small_build, patterns):
