@@ -3,10 +3,11 @@
 analysis.
 
 Slot tags encode grammatical positions ("n:subj:c", "v:do:past", ...) so that
-lexeme restrictions target exactly one position and corpus analysis can read
-roles, verb frames, production ids and construct depths straight off a
-tree; analysis judges nothing, and the gap audit decides which of those
-facts are withheld.  Production ids are shared between the in-distribution
+lexeme restrictions target exactly one position and `analyze` can read
+roles, verb frames, selectional pairs, production ids and construct depths
+off a tree in one walk, in an order its callers depend on (see `Analysis`);
+analysis judges nothing, and the gap audit decides which of those facts
+are withheld.  Production ids are shared between the in-distribution
 grammar and the per-pattern generalization grammars wherever the clause
 shape is identical, because the gap audit reads them; a shared id always
 carries the same template and construct.  `patterns` copies each shared
@@ -36,8 +37,7 @@ from fractions import Fraction
 from functools import cache
 
 from .grammar import (
-    Lit, NT, Pcfg, Production, Slot, LeafNode, ProdNode, iter_leaves,
-    profile,
+    CONSTRUCTS, Lit, NT, Pcfg, Production, Slot, LeafNode, ProdNode,
 )
 from .lexdata import (
     ANIMATE_NOUNS, INANIMATE_NOUNS, PROPER_NOUNS, VERBS, build_lexicon,
@@ -444,12 +444,21 @@ def tag_role(tag: str):
 
 @dataclass
 class Analysis:
+    """What one walk reads off a derivation tree.  Callers depend on the
+    lists' order: ``naturalize`` repairs ``pairs[0]`` first, so reordering
+    moves the RNG stream and the corpus bytes, and the audit's violation
+    lines follow ``lemma_roles`` and ``verbs``.  ``lemma_roles``, ``verbs``
+    and ``lemmas`` are in leaf order.  A clause's ``pairs`` follow those of
+    the clauses nested in it, in the order of its noun phrases, and a gap
+    link follows its object-gap relative clause's own pairs."""
+
     lemma_roles: list = field(default_factory=list)  # (lemma, role)
     verbs: list = field(default_factory=list)  # (lemma, frame, tense, voice)
     pairs: list = field(default_factory=list)  # (verb, sel-role, noun, tag)
-    depths: dict = field(default_factory=dict)  # construct -> depth
+    depths: dict = field(  # construct -> depth, every construct
+        default_factory=lambda: dict.fromkeys(CONSTRUCTS, 0))
     ids: set = field(default_factory=set)  # production ids
-    lemmas: list = field(default_factory=list)  # content lemmas, leaf order
+    lemmas: list = field(default_factory=list)  # content lemmas
 
 
 def _verb_facts(leaf: LeafNode):
@@ -466,87 +475,94 @@ def _verb_facts(leaf: LeafNode):
     return (leaf.entry.lemma, frame, tense, voice)
 
 
-def _np_head(node):
-    """Head noun leaf of an NP subtree: the role-tagged leaf reachable
-    without entering a clause (verb-bearing production) or a PP."""
-    stack = [node]
-    while stack:
-        cur = stack.pop()
-        if isinstance(cur, LeafNode):
-            if cur.tag.startswith("n:") and _tag_stem(cur.tag) != "ppn":
-                return cur
-            continue
-        if not isinstance(cur, ProdNode):
-            continue
-        if cur is not node and cur.production.is_clause:
-            continue
-        if cur.production.id.startswith("pp_"):
-            continue
-        stack.extend(cur.children)
-    return None
-
-
 def analyze(tree: ProdNode) -> Analysis:
+    """Every fact of ``tree`` in one walk, its root taken for a clause."""
     out = Analysis()
-    out.ids, out.depths = profile(tree)
-    _clause(tree, out)
-    for leaf in iter_leaves(tree):
-        role = tag_role(leaf.tag)
-        if role is not None:
-            out.lemma_roles.append((leaf.entry.lemma, role))
-        if leaf.entry.pos in CONTENT_POS:
-            out.lemmas.append(leaf.entry.lemma)
+    _clause(tree, (), out)
     return out
 
 
-def _clause(node: ProdNode, out: Analysis):
-    """Collect into ``out`` the facts of the clause headed at node,
-    recursing into nested clauses separately."""
+def _np_head(node):
+    """Head noun leaf of an NP subtree, as the walk's NP step finds it."""
+    return _noun_phrase(node, (), Analysis())
+
+
+def _enter(node: ProdNode, path: tuple, out: Analysis) -> tuple:
+    """Add ``node``'s id and construct depth to ``out`` and return the
+    constructs on the path down to it: a construct's depth is the most
+    productions tagged with it on any path from the root."""
+    out.ids.add(node.production.id)
+    construct = node.production.construct
+    if construct:
+        path += (construct,)
+        out.depths[construct] = max(out.depths[construct],
+                                    path.count(construct))
+    return path
+
+
+def _leaf(leaf: LeafNode, out: Analysis):
+    role = tag_role(leaf.tag)
+    if role is not None:
+        out.lemma_roles.append((leaf.entry.lemma, role))
+    if leaf.entry.pos in CONTENT_POS:
+        out.lemmas.append(leaf.entry.lemma)
+
+
+def _clause(node: ProdNode, path: tuple, out: Analysis):
+    """The clause step: walk the clause at ``node`` into ``out`` and return
+    its verb, the first that is not a bare infinitive after "to".  Each of
+    its noun phrases' heads with a checked role makes a pair with it."""
+    path = _enter(node, path, out)
     verb = None
     heads = []
     for child in node.children:
         if isinstance(child, LeafNode):
+            _leaf(child, out)
             if child.entry.pos == "Verb":
                 out.verbs.append(_verb_facts(child))
                 if verb is None and _tag_stem(child.tag) != "infbase":
                     verb = child
         elif isinstance(child, ProdNode):
             if child.production.is_clause:
-                _clause(child, out)
+                _clause(child, path, out)
             else:
-                _walk_np(child, heads, out)
+                head = _noun_phrase(child, path, out)
+                if head is not None:
+                    heads.append(head)
     for head in heads:
-        stem = _tag_stem(head.tag)
-        sel = _SELECTIONAL_ROLE.get(stem)
+        sel = _SELECTIONAL_ROLE.get(_tag_stem(head.tag))
         if verb is not None and sel is not None:
             out.pairs.append(
                 (verb.entry.lemma, sel, head.entry.lemma, head.tag))
+    return verb
 
 
-def _walk_np(node: ProdNode, heads: list, out: Analysis):
-    """Record the head of this NP in ``heads`` and descend into its
-    modifiers."""
-    head = _np_head(node)
-    if head is not None:
-        heads.append(head)
-    stack = list(node.children)
-    while stack:
-        cur = stack.pop()
-        if not isinstance(cur, ProdNode):
+def _noun_phrase(node: ProdNode, path: tuple, out: Analysis, head=None,
+                 in_pp=False):
+    """The NP step: walk the noun phrase at ``node`` into ``out`` and
+    return its head, the last noun leaf reached without entering a clause
+    or a PP, other than a PP's `n:ppn` noun; ``head`` and ``in_pp`` carry
+    the enclosing phrase's state into its parts.  The head so far is the
+    object of an object-gap relative clause in the phrase (the gap link); a
+    relative clause ends its phrase in every bank grammar."""
+    path = _enter(node, path, out)
+    in_pp = in_pp or node.production.id.startswith("pp_")
+    for child in node.children:
+        if isinstance(child, LeafNode):
+            _leaf(child, out)
+            if not in_pp and child.tag.startswith("n:") \
+                    and _tag_stem(child.tag) != "ppn":
+                head = child
+        elif not isinstance(child, ProdNode):
             continue
-        if cur.production.is_clause:
-            _clause(cur, out)
-            # Gap link: the head is the object of an object-gap RC.
-            if cur.production.id == "rc_objgap" and head is not None:
-                rcv = next((ch for ch in cur.children
-                            if isinstance(ch, LeafNode)
-                            and ch.entry.pos == "Verb"), None)
-                if rcv is not None:
-                    out.pairs.append(
-                        (rcv.entry.lemma, "direct_object",
-                         head.entry.lemma, head.tag))
+        elif not child.production.is_clause:
+            head = _noun_phrase(child, path, out, head, in_pp)
         else:
-            stack.extend(cur.children)
+            verb = _clause(child, path, out)
+            if child.production.id == "rc_objgap" and head and verb:
+                out.pairs.append((verb.entry.lemma, "direct_object",
+                                  head.entry.lemma, head.tag))
+    return head
 
 
 # --------------------------------------------------------------------------

@@ -3,8 +3,7 @@
 The grammar side of the pipeline: lexical entries with morphological forms,
 weighted productions whose right-hand sides mix nonterminals, part-of-speech
 slots and literal tokens, plus validation, Zipfian lexical weighting,
-seeded sampling, exact under constraints, and ``profile``, the one
-structural walk of a tree.
+and seeded sampling, exact under constraints.
 """
 
 from __future__ import annotations
@@ -188,28 +187,6 @@ def iter_leaves(tree) -> Iterator[LeafNode]:
             yield node
         elif isinstance(node, ProdNode):
             stack.extend(reversed(node.children))
-
-
-def profile(tree: ProdNode) -> tuple:
-    """(production ids, {construct: depth}) of a derivation tree, in one walk.
-    A construct's depth is the most productions tagged with it on any path
-    from the root: how deeply it nests within itself."""
-    ids, depths = set(), dict.fromkeys(CONSTRUCTS, 0)
-    _profile_walk(tree, (), ids, depths)
-    return ids, depths
-
-
-def _profile_walk(node, path, ids, depths):
-    """``profile``'s walk below ``node``; ``path`` holds the constructs
-    tagged above it."""
-    ids.add(node.production.id)
-    construct = node.production.construct
-    if construct:
-        path += (construct,)
-        depths[construct] = max(depths[construct], path.count(construct))
-    for child in node.children:
-        if isinstance(child, ProdNode):
-            _profile_walk(child, path, ids, depths)
 
 
 @dataclass
@@ -448,7 +425,8 @@ class Constraints:
     production ids; ``depths`` gives constructs, each at most once, and the
     exact depth the tree must show for each.  ``Pcfg.sample_with_rng``
     draws from the grammar conditioned on them, and ``satisfied_by`` checks
-    a tree's ``profile`` independently of the sampler.
+    a tree's production ids and construct depths, as ``bank.analyze``
+    reads them, independently of the sampler.
     """
 
     required: frozenset = frozenset()

@@ -278,10 +278,11 @@ def read_hypotheses(path, records=None):
     apart.  Tokens are interned, so equal tokens are one string: a system's
     output repeats a few thousand token types many times over.
     """
-    with open(path, encoding="utf-8") as fh:
-        # Only a newline ends a line: str.splitlines would also break at
-        # U+2028, form feeds and the like, which JSON strings and plain
-        # text may hold.
+    with open(path, encoding="utf-8", newline="\n") as fh:
+        # Only a newline ends a line: universal newlines would also break
+        # at a bare "\r", and str.splitlines at U+2028, form feeds and the
+        # like, which JSON strings and plain text may hold.  A CRLF line
+        # keeps its "\r", which split() and json.loads drop.
         try:
             lines = [line.rstrip("\n") for line in fh]
         except UnicodeDecodeError:

@@ -11,6 +11,10 @@ from compmt.earley import parse
 # first 25 trees of each of the 43 bank grammars sampled from Random(0).
 ANALYSIS_SHA256 = \
     "39722579cb2c211f8049df8805d940d781c77feb156c3aff5f93874a72cd456f"
+# sha256 of the sorted production ids and the content lemmas, in leaf order,
+# over the same trees.
+IDS_LEMMAS_SHA256 = \
+    "bdcb67638263db4d725bd22dbdf46293f0b060c7a24d39b21fd73ee1e7e9dc45"
 
 
 def _analysis_dump(tree):
@@ -36,6 +40,23 @@ def test_analysis_is_pinned(bank, patterns, small_build):
         for _ in range(25):
             digest.update(_analysis_dump(grammar.sample_with_rng(rng)).encode())
     assert digest.hexdigest() == ANALYSIS_SHA256
+
+
+def test_analysis_ids_and_lemmas_are_pinned(bank, patterns, small_build):
+    recs, _ = small_build
+    g = audit_grammar(bank, patterns)
+    trees = [tree for record in recs["train"]
+             for seg in segment(record.source_tokens)
+             for tokens in (seg, [seg[0][0].lower() + seg[0][1:]] + seg[1:])
+             for tree in parse(g, tokens, PARSE_LIMIT)]
+    for gid in ["in_dist"] + [p.id for p in patterns]:
+        grammar, rng = bank.grammar_for(gid), Random(0)
+        trees += [grammar.sample_with_rng(rng) for _ in range(25)]
+    digest = hashlib.sha256()
+    for tree in trees:
+        an = analyze(tree)
+        digest.update(json.dumps([sorted(an.ids), an.lemmas]).encode())
+    assert digest.hexdigest() == IDS_LEMMAS_SHA256
 
 
 def test_infinitive_after_to_is_tenseless_in_any_clause(patterns):

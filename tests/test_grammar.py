@@ -10,7 +10,7 @@ from compmt.earley import parse
 from compmt.grammar import (Constraints, GrammarError, LeafNode, LexEntry,
                             Lexicon, Lit, LitNode, NT, Pcfg, ProdNode,
                             Production, Slot, UnsatisfiableConstraintError,
-                            iter_leaves, iter_nodes, profile, yield_tokens)
+                            iter_leaves, iter_nodes, yield_tokens)
 from compmt.naturalize import _replace_leaf, default_case_frames, naturalize
 from compmt.transduce import target_span, transduce
 
@@ -115,14 +115,19 @@ def test_sampling_is_deterministic_in_seed():
     assert a == b
 
 
+def _profile(tree):
+    an = analyze(tree)
+    return an.ids, an.depths
+
+
 def test_constraints_required_and_forbidden():
     g = _toy_grammar()
     tree = g.sample_with_rng(Random(3),
                              Constraints(required=frozenset({"a_one"})))
-    assert "a_one" in profile(tree)[0]
+    assert "a_one" in analyze(tree).ids
     tree = g.sample_with_rng(Random(3),
                              Constraints(forbidden=frozenset({"a_one"})))
-    assert "a_one" not in profile(tree)[0]
+    assert "a_one" not in analyze(tree).ids
 
 
 def test_every_constrained_draw_meets_its_constraints(patterns):
@@ -134,7 +139,7 @@ def test_every_constrained_draw_meets_its_constraints(patterns):
             constraints = p.constraints_for(i)
             tree = p.gen_grammar.sample_with_rng(rng, constraints)
             assert tree is not None and \
-                constraints.satisfied_by(*profile(tree)), \
+                constraints.satisfied_by(*_profile(tree)), \
                 (p.id, str(constraints))
 
 
@@ -183,8 +188,8 @@ def test_profile_counts_nested_constructs():
         Production("stop", "S", (Lit("x"),), Fraction(2, 3)),
     ], lex)
     tree = g.sample_with_rng(Random(1), Constraints(depths=(("CP", 3),)))
-    assert profile(tree) == ({"wrap", "stop"},
-                             {"CP": 3, "PP": 0, "CenterEmbedRC": 0, "Adj": 0})
+    assert _profile(tree) == ({"wrap", "stop"},
+                              {"CP": 3, "PP": 0, "CenterEmbedRC": 0, "Adj": 0})
     assert yield_tokens(tree) == ["(", "(", "(", "x", ")", ")", ")"]
 
 
@@ -203,12 +208,12 @@ def test_profile_depth_is_the_deepest_branch():
         g, "adj", LitNode("red"), _nest(g, "pp", LitNode("on"), end)))
     right = _nest(g, "pp", LitNode("on"), _nest(
         g, "pp", LitNode("on"), _nest(g, "pp", LitNode("on"), end)))
-    ids, depths = profile(_nest(g, "pair", left, right))
+    ids, depths = _profile(_nest(g, "pair", left, right))
     assert ids == {"pair", "pp", "adj", "end"}
     assert depths == {"CP": 0, "PP": 3, "CenterEmbedRC": 0, "Adj": 1}
-    _, depths = profile(_nest(g, "pair", right, left))
+    _, depths = _profile(_nest(g, "pair", right, left))
     assert depths["PP"] == 3
-    _, depths = profile(_nest(g, "pair", left, end))
+    _, depths = _profile(_nest(g, "pair", left, end))
     assert depths["PP"] == 2
 
 

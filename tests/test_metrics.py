@@ -319,16 +319,18 @@ def test_read_hypotheses_jsonl_keeps_unicode_line_separators(tmp_path):
 
 def test_read_hypotheses_plain_text_splits_only_at_newlines(tmp_path,
                                                             small_build):
-    """A form feed inside a plain-text line is whitespace, not a line
-    end, and the final newline adds no line."""
+    """A form feed or a bare carriage return inside a plain-text line is
+    whitespace, not a line end, and the final newline adds no line; CRLF
+    line ends read as newlines."""
     recs, _ = small_build
     gen = recs["gen"][:3]
     path = tmp_path / "h.txt"
-    lines = [r.target for r in gen]
-    lines[1] = lines[1].replace(" ", " \f", 1)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    got = read_hypotheses(str(path), gen)
-    assert got == {r.id: list(r.target_tokens) for r in gen}
+    want = {r.id: list(r.target_tokens) for r in gen}
+    for inner, end in ((" \f", "\n"), (" \r", "\n"), (" ", "\r\n")):
+        lines = [r.target for r in gen]
+        lines[1] = lines[1].replace(" ", inner, 1)
+        path.write_bytes((end.join(lines) + end).encode("utf-8"))
+        assert read_hypotheses(str(path), gen) == want, (inner, end)
 
 
 def test_read_hypotheses_plain_text_alignment(tmp_path, small_build):

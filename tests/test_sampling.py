@@ -14,9 +14,10 @@ from fractions import Fraction
 from random import Random
 
 from compmt.audit import audit_grammar
+from compmt.bank import analyze
 from compmt.grammar import (Constraints, LexEntry, Lexicon, Lit, NT, Pcfg,
                             Production, Slot, iter_leaves, iter_nodes,
-                            profile, yield_tokens)
+                            yield_tokens)
 from compmt.naturalize import SelViolation, _locate
 
 F = Fraction
@@ -115,8 +116,9 @@ def _exact_against_rejection(g, variants, plain_draws, exact_draws, seed):
     kept = [[] for _ in variants]
     for _ in range(plain_draws):
         tree = g.sample_with_rng(rng)
+        an = analyze(tree)
         for constraints, trees in zip(variants, kept):
-            if constraints.satisfied_by(*profile(tree)):
+            if constraints.satisfied_by(an.ids, an.depths):
                 trees.append(tree)
     out = []
     for constraints, trees in zip(variants, kept):
